@@ -62,7 +62,7 @@ class CoalescingEngine(PairwiseEngine):
         alg = self.algorithm
         state = self.state
 
-        effective = net_effects(batch, lambda u, v: graph.out_adj(u).get(v))
+        effective = net_effects(batch, graph.weight_or_none)
         for upd in effective:
             graph.apply_update(upd, missing_ok=False)
         ops.updates_processed += len(effective)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.keypath import KeyPathTracker
@@ -89,6 +89,41 @@ class ClassifiedBatch:
         }
 
 
+#: one tracker (a single query) or every tracker of a source group
+KeyPaths = Union[KeyPathTracker, Iterable[KeyPathTracker]]
+
+
+def _trackers(keypath: KeyPaths) -> Tuple[KeyPathTracker, ...]:
+    if isinstance(keypath, KeyPathTracker):
+        return (keypath,)
+    return tuple(keypath)
+
+
+def carries_answer(
+    rule: KeyPathRule,
+    trackers: Iterable[KeyPathTracker],
+    parents: Sequence[int],
+    update: EdgeUpdate,
+) -> bool:
+    """Does deleting ``update`` touch the key path of any destination?
+
+    The one place the two membership rules are told apart: classification
+    uses it to split valuable deletions into non-delayed and delayed, and
+    every promotion pass (software workflow and accelerator model alike)
+    re-asks it of the deletions still buffered after a repair.
+    """
+    u, v = update.u, update.v
+    if rule is KeyPathRule.PAPER:
+        for tracker in trackers:
+            if tracker.contains(u):
+                return True
+        return False
+    for tracker in trackers:
+        if tracker.edge_on_path(u, v, parents):
+            return True
+    return False
+
+
 def classify_addition(
     algorithm: MonotonicAlgorithm,
     states: Sequence[float],
@@ -104,55 +139,61 @@ def classify_deletion(
     algorithm: MonotonicAlgorithm,
     states: Sequence[float],
     parents: Sequence[int],
-    keypath: KeyPathTracker,
+    keypath: KeyPaths,
     update: EdgeUpdate,
     rule: KeyPathRule = KeyPathRule.PRECISE,
 ) -> UpdateClass:
     """Algorithm 1 lines 10-20 for one deletion."""
     if not algorithm.supplies(states[update.u], update.weight, states[update.v]):
         return UpdateClass.USELESS
-    if rule is KeyPathRule.PAPER:
-        on_path = keypath.contains(update.u)
-    else:
-        on_path = keypath.edge_on_path(update.u, update.v, parents)
-    return UpdateClass.VALUABLE if on_path else UpdateClass.DELAYED
+    if carries_answer(rule, _trackers(keypath), parents, update):
+        return UpdateClass.VALUABLE
+    return UpdateClass.DELAYED
 
 
 def classify_batch(
     algorithm: MonotonicAlgorithm,
     states: Sequence[float],
     parents: Sequence[int],
-    keypath: KeyPathTracker,
-    batch: UpdateBatch,
+    keypath: KeyPaths,
+    batch: Union[UpdateBatch, Sequence[EdgeUpdate]],
     rule: KeyPathRule = KeyPathRule.PRECISE,
 ) -> ClassifiedBatch:
     """Classify a whole batch against a converged state array.
 
     States must be the converged array of the previous snapshot (the
     engine's invariant), otherwise the equality test of deletions is
-    meaningless.  Each check costs two state reads and one
+    meaningless.  ``keypath`` is one tracker, or all of a source group's:
+    a deletion is non-delayed when it carries the answer of *any*
+    destination.  Each check costs two state reads and one
     classification-check operation, which is the total identification
     overhead of the workflow — O(1) per update, no traversal.
+
+    This is the only loop that runs the triangle-inequality tests over a
+    batch (:func:`classify_addition` / :func:`classify_deletion` are its
+    single-update specification), so it is written for the useless
+    majority: bound methods, no per-update enum, counters added in bulk.
     """
+    trackers = _trackers(keypath)
+    improves = algorithm.improves
+    supplies = algorithm.supplies
     result = ClassifiedBatch()
-    ops = result.ops
+    valuable = result.valuable_additions.append
+    nondelayed = result.nondelayed_deletions.append
+    delayed = result.delayed_deletions.append
+    useless = result.useless.append
     for update in batch:
-        ops.classification_checks += 1
-        ops.state_reads += 2
         if update.is_addition:
-            cls = classify_addition(algorithm, states, update)
-            if cls is UpdateClass.VALUABLE:
-                result.valuable_additions.append(update)
+            if improves(states[update.u], update.weight, states[update.v]):
+                valuable(update)
             else:
-                result.useless.append(update)
+                useless(update)
+        elif not supplies(states[update.u], update.weight, states[update.v]):
+            useless(update)
+        elif carries_answer(rule, trackers, parents, update):
+            nondelayed(update)
         else:
-            cls = classify_deletion(
-                algorithm, states, parents, keypath, update, rule
-            )
-            if cls is UpdateClass.VALUABLE:
-                result.nondelayed_deletions.append(update)
-            elif cls is UpdateClass.DELAYED:
-                result.delayed_deletions.append(update)
-            else:
-                result.useless.append(update)
+            delayed(update)
+    result.ops.classification_checks = len(batch)
+    result.ops.state_reads = 2 * len(batch)
     return result

@@ -16,38 +16,37 @@ The engine augments incremental computation with the paper's workflow:
 
 Useless updates are dropped in step 2 and never touch the propagation
 machinery — the paper's headline computation reduction.
+
+Step 1 happens here; steps 2-5 are
+:meth:`repro.core.multiquery.SourceGroup.process_batch`, shared with the
+multi-query engine and the serve layer.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional, Set
 
 from repro.algorithms.base import MonotonicAlgorithm
-from repro.core.classification import (
-    ClassifiedBatch,
-    KeyPathRule,
-    classify_batch,
-)
+from repro.core.classification import ClassifiedBatch, KeyPathRule
 from repro.core.keypath import KeyPathTracker
-from repro.core.scheduler import UpdateScheduler
+from repro.core.multiquery import BatchObserver, SourceGroup
 from repro.engine import PairwiseEngine
-from repro.graph.batch import EdgeUpdate, UpdateBatch, net_effects
+from repro.graph.batch import UpdateBatch, net_effects
 from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import BatchResult, OpCounts
 from repro.query import PairwiseQuery
 
 
-def _maybe_span(telemetry, name: str, **attributes):
-    """A real span when telemetry is attached, a no-op context otherwise."""
-    if telemetry is None:
-        return nullcontext()
-    return telemetry.span(name, **attributes)
-
-
 class CISGraphEngine(PairwiseEngine):
-    """Contribution-driven pairwise engine (CISGraph-O in the paper)."""
+    """Contribution-driven pairwise engine (CISGraph-O in the paper).
+
+    A single query is a source group with one destination: steps 2-5 of
+    the workflow run in :meth:`SourceGroup.process_batch`, the one
+    implementation every engine shares, and this class adds what only a
+    single-query caller reports — the activation waves of Figure 5b, the
+    answer observed when the response window closed, and the phase spans.
+    """
 
     name = "cisgraph-o"
 
@@ -60,8 +59,9 @@ class CISGraphEngine(PairwiseEngine):
     ) -> None:
         super().__init__(graph, algorithm, query)
         self.rule = rule
-        self.state = IncrementalState(graph, algorithm, query.source)
-        self.keypath = KeyPathTracker(query.source, query.destination)
+        self._group = SourceGroup(
+            graph, algorithm, query.source, [query.destination], rule
+        )
         #: classification summary of the last processed batch
         self.last_classified: Optional[ClassifiedBatch] = None
         #: vertices activated by additions / deletions in the last batch;
@@ -74,13 +74,22 @@ class CISGraphEngine(PairwiseEngine):
         self.last_response_answer: float = algorithm.identity()
 
     # ------------------------------------------------------------------
-    def _do_initialize(self) -> None:
-        self.state.full_compute(self.init_ops)
-        self.keypath.rebuild(self.state.parents)
+    @property
+    def state(self) -> IncrementalState:
+        """Converged state array and dependence tree of the query's source."""
+        return self._group.state
+
+    @property
+    def keypath(self) -> KeyPathTracker:
+        """The query's global key path."""
+        return self._group.keypaths[self.query.destination]
 
     @property
     def answer(self) -> float:
-        return self.state.states[self.query.destination]
+        return self._group.answer(self.query.destination)
+
+    def _do_initialize(self) -> None:
+        self._group.initialize(self.init_ops)
 
     # ------------------------------------------------------------------
     def _do_batch(self, batch: UpdateBatch) -> BatchResult:
@@ -88,94 +97,26 @@ class CISGraphEngine(PairwiseEngine):
         post = OpCounts()
         graph = self.graph
 
-        # 1. net topology effect, applied before any processing so that
-        #    propagation and repair always traverse the new snapshot.
-        effective = net_effects(
-            batch,
-            lambda u, v: graph.out_adj(u).get(v) if u < graph.num_vertices else None,
-        )
+        # net topology effect, applied before any processing so that
+        # propagation and repair always traverse the new snapshot
+        effective = net_effects(batch, graph.weight_or_none)
         for upd in effective:
             graph.apply_update(upd, missing_ok=False)
 
-        # 2. classification against the previous converged states.
-        telemetry = self.telemetry
-        with _maybe_span(telemetry, "engine.classify", engine=self.name) as span:
-            classified = classify_batch(
-                self.algorithm,
-                self.state.states,
-                self.state.parents,
-                self.keypath,
-                effective,
-                rule=self.rule,
-            )
-            if telemetry is not None:
-                span.set(
-                    valuable=classified.num_valuable,
-                    delayed=classified.num_delayed,
-                    useless=classified.num_useless,
-                )
-        self.last_classified = classified
-        response += classified.ops
+        seen = BatchObserver(telemetry=self.telemetry, engine=self.name)
+        self._group.process_batch(effective, response, post, seen)
 
-        # 3a. valuable additions (the paper finishes all of them first).
-        activated_add: Set[int] = set()
-        with _maybe_span(
-            telemetry, "engine.propagate", engine=self.name, phase="additions"
-        ):
-            for upd in classified.valuable_additions:
-                self.state.process_addition(
-                    upd.u, upd.v, upd.weight, response, activated=activated_add
-                )
-                response.updates_processed += 1
-            self.keypath.rebuild(self.state.parents)
-
-        # 3b. deletion phase through the priority buffer.
-        with _maybe_span(telemetry, "engine.schedule", engine=self.name):
-            scheduler = UpdateScheduler()
-            for upd in classified.nondelayed_deletions:
-                scheduler.push_valuable(upd)
-            scheduler.extend_delayed(classified.delayed_deletions)
-
-        activated_del: Set[int] = set()
-        activated_del_response: Set[int] = set()
-        with _maybe_span(
-            telemetry, "engine.propagate", engine=self.name, phase="deletions"
-        ):
-            while True:
-                while not scheduler.answer_ready:
-                    item = scheduler.pop()
-                    assert item is not None
-                    self._process_deletion(
-                        item.update, response, activated_del_response
-                    )
-                    response.updates_processed += 1
-                # Repairs may have rerouted the key path through a deletion we
-                # originally delayed; promote and keep going until stable so
-                # the early answer is safe.
-                promoted = scheduler.promote_delayed(self._must_promote)
-                if promoted == 0:
-                    break
-
-        # 4. the response window closes: the answer is final for this
-        #    snapshot (remaining delayed repairs cannot touch the key path).
-        self.last_response_answer = self.answer
-        activated_del |= activated_del_response
-
-        # 5. drain delayed deletions in the background (post work), restoring
-        #    full convergence for the next batch's classification.
-        with _maybe_span(telemetry, "engine.drain", engine=self.name):
-            for item in scheduler.drain():
-                self._process_deletion(item.update, post, activated_del)
-                post.updates_processed += 1
-            self.keypath.rebuild(self.state.parents)
-
-        self.last_activated_add = activated_add
-        self.last_activated_del = activated_del
-        self.last_activated_del_response = activated_del_response
-        summary = classified.summary()
-        summary["activated_by_additions"] = len(activated_add)
-        summary["activated_by_deletions"] = len(activated_del)
-        summary["activated_by_deletions_response"] = len(activated_del_response)
+        self.last_classified = seen.classified
+        self.last_response_answer = seen.response_answers[self.query.destination]
+        self.last_activated_add = seen.activated_add
+        self.last_activated_del = seen.activated_del
+        self.last_activated_del_response = seen.activated_del_response
+        summary = seen.classified.summary()
+        summary["activated_by_additions"] = len(seen.activated_add)
+        summary["activated_by_deletions"] = len(seen.activated_del)
+        summary["activated_by_deletions_response"] = len(
+            seen.activated_del_response
+        )
         summary["keypath_hops"] = self.keypath.length()
         return BatchResult(
             answer=self.answer,
@@ -195,20 +136,8 @@ class CISGraphEngine(PairwiseEngine):
         """
         new_query = PairwiseQuery(self.query.source, destination)
         new_query.validate(self.graph.num_vertices)
+        self._group.add_destination(destination)
+        if destination != self.query.destination:
+            self._group.remove_destination(self.query.destination)
         self.query = new_query
-        self.keypath = KeyPathTracker(new_query.source, destination)
-        self.keypath.rebuild(self.state.parents)
         return self.answer
-
-    def _process_deletion(
-        self, upd: EdgeUpdate, ops: OpCounts, activated: Set[int]
-    ) -> None:
-        repaired = self.state.process_deletion(upd.u, upd.v, ops, activated=activated)
-        if repaired:
-            self.keypath.rebuild(self.state.parents)
-
-    def _must_promote(self, upd: EdgeUpdate) -> bool:
-        """Does a buffered delayed deletion now carry the answer?"""
-        if self.rule is KeyPathRule.PAPER:
-            return self.keypath.contains(upd.u)
-        return self.keypath.edge_on_path(upd.u, upd.v, self.state.parents)

@@ -13,20 +13,28 @@ work.  Two structural facts make sharing natural:
   tracker per destination and a deletion is non-delayed if it carries the
   answer of *any* of them.
 
-Queries are grouped by source; each group maintains one
-:class:`~repro.incremental.IncrementalState`.  The per-batch workflow is
-the single-query workflow with group-level scheduling, including the
-delayed-promotion pass (run against every destination's key path) that
-keeps all early answers exact.
+Queries are grouped by source; each :class:`SourceGroup` maintains one
+:class:`~repro.incremental.IncrementalState` and runs the paper's
+per-batch workflow — classify, valuable additions, scheduled deletions
+with the delayed-promotion pass (against every destination's key path,
+which keeps all early answers exact), drain.  That workflow exists only
+here: the single-query engine is the one-destination case.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.algorithms.base import MonotonicAlgorithm
-from repro.core.classification import KeyPathRule
+from repro.core.classification import (
+    ClassifiedBatch,
+    KeyPathRule,
+    carries_answer,
+    classify_batch,
+)
 from repro.core.keypath import KeyPathTracker
 from repro.core.scheduler import UpdateScheduler
 from repro.errors import DuplicateQueryError
@@ -34,7 +42,10 @@ from repro.graph.batch import EdgeUpdate, UpdateBatch, net_effects
 from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import OpCounts
+from repro.obs.telemetry import Telemetry
 from repro.query import PairwiseQuery
+
+_NO_SPAN = nullcontext()
 
 
 @dataclass
@@ -51,16 +62,48 @@ class MultiBatchResult:
         return self.response_ops + self.post_ops
 
 
+@dataclass
+class BatchObserver:
+    """What a caller wants to *see* of one :meth:`SourceGroup.process_batch`.
+
+    Purely out-parameters: the group fills them in and opens its phase
+    spans on ``telemetry`` (stamped ``engine=``); nothing here changes
+    what the group computes.
+    :class:`~repro.core.engine.CISGraphEngine` passes one per batch (it
+    reports activation waves and the early answer); the serve layer's
+    shard and anchor callers pass none.
+    """
+
+    telemetry: Optional[Telemetry] = None
+    engine: str = ""
+    classified: Optional[ClassifiedBatch] = None
+    #: per-destination answers when the response window closed (pre-drain)
+    response_answers: Dict[int, float] = field(default_factory=dict)
+    activated_add: Set[int] = field(default_factory=set)
+    #: deletion activations before the answer was emitted (Figure 5b)
+    activated_del_response: Set[int] = field(default_factory=set)
+    #: all deletion activations, response and drain
+    activated_del: Set[int] = field(default_factory=set)
+
+
+def _phase_span(observer: Optional[BatchObserver], name: str, **attributes):
+    """The observer's telemetry span for one workflow phase, or a no-op."""
+    if observer is None or observer.telemetry is None:
+        return _NO_SPAN
+    return observer.telemetry.span(name, engine=observer.engine, **attributes)
+
+
 class SourceGroup:
     """All queries sharing one source: one state array, many key paths.
 
-    Public because the serve layer (:mod:`repro.serve`) shards standing
-    sessions along source groups: each shard worker owns the
-    ``SourceGroup`` objects of the sources assigned to it and drives them
-    through :meth:`process_batch` exactly like :class:`MultiQueryEngine`
-    does.  Destinations can be attached and detached at runtime
-    (:meth:`add_destination` / :meth:`remove_destination`) so standing
-    queries can register and deregister against a live group.
+    The only implementation of the contribution-aware workflow
+    (:meth:`process_batch`): :class:`MultiQueryEngine` drives one group per
+    source, :class:`~repro.core.engine.CISGraphEngine` *is* a group with a
+    single destination, and the serve layer (:mod:`repro.serve`) shards
+    standing sessions along source groups.  Destinations can be attached
+    and detached at runtime (:meth:`add_destination` /
+    :meth:`remove_destination`) so standing queries can register and
+    deregister against a live group.
     """
 
     def __init__(
@@ -113,122 +156,151 @@ class SourceGroup:
         return not self.keypaths
 
     # ------------------------------------------------------------------
-    def _deletion_urgent(self, upd: EdgeUpdate) -> bool:
-        """Does this deletion carry the current answer of any destination?"""
-        for tracker in self.keypaths.values():
-            if self.rule is KeyPathRule.PAPER:
-                if tracker.contains(upd.u):
-                    return True
-            elif tracker.edge_on_path(upd.u, upd.v, self.state.parents):
-                return True
-        return False
+    def _classify(self, updates) -> ClassifiedBatch:
+        state = self.state
+        return classify_batch(
+            self.algorithm, state.states, state.parents,
+            self.keypaths.values(), updates, self.rule,
+        )
+
+    def _carries_answer(self, upd: EdgeUpdate) -> bool:
+        """Does a buffered delayed deletion now carry some answer?"""
+        return carries_answer(
+            self.rule, self.keypaths.values(), self.state.parents, upd
+        )
 
     def classify_sample(
         self, effective: UpdateBatch, limit: int
     ) -> List[Dict[str, object]]:
         """Triangle-inequality verdicts for the first ``limit`` updates.
 
-        The provenance probe (:mod:`repro.obs.provenance`): runs the same
-        improves/supplies/key-path tests :meth:`process_batch` will run,
+        The provenance probe (:mod:`repro.obs.provenance`): classifies the
+        sample through the same kernel :meth:`process_batch` will run,
         against the *current* (pre-batch) converged states, without
         mutating anything — call it before processing and the verdicts
         match the batch's real classification exactly.
         """
-        alg = self.algorithm
+        sample = list(islice(effective, max(0, limit)))
+        classified = self._classify(sample)
+        verdicts = {
+            id(upd): verdict
+            for verdict, bucket in (
+                ("valuable", classified.valuable_additions),
+                ("nondelayed", classified.nondelayed_deletions),
+                ("delayed", classified.delayed_deletions),
+            )
+            for upd in bucket
+        }
         states = self.state.states
         out: List[Dict[str, object]] = []
-        for upd in list(effective)[: max(0, limit)]:
-            record: Dict[str, object] = {
+        for upd in sample:
+            verdict = verdicts.get(id(upd), "useless")
+            if upd.is_addition:
+                test = "improves"
+            elif verdict == "useless":
+                test = "supplies"
+            else:
+                test = "supplies+keypath"
+            out.append({
                 "kind": "add" if upd.is_addition else "delete",
                 "u": upd.u,
                 "v": upd.v,
                 "weight": upd.weight,
                 "state_u": states[upd.u],
                 "state_v": states[upd.v],
-            }
-            if upd.is_addition:
-                record["test"] = "improves"
-                record["verdict"] = (
-                    "valuable"
-                    if alg.improves(states[upd.u], upd.weight, states[upd.v])
-                    else "useless"
-                )
-            elif not alg.supplies(states[upd.u], upd.weight, states[upd.v]):
-                record["test"] = "supplies"
-                record["verdict"] = "useless"
-            else:
-                record["test"] = "supplies+keypath"
-                record["verdict"] = (
-                    "nondelayed" if self._deletion_urgent(upd) else "delayed"
-                )
-            out.append(record)
+                "test": test,
+                "verdict": verdict,
+            })
         return out
 
     def process_batch(
-        self, effective: UpdateBatch, response: OpCounts, post: OpCounts
+        self,
+        effective: UpdateBatch,
+        response: OpCounts,
+        post: OpCounts,
+        observer: Optional[BatchObserver] = None,
     ) -> Dict[str, int]:
-        """Single-group contribution-aware processing of a net batch."""
-        alg = self.algorithm
-        states = self.state.states
+        """Contribution-aware processing of a net batch already applied
+        to the topology; returns the classification counts.
 
-        valuable_adds: List[EdgeUpdate] = []
-        urgent: List[EdgeUpdate] = []
-        delayed: List[EdgeUpdate] = []
-        useless = 0
-        for upd in effective:
-            response.classification_checks += 1
-            response.state_reads += 2
-            if upd.is_addition:
-                if alg.improves(states[upd.u], upd.weight, states[upd.v]):
-                    valuable_adds.append(upd)
-                else:
-                    useless += 1
-            else:
-                if not alg.supplies(states[upd.u], upd.weight, states[upd.v]):
-                    useless += 1
-                elif self._deletion_urgent(upd):
-                    urgent.append(upd)
-                else:
-                    delayed.append(upd)
+        Work done before every destination's answer is final is charged
+        to ``response``, the delayed drain to ``post``.
+        """
+        state = self.state
+        add_wave = del_wave = drain_wave = None
+        if observer is not None:
+            add_wave = observer.activated_add
+            del_wave = observer.activated_del_response
 
-        for upd in valuable_adds:
-            self.state.process_addition(upd.u, upd.v, upd.weight, response)
-            response.updates_processed += 1
-        self._rebuild_keypaths()
+        # classification against the previous converged states
+        with _phase_span(observer, "engine.classify") as classify_span:
+            classified = self._classify(effective)
+            if classify_span is not None:
+                classify_span.set(
+                    valuable=classified.num_valuable,
+                    delayed=classified.num_delayed,
+                    useless=classified.num_useless,
+                )
+        response += classified.ops
 
-        scheduler = UpdateScheduler()
-        for upd in urgent:
-            scheduler.push_valuable(upd)
-        scheduler.extend_delayed(delayed)
-        while True:
-            while not scheduler.answer_ready:
-                item = scheduler.pop()
-                assert item is not None
-                if self.state.process_deletion(
-                    item.update.u, item.update.v, response
-                ):
-                    self._rebuild_keypaths()
+        # valuable additions (the paper finishes all of them first)
+        with _phase_span(observer, "engine.propagate", phase="additions"):
+            for upd in classified.valuable_additions:
+                state.process_addition(
+                    upd.u, upd.v, upd.weight, response, activated=add_wave
+                )
                 response.updates_processed += 1
-            if scheduler.promote_delayed(self._deletion_urgent) == 0:
-                break
+            self._rebuild_keypaths()
 
-        # response window closes for every destination of this group
-        drained = 0
-        for item in scheduler.drain():
-            self.state.process_deletion(item.update.u, item.update.v, post)
-            post.updates_processed += 1
-            drained += 1
-        self._rebuild_keypaths()
+        # deletion phase through the priority buffer
+        with _phase_span(observer, "engine.schedule"):
+            scheduler = UpdateScheduler()
+            for upd in classified.nondelayed_deletions:
+                scheduler.push_valuable(upd)
+            scheduler.extend_delayed(classified.delayed_deletions)
+
+        with _phase_span(observer, "engine.propagate", phase="deletions"):
+            while True:
+                while not scheduler.answer_ready:
+                    item = scheduler.pop()
+                    assert item is not None
+                    if state.process_deletion(
+                        item.update.u, item.update.v, response,
+                        activated=del_wave,
+                    ):
+                        self._rebuild_keypaths()
+                    response.updates_processed += 1
+                # Repairs may have rerouted a key path through a deletion
+                # we originally delayed; promote and keep going until
+                # stable so every early answer is safe.
+                if scheduler.promote_delayed(self._carries_answer) == 0:
+                    break
+
+        # the response window closes for every destination of this group:
+        # remaining delayed repairs cannot touch any key path
+        if observer is not None:
+            observer.classified = classified
+            observer.response_answers = {
+                d: state.states[d] for d in self.destinations
+            }
+            observer.activated_del |= observer.activated_del_response
+            drain_wave = observer.activated_del
+
+        # drain delayed deletions in the background (post work), restoring
+        # full convergence for the next batch's classification
+        with _phase_span(observer, "engine.drain"):
+            for item in scheduler.drain():
+                state.process_deletion(
+                    item.update.u, item.update.v, post, activated=drain_wave
+                )
+                post.updates_processed += 1
+            self._rebuild_keypaths()
         return {
-            "valuable_additions": len(valuable_adds),
-            "nondelayed_deletions": len(urgent),
-            "delayed_deletions": len(delayed),
-            "useless": useless,
+            "valuable_additions": len(classified.valuable_additions),
+            "nondelayed_deletions": len(classified.nondelayed_deletions),
+            "delayed_deletions": len(classified.delayed_deletions),
+            "useless": len(classified.useless),
         }
-
-
-#: backwards-compatible alias (the class predates the serve layer)
-_SourceGroup = SourceGroup
 
 
 class MultiQueryEngine:
@@ -297,9 +369,7 @@ class MultiQueryEngine:
         response = OpCounts()
         post = OpCounts()
 
-        effective = net_effects(
-            batch, lambda u, v: self.graph.out_adj(u).get(v)
-        )
+        effective = net_effects(batch, self.graph.weight_or_none)
         for upd in effective:
             self.graph.apply_update(upd, missing_ok=False)
 

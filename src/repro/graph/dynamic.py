@@ -148,6 +148,19 @@ class DynamicGraph:
         except KeyError:
             raise EdgeNotFoundError(u, v) from None
 
+    def weight_or_none(self, u: int, v: int) -> Optional[float]:
+        """Weight of ``u -> v``; ``None`` when absent or ``u`` out of range.
+
+        The pre-batch lookup every engine hands to
+        :func:`~repro.graph.batch.net_effects`: an update naming a vertex
+        the graph does not have reduces to a net addition (or to nothing,
+        for a deletion), so applying the reduced batch raises the typed
+        :class:`VertexOutOfRangeError` instead of an ``IndexError`` here.
+        """
+        if 0 <= u < len(self._out):
+            return self._out[u].get(v)
+        return None
+
     def out_neighbors(self, u: int) -> Iterator[Tuple[int, float]]:
         """Iterate ``(neighbor, weight)`` over out-edges of ``u``."""
         self._check_vertex(u)

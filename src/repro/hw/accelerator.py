@@ -31,7 +31,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.algorithms.base import MonotonicAlgorithm
-from repro.core.classification import ClassifiedBatch, KeyPathRule, classify_batch
+from repro.core.classification import (
+    ClassifiedBatch,
+    KeyPathRule,
+    carries_answer,
+    classify_batch,
+)
 from repro.core.keypath import KeyPathTracker
 from repro.engine import PairwiseEngine
 from repro.graph.batch import EdgeUpdate, UpdateBatch, net_effects
@@ -131,9 +136,7 @@ class CISGraphAccelerator(PairwiseEngine):
             self.tracer.clear()
 
         # -- snapshot generation: apply net topology effect, rebuild CSR.
-        effective = net_effects(
-            batch, lambda u, v: self.graph.out_adj(u).get(v)
-        )
+        effective = net_effects(batch, self.graph.weight_or_none)
         for upd in effective:
             self.graph.apply_update(upd, missing_ok=False)
         csr = CSRGraph.from_dynamic(self.graph)
@@ -195,7 +198,10 @@ class CISGraphAccelerator(PairwiseEngine):
         # path; the answer waits until no such deletion remains.
         while True:
             self.keypath.rebuild(self.parents)
-            promoted = [u for u in pending_delayed if self._must_promote(u)]
+            promoted = [
+                upd for upd in pending_delayed
+                if carries_answer(self.rule, (self.keypath,), self.parents, upd)
+            ]
             if not promoted:
                 break
             stats.promoted += len(promoted)
@@ -470,11 +476,3 @@ class CISGraphAccelerator(PairwiseEngine):
                 self._push(heap, t, "vertex", (x,))
         self._units[unit].occupy_until(t)
         return t
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _must_promote(self, upd: EdgeUpdate) -> bool:
-        if self.rule is KeyPathRule.PAPER:
-            return self.keypath.contains(upd.u)
-        return self.keypath.edge_on_path(upd.u, upd.v, self.parents)

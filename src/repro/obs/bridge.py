@@ -172,26 +172,6 @@ def record_supervision(registry: MetricsRegistry, stats: Mapping) -> None:
         registry.gauge("serve_breaker_opens", labels).set(breaker["opens"])
 
 
-def record_control_surface(
-    registry: MetricsRegistry,
-    surface: Mapping[str, float],
-    groups: Mapping[int, int],
-) -> None:
-    """Adaptive-control inputs -> ``serve_control_*`` / per-shard gauges.
-
-    ``surface`` holds the current knob values plus the derived SLO
-    measurements (answer p99, served staleness high-water); ``groups``
-    maps shard index -> source groups owned.  Recorded by the controller
-    immediately before each snapshot so
-    :meth:`repro.serve.control.ControlSignals.from_snapshot` sees a
-    consistent picture.
-    """
-    for name, value in surface.items():
-        registry.gauge(f"serve_control_{name}").set(value)
-    for index, count in groups.items():
-        registry.gauge("serve_shard_groups", {"shard": str(index)}).set(count)
-
-
 def record_controller(registry: MetricsRegistry, stats: Mapping) -> None:
     """``RuntimeController.stats()`` -> controller health gauges.
 

@@ -6,8 +6,8 @@ admission token bucket, result-cache capacity, and the supervisor's
 matter what the workload did.  :class:`RuntimeController` closes the
 observe → diagnose → remediate loop (RisGraph meets its per-update SLO by
 exactly this kind of runtime trading of admission against load; see
-PAPERS.md): it runs after every committed epoch, consumes a
-:class:`~repro.obs.metrics.MetricsRegistry` snapshot diff (queue depths,
+PAPERS.md): it runs after every committed epoch, reads one
+:class:`ControlSignals` frame off the components it holds (queue depths,
 admission rejections, cache effectiveness, breaker states, answer p99,
 served staleness), diagnoses one :class:`Condition`, and applies bounded
 remediations live.
@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ControlError
-from repro.obs.bridge import record_control_surface, record_controller
 
 
 class Condition(enum.Enum):
@@ -224,11 +223,9 @@ class ControlSignals:
     """One epoch's observation of the serving system (the engine's input).
 
     Deltas (``*_delta``) cover the interval since the previous controller
-    review; everything else is the current level.  Signals are built
-    either from a :class:`~repro.obs.metrics.MetricsRegistry` snapshot
-    pair (:meth:`from_snapshot`, the telemetry path) or directly from
-    component stats — both yield identical values for identical harness
-    state, which is unit-tested.
+    review; everything else is the current level.  Built by
+    :meth:`RuntimeController.collect` from the stats of the components
+    the controller already holds, with or without telemetry attached.
     """
 
     epoch: int
@@ -260,101 +257,6 @@ class ControlSignals:
     def as_dict(self) -> Dict[str, object]:
         """Plain-JSON form (audit records, tests)."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        current,
-        previous=None,
-        epoch: int = 0,
-    ) -> "ControlSignals":
-        """Build signals from a registry snapshot pair (telemetry path).
-
-        ``current`` and ``previous`` are
-        :class:`~repro.obs.metrics.MetricsSnapshot` instances taken at
-        consecutive controller reviews; cumulative gauges are differenced
-        by level.  Requires the ``serve_control_*`` surface gauges
-        recorded by :func:`repro.obs.bridge.record_control_surface`.
-        """
-
-        def level(name: str, default: float = 0.0, **labels) -> float:
-            value = current.value(name, **labels)
-            return default if value is None else float(value)
-
-        def prior(name: str, default: float = 0.0, **labels) -> float:
-            if previous is None:
-                return default
-            value = previous.value(name, **labels)
-            return default if value is None else float(value)
-
-        def labelled(snapshot, name: str, label: str) -> Dict[int, float]:
-            metric = snapshot.as_dict().get(name)
-            if metric is None:
-                return {}
-            out: Dict[int, float] = {}
-            for series in metric["series"]:
-                labels = dict(tuple(pair) for pair in series["labels"])
-                if label in labels:
-                    out[int(labels[label])] = float(series["value"])
-            return out
-
-        num_shards = max(1, int(level("serve_control_shards", 1.0)))
-        # gauges for retired shards linger in the registry after a
-        # rescale; only indices of the live pool are real occupancy
-        depths = [
-            depth for index, depth
-            in labelled(current, "serve_queue_depth", "shard").items()
-            if index < num_shards
-        ]
-        groups = [
-            count for index, count
-            in labelled(current, "serve_shard_groups", "shard").items()
-            if index < num_shards
-        ]
-        breaker_codes = labelled(current, "serve_breaker_state", "source")
-        rejections_now = current.total("serve_admission_rejections")
-        rejections_before = (
-            previous.total("serve_admission_rejections")
-            if previous is not None else 0.0
-        )
-        admitted_now = (
-            level("serve_admitted_registrations")
-            + level("serve_admitted_batches")
-        )
-        admitted_before = (
-            prior("serve_admitted_registrations")
-            + prior("serve_admitted_batches")
-        )
-        return cls(
-            epoch=epoch,
-            num_shards=num_shards,
-            queue_bound=int(level("serve_queue_bound", 1.0)),
-            depth_max=int(max(depths, default=0)),
-            groups_max=int(max(groups, default=0)),
-            groups_total=int(sum(groups)),
-            rejections_delta=int(rejections_now - rejections_before),
-            saturated_delta=int(
-                level("serve_admission_rejections", reason="queue-saturated")
-                - prior("serve_admission_rejections", reason="queue-saturated")
-            ),
-            admitted_delta=int(admitted_now - admitted_before),
-            cache_hit_rate=level("serve_cache_hit_rate"),
-            cache_lookups_delta=int(
-                level("serve_cache_lookups") - prior("serve_cache_lookups")
-            ),
-            cache_evictions_delta=int(
-                level("serve_cache_evicted_families")
-                - prior("serve_cache_evicted_families")
-            ),
-            breakers_open=sum(1 for code in breaker_codes.values() if code),
-            degraded_sessions=int(level("serve_sessions", state="degraded")),
-            answer_p99=level("serve_control_answer_p99"),
-            staleness_served=int(level("serve_control_staleness_served")),
-            admission_rate=level("serve_control_admission_rate"),
-            admission_burst=level("serve_control_admission_burst"),
-            cache_capacity=int(level("serve_control_cache_capacity", 1.0)),
-            max_staleness=int(level("serve_control_max_staleness")),
-        )
 
 
 @dataclass(frozen=True)
@@ -683,8 +585,7 @@ class RuntimeController:
         self.decisions_total = 0
         self.condition_counts: Dict[str, int] = {}
         self.last_condition = Condition.HEALTHY.value
-        self._prev_levels: Dict[str, float] = {}
-        self._prev_snapshot = None
+        self._prev_levels: Dict[str, int] = {}
 
     def _capture_baseline(self) -> Dict[str, float]:
         h = self.harness
@@ -717,42 +618,30 @@ class RuntimeController:
     def collect(self, epoch: int) -> ControlSignals:
         """Build this epoch's :class:`ControlSignals`.
 
-        With telemetry attached the signals come from a registry snapshot
-        diff (after refreshing the ``serve_control_*`` surface gauges);
-        without telemetry the same numbers are read straight off the
-        components with controller-held previous levels.
+        Every number is read straight off the components the controller
+        holds (deltas against controller-held previous levels); telemetry,
+        when attached, observes the same components through the harness's
+        ``record_serve_*`` calls but is never read back.
         """
         h = self.harness
         surface = self._surface()
-        groups = {
-            index: len(sources)
-            for index, sources in h.engine.sources_owned().items()
-        }
-        if h.telemetry is not None:
-            h._record_telemetry()
-            record_control_surface(h.telemetry.registry, surface, groups)
-            snapshot = h.telemetry.registry.snapshot()
-            signals = ControlSignals.from_snapshot(
-                snapshot, self._prev_snapshot, epoch=epoch
-            )
-            self._prev_snapshot = snapshot
-            h.reset_staleness_high_water()
-            return signals
+        groups = [
+            len(sources) for sources in h.engine.sources_owned().values()
+        ]
         admission = h.admission.stats()
         cache = h.cache.stats
         levels = {
-            "rejections": float(sum(admission["rejections"].values())),
-            "saturated": float(
-                admission["rejections"].get("queue-saturated", 0)
-            ),
-            "admitted": float(
-                admission["admitted_registrations"]
-                + admission["admitted_batches"]
-            ),
-            "lookups": float(cache.lookups),
-            "evictions": float(cache.evicted_families),
+            "rejections": sum(admission["rejections"].values()),
+            "saturated": admission["rejections"].get("queue-saturated", 0),
+            "admitted": admission["admitted_registrations"]
+            + admission["admitted_batches"],
+            "lookups": cache.lookups,
+            "evictions": cache.evicted_families,
         }
-        previous = self._prev_levels
+        delta = {
+            key: level - self._prev_levels.get(key, 0)
+            for key, level in levels.items()
+        }
         supervisor = h.supervisor.stats()
         sessions = h.sessions.by_state()
         signals = ControlSignals(
@@ -762,24 +651,14 @@ class RuntimeController:
             depth_max=max(
                 (shard.depth for shard in h.engine.shards), default=0
             ),
-            groups_max=max(groups.values(), default=0),
-            groups_total=sum(groups.values()),
-            rejections_delta=int(
-                levels["rejections"] - previous.get("rejections", 0.0)
-            ),
-            saturated_delta=int(
-                levels["saturated"] - previous.get("saturated", 0.0)
-            ),
-            admitted_delta=int(
-                levels["admitted"] - previous.get("admitted", 0.0)
-            ),
+            groups_max=max(groups, default=0),
+            groups_total=sum(groups),
+            rejections_delta=delta["rejections"],
+            saturated_delta=delta["saturated"],
+            admitted_delta=delta["admitted"],
             cache_hit_rate=cache.hit_rate,
-            cache_lookups_delta=int(
-                levels["lookups"] - previous.get("lookups", 0.0)
-            ),
-            cache_evictions_delta=int(
-                levels["evictions"] - previous.get("evictions", 0.0)
-            ),
+            cache_lookups_delta=delta["lookups"],
+            cache_evictions_delta=delta["evictions"],
             breakers_open=sum(
                 1 for breaker in supervisor["breakers"].values()
                 if breaker["state"] != "closed"

@@ -32,6 +32,7 @@ import queue
 import shutil
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,11 +47,16 @@ from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import BatchResult, OpCounts
 from repro.obs.bridge import record_batch_result
-from repro.obs.provenance import GroupObservation, ProvenanceRecorder
+from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.telemetry import Telemetry, get_global_telemetry
 from repro.query import PairwiseQuery
 from repro.serve.executor import ProcessShardWorker, resolve_backend
-from repro.serve.shard import FaultHook, ShardWorker
+from repro.serve.shard import (
+    FaultHook,
+    ShardCore,
+    ShardWorker,
+    process_group,
+)
 
 
 @dataclass
@@ -192,15 +198,13 @@ class ShardedServeEngine:
                 spill_dir=self._spill_dir(),
             )
         return ShardWorker(
-            index,
-            self.graph.copy(),
-            self.algorithm,
-            rule=self.rule,
+            ShardCore(
+                index, self.graph.copy(), self.algorithm, self.rule,
+                self.fault_hook, self.provenance,
+            ),
             queue_bound=self.queue_bound,
-            fault_hook=self.fault_hook,
             clock=self.clock,
             telemetry_source=lambda: self.telemetry,
-            provenance=self.provenance,
         )
 
     # ------------------------------------------------------------------
@@ -267,9 +271,7 @@ class ShardedServeEngine:
         provenance = self.provenance
         response = OpCounts()
         post = OpCounts()
-        effective = net_effects(
-            batch, lambda u, v: self.graph.out_adj(u).get(v)
-        )
+        effective = net_effects(batch, self.graph.weight_or_none)
         self.epoch += 1
         # the context every shard re-activates: on the ingest thread this
         # is the open engine.batch span (itself nested under the
@@ -304,21 +306,16 @@ class ShardedServeEngine:
                 failed_shards.append((shard.index, reason))
         for upd in effective:
             self.graph.apply_update(upd, missing_ok=True)
-        observation = (
-            GroupObservation(self._anchor, effective, provenance.sample_limit)
-            if provenance is not None else None
-        )
-        if telemetry is None:
-            anchor_stats = self._anchor.process_batch(effective, response, post)
-        else:
-            with telemetry.span("engine.anchor", source=self.query.source,
-                                epoch=self.epoch):
-                anchor_stats = self._anchor.process_batch(
-                    effective, response, post
-                )
-        if observation is not None:
-            provenance.record_group(
-                observation.finish(self._anchor, anchor_stats, self.epoch, -1)
+        # the anchor is the durability surface, not an isolated source:
+        # a failure here propagates out of on_batch
+        with (
+            telemetry.span("engine.anchor", source=self.query.source,
+                           epoch=self.epoch)
+            if telemetry is not None else nullcontext()
+        ):
+            anchor_stats = process_group(
+                self._anchor, effective, response, post,
+                provenance, self.epoch, -1,
             )
 
         answers: Dict[Tuple[int, int], float] = {}
@@ -329,17 +326,14 @@ class ShardedServeEngine:
             if shard.index in skip:
                 continue  # never received the batch; already failed above
             try:
-                if telemetry is None:
+                with (
+                    telemetry.span("engine.barrier", shard=shard.index,
+                                   epoch=self.epoch)
+                    if telemetry is not None else nullcontext()
+                ):
                     outcome = shard.wait_outcome(
                         self.epoch, timeout=self.epoch_deadline
                     )
-                else:
-                    with telemetry.span(
-                        "engine.barrier", shard=shard.index, epoch=self.epoch
-                    ):
-                        outcome = shard.wait_outcome(
-                            self.epoch, timeout=self.epoch_deadline
-                        )
             except ShardCrashedError as exc:
                 if not self.tolerate_shard_failures:
                     raise

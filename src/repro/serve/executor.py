@@ -48,11 +48,9 @@ from typing import Callable, Dict, Optional, Set
 
 from repro.algorithms.registry import get_algorithm
 from repro.core.classification import KeyPathRule
-from repro.core.multiquery import SourceGroup
 from repro.errors import SessionStateError, ShardCrashedError
 from repro.graph.batch import UpdateBatch
 from repro.graph.csr import SharedCSR, SharedCSRMeta
-from repro.metrics import OpCounts
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.obs.telemetry import Telemetry
 from repro.serve.health import Heartbeat
@@ -78,6 +76,7 @@ from repro.serve.ipc import (
     encode_outcome,
 )
 from repro.serve.session import QuerySession, SessionState
+from repro.serve.shard import ShardCore
 from repro.serve.telemetry_agent import ChildTelemetryAgent, read_spill
 
 __all__ = ["BACKENDS", "ProcessShardWorker", "resolve_backend"]
@@ -123,10 +122,11 @@ def _shard_child_main(
 ) -> None:
     """Command loop of one shard child process.
 
-    Mirrors :meth:`ShardWorker._serve_loop` semantics exactly — FIFO
-    commands, per-source failure isolation inside a batch, heartbeat
-    stamps around every command — but everything arrives and leaves
-    through the IPC codec.  With ``telemetry_on`` the child installs a
+    The process transport around a :class:`~repro.serve.shard.ShardCore`
+    — the same core a thread worker holds, so registration and the epoch
+    body are not written here: FIFO commands arrive and session events,
+    heartbeat stamps, outcomes and acks leave through the IPC codec.
+    With ``telemetry_on`` the child installs a
     :class:`~repro.serve.telemetry_agent.ChildTelemetryAgent`: spans join
     the ingest trace the batch command carried, and each command boundary
     flushes an ``OUT_TELEMETRY`` frame plus the crash spill file.
@@ -136,13 +136,14 @@ def _shard_child_main(
         shared = SharedCSR.attach(SharedCSRMeta.from_tuple(meta_tuple))
         graph = shared.graph.to_dynamic()
         shared.close()  # topology copied; drop the mapping immediately
-        algorithm = get_algorithm(algorithm_name)
-        rule = KeyPathRule(rule_value)
+        core = ShardCore(
+            index, graph, get_algorithm(algorithm_name),
+            KeyPathRule(rule_value), fault_hook=None, provenance=None,
+        )
         agent = (
             ChildTelemetryAgent(index, outcomes, spill_path=spill_path)
             if telemetry_on else None
         )
-        groups: Dict[int, SourceGroup] = {}
         while True:
             command = commands.get()
             kind = command[0]
@@ -151,19 +152,25 @@ def _shard_child_main(
                 if kind == CMD_STOP:
                     return
                 if kind == CMD_REGISTER:
-                    _child_register(
-                        graph, algorithm, rule, groups, command, outcomes
-                    )
+                    _, session_id, source, destination = command
+                    try:
+                        core.register(source, destination)
+                    except Exception as exc:  # noqa: BLE001 - degrade only
+                        outcomes.put(
+                            (OUT_SESSION, session_id, "degraded", str(exc))
+                        )
+                    else:
+                        outcomes.put((OUT_SESSION, session_id, "live", None))
                 elif kind == CMD_DEREGISTER:
-                    group = groups.get(command[1])
-                    if group is not None and group.remove_destination(
-                        command[2]
-                    ):
-                        del groups[command[1]]
+                    core.deregister(command[1], command[2])
                 elif kind == CMD_BATCH:
-                    _child_batch(
-                        graph, groups, index, command, outcomes, agent
+                    _, epoch, rows, ctx = command
+                    outcome = core.run_epoch(
+                        epoch, decode_batch(rows),
+                        agent.telemetry if agent is not None else None,
+                        decode_context(ctx),
                     )
+                    outcomes.put((OUT_OUTCOME, encode_outcome(outcome)))
                 elif kind == CMD_WEDGE:
                     # the wedge fault: spin right here, no heartbeat end,
                     # no outcome for anything queued behind us — exactly
@@ -188,86 +195,6 @@ def _shard_child_main(
         except Exception:  # pragma: no cover - channel already gone
             pass
         os._exit(1)
-
-
-def _child_register(graph, algorithm, rule, groups, command, outcomes) -> None:
-    """Bootstrap one standing query on the child's topology."""
-    _, session_id, source, destination = command
-    try:
-        group = groups.get(source)
-        if group is None:
-            group = SourceGroup(graph, algorithm, source, [destination], rule)
-            group.initialize(OpCounts())
-            groups[source] = group
-        else:
-            group.add_destination(destination)
-    except Exception as exc:  # noqa: BLE001 - degrade, never kill the shard
-        outcomes.put((OUT_SESSION, session_id, "degraded", str(exc)))
-        return
-    outcomes.put((OUT_SESSION, session_id, "live", None))
-
-
-def _child_batch(graph, groups, index, command, outcomes, agent=None) -> None:
-    """Apply one epoch's delta and drive every owned group through it.
-
-    With a telemetry agent the ingest :class:`TraceContext` the command
-    carried is re-activated around a ``shard.batch`` span — the same
-    idiom as :meth:`ShardWorker._handle_batch` — so the child's spans
-    join the batch's causal tree once the parent merges its frames.
-    """
-    _, epoch, rows, ctx = command
-    effective = decode_batch(rows)
-    if agent is None:
-        outcome = _child_process_epoch(
-            graph, groups, index, epoch, effective, None
-        )
-    else:
-        telemetry = agent.telemetry
-        with telemetry.tracer.activate(decode_context(ctx)):
-            with telemetry.span(
-                "shard.batch", shard=index, epoch=epoch,
-                updates=len(effective),
-            ) as span:
-                outcome = _child_process_epoch(
-                    graph, groups, index, epoch, effective, telemetry
-                )
-                span.set(
-                    groups=len(groups),
-                    answers=len(outcome.answers),
-                    degraded=len(outcome.degraded),
-                )
-    outcomes.put((OUT_OUTCOME, encode_outcome(outcome)))
-
-
-def _child_process_epoch(graph, groups, index, epoch, effective, telemetry):
-    """The epoch body shared by the traced and untraced child paths."""
-    from repro.serve.shard import ShardBatchOutcome
-
-    outcome = ShardBatchOutcome(epoch=epoch, shard=index)
-    for upd in effective:
-        graph.apply_update(upd, missing_ok=True)
-    totals: Dict[str, int] = {}
-    for source in list(groups):
-        group = groups[source]
-        try:
-            group_stats = group.process_batch(
-                effective, outcome.response_ops, outcome.post_ops
-            )
-        except Exception as exc:  # noqa: BLE001 - isolate the failure
-            del groups[source]
-            outcome.degraded.append((source, str(exc)))
-            if telemetry is not None:
-                telemetry.point(
-                    "shard.degraded", shard=index, epoch=epoch,
-                    source=source, error=str(exc),
-                )
-            continue
-        for key, value in group_stats.items():
-            totals[key] = totals.get(key, 0) + value
-        for destination in group.destinations:
-            outcome.answers[(source, destination)] = group.answer(destination)
-    outcome.stats = totals
-    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -346,6 +273,8 @@ class ProcessShardWorker:
             name=f"serve-shard-{index}-proc",
             daemon=True,
         )
+        #: registrations in flight: session id -> handle, held only until
+        #: the child reports the bootstrap's outcome (or a deregister)
         self._sessions: Dict[str, QuerySession] = {}
         self._results: Dict[int, object] = {}
         self._state_cv = threading.Condition()
@@ -450,6 +379,12 @@ class ProcessShardWorker:
         )
 
     def submit_deregister(self, source: int, destination: int) -> None:
+        # a registration still in flight must not re-add the pair to the
+        # mirror when its ``live`` event lands after this deregister
+        for session_id, session in list(self._sessions.items()):
+            query = session.query
+            if (query.source, query.destination) == (source, destination):
+                self._sessions.pop(session_id, None)
         destinations = self.groups.get(source)
         if destinations is not None:
             destinations.discard(destination)
@@ -733,11 +668,12 @@ class ProcessShardWorker:
     def _apply_session_event(
         self, session_id: str, state: str, reason: Optional[str]
     ) -> None:
+        # the one event a registration ever produces: stop pinning it
+        session = self._sessions.pop(session_id, None)
+        if session is None:
+            return  # deregistered while the registration was in flight
         if self._stop_requested:
             return  # retired worker; the replacement owns this session now
-        session = self._sessions.get(session_id)
-        if session is None:
-            return
         if state == "live":
             try:
                 session.transition(SessionState.WARMING)

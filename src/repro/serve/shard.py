@@ -1,4 +1,4 @@
-"""Sharded worker pool: per-shard threads owning source groups.
+"""Sharded worker pool: the shard core and its thread transport.
 
 Sessions are partitioned by *source* (``shard = source % num_shards``),
 because everything shareable in pairwise streaming analytics is shared
@@ -6,8 +6,9 @@ along the source (see :mod:`repro.core.multiquery`): one shard owns the
 :class:`~repro.core.multiquery.SourceGroup` — converged state array plus
 per-destination key paths — of every source assigned to it.
 
-Each worker runs one daemon thread consuming a **bounded** inbox of
-commands in FIFO order:
+What a shard owns and does is :class:`ShardCore`, whichever backend runs
+it.  The thread backend's :class:`ShardWorker` wraps one in a daemon
+thread consuming a **bounded** inbox of commands in FIFO order:
 
 * ``register`` / ``deregister`` — attach or detach a standing query;
   brand-new sources are bootstrapped with a full computation *on the
@@ -70,8 +71,151 @@ class ShardBatchOutcome:
     degraded: List[Tuple[int, str]] = field(default_factory=list)
 
 
+def process_group(
+    group: SourceGroup,
+    effective: UpdateBatch,
+    response: OpCounts,
+    post: OpCounts,
+    provenance: Optional[ProvenanceRecorder],
+    epoch: int,
+    shard: int,
+) -> Dict[str, int]:
+    """``group.process_batch`` inside the provenance bracket.
+
+    Observe the pre-batch group, process, record what changed — for a
+    shard's groups and (as shard ``-1``) the engine's inline anchor
+    alike.  Exceptions propagate: isolating a failed source is the
+    epoch body's job, and the anchor must not be isolated at all.
+    """
+    observation = (
+        GroupObservation(group, effective, provenance.sample_limit)
+        if provenance is not None else None
+    )
+    counts = group.process_batch(effective, response, post)
+    if observation is not None:
+        provenance.record_group(observation.finish(group, counts, epoch, shard))
+    return counts
+
+
+class ShardCore:
+    """What a shard *is*, whichever transport feeds it.
+
+    Owns the shard-private topology and the source groups hashed to the
+    shard, and is the only implementation of their lifecycle
+    (:meth:`register` / :meth:`deregister`) and of a shard's epoch
+    (:meth:`run_epoch`).  The thread worker below and the process
+    backend's child loop (:mod:`repro.serve.executor`) each hold one and
+    add only transport: queues, session-lifecycle delivery, heartbeats,
+    acks, kill/wedge/stop.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        graph: DynamicGraph,
+        algorithm: MonotonicAlgorithm,
+        rule: KeyPathRule,
+        fault_hook: Optional[FaultHook] = None,
+        provenance: Optional[ProvenanceRecorder] = None,
+    ) -> None:
+        self.index = index
+        self.graph = graph
+        self.algorithm = algorithm
+        self.rule = rule
+        self.fault_hook = fault_hook
+        self.provenance = provenance
+        self.groups: Dict[int, SourceGroup] = {}
+
+    def register(self, source: int, destination: int) -> None:
+        """Attach a standing query; a brand-new source is bootstrapped
+        with a full computation on the shard's own topology.  Raises
+        whatever the bootstrap (or an injected fault) raises — mapping
+        that onto the session lifecycle is the transport's job."""
+        if self.fault_hook is not None:
+            self.fault_hook("register", source, -1)
+        group = self.groups.get(source)
+        if group is None:
+            group = SourceGroup(
+                self.graph, self.algorithm, source, [destination], self.rule
+            )
+            group.initialize(OpCounts())
+            self.groups[source] = group
+        else:
+            group.add_destination(destination)
+
+    def deregister(self, source: int, destination: int) -> None:
+        group = self.groups.get(source)
+        if group is not None and group.remove_destination(destination):
+            del self.groups[source]
+
+    def run_epoch(
+        self,
+        epoch: int,
+        effective: UpdateBatch,
+        telemetry: Optional[Telemetry] = None,
+        context: Optional[TraceContext] = None,
+    ) -> ShardBatchOutcome:
+        """Apply one epoch's delta and drive every owned group through it.
+
+        With telemetry the ingest thread's ``context`` is re-activated
+        around a ``shard.batch`` span, so this shard's spans join the
+        batch's causal tree instead of rooting a disconnected one.
+        """
+        if telemetry is None:
+            return self._epoch(epoch, effective, None)
+        with telemetry.tracer.activate(context):
+            with telemetry.span(
+                "shard.batch", shard=self.index, epoch=epoch,
+                updates=len(effective),
+            ) as span:
+                outcome = self._epoch(epoch, effective, telemetry)
+                span.set(
+                    groups=len(self.groups),
+                    answers=len(outcome.answers),
+                    degraded=len(outcome.degraded),
+                )
+        return outcome
+
+    def _epoch(
+        self,
+        epoch: int,
+        effective: UpdateBatch,
+        telemetry: Optional[Telemetry],
+    ) -> ShardBatchOutcome:
+        outcome = ShardBatchOutcome(epoch=epoch, shard=self.index)
+        for upd in effective:
+            self.graph.apply_update(upd, missing_ok=True)
+        totals: Dict[str, int] = {}
+        for source in list(self.groups):
+            group = self.groups[source]
+            try:
+                if self.fault_hook is not None:
+                    self.fault_hook("batch", source, epoch)
+                group_stats = process_group(
+                    group, effective, outcome.response_ops, outcome.post_ops,
+                    self.provenance, epoch, self.index,
+                )
+            except ShardKilledError:
+                raise  # chaos kill signal: no isolation, the worker dies
+            except Exception as exc:  # noqa: BLE001 - isolate the failure
+                del self.groups[source]
+                outcome.degraded.append((source, str(exc)))
+                if telemetry is not None:
+                    telemetry.point(
+                        "shard.degraded", shard=self.index, epoch=epoch,
+                        source=source, error=str(exc),
+                    )
+                continue
+            for key, value in group_stats.items():
+                totals[key] = totals.get(key, 0) + value
+            for destination in group.destinations:
+                outcome.answers[(source, destination)] = group.answer(destination)
+        outcome.stats = totals
+        return outcome
+
+
 class ShardWorker:
-    """One worker thread owning the source groups of its shard.
+    """The thread transport: one worker thread driving a :class:`ShardCore`.
 
     ``queue_bound`` caps the inbox; the harness checks headroom *before*
     enqueueing (admission control), while committed batches use a blocking
@@ -85,32 +229,22 @@ class ShardWorker:
 
     def __init__(
         self,
-        index: int,
-        graph: DynamicGraph,
-        algorithm: MonotonicAlgorithm,
-        rule: KeyPathRule = KeyPathRule.PRECISE,
+        core: ShardCore,
         queue_bound: int = 64,
-        fault_hook: Optional[FaultHook] = None,
         clock: Callable[[], float] = time.monotonic,
         telemetry_source: Optional[Callable[[], Optional[Telemetry]]] = None,
-        provenance: Optional[ProvenanceRecorder] = None,
     ) -> None:
-        self.index = index
-        self.graph = graph
-        self.algorithm = algorithm
-        self.rule = rule
-        self.fault_hook = fault_hook
+        self.index = core.index
+        self.core = core
         #: deferred lookup, not a captured instance: the engine's telemetry
         #: may be attached after workers are built (pipeline wrap order)
         self.telemetry_source = telemetry_source
-        self.provenance = provenance
         self.inbox: "queue.Queue" = queue.Queue(maxsize=queue_bound)
-        self.groups: Dict[int, SourceGroup] = {}
         self.heartbeat = Heartbeat(clock)
         self._results: Dict[int, ShardBatchOutcome] = {}
         self._results_cv = threading.Condition()
         self._thread = threading.Thread(
-            target=self._run, name=f"serve-shard-{index}", daemon=True
+            target=self._run, name=f"serve-shard-{self.index}", daemon=True
         )
         self._started = False
         self._stop_requested = False
@@ -177,6 +311,11 @@ class ShardWorker:
     def depth(self) -> int:
         """Current inbox depth (the admission-control probe)."""
         return self.inbox.qsize()
+
+    @property
+    def groups(self) -> Dict[int, SourceGroup]:
+        """Source groups this shard owns (keyed by source)."""
+        return self.core.groups
 
     # ------------------------------------------------------------------
     # commands (called from the harness / engine thread)
@@ -325,12 +464,9 @@ class ShardWorker:
                 if kind == "register":
                     self._handle_register(command[1])
                 elif kind == "deregister":
-                    self._handle_deregister(command[1], command[2])
+                    self.core.deregister(command[1], command[2])
                 elif kind == "batch":
-                    self._handle_batch(
-                        command[1], command[2],
-                        command[3] if len(command) > 3 else None,
-                    )
+                    self._handle_batch(*command[1:])
                 elif kind == "barrier":
                     # chaos/test primitive: park until released (bounded)
                     command[1].wait(timeout=30.0)
@@ -358,44 +494,21 @@ class ShardWorker:
         except SessionStateError:
             return  # closed while still queued (or closing concurrently)
         try:
-            if self.fault_hook is not None:
-                self.fault_hook("register", query.source, -1)
-            group = self.groups.get(query.source)
-            if group is None:
-                group = SourceGroup(
-                    self.graph,
-                    self.algorithm,
-                    query.source,
-                    [query.destination],
-                    self.rule,
-                )
-                group.initialize(OpCounts())
-                self.groups[query.source] = group
-            else:
-                group.add_destination(query.destination)
-        except ShardKilledError as exc:
-            # the kill signal escapes session isolation: degrade the
-            # session (its bootstrap is lost) and take the thread down
-            try:
-                session.transition(SessionState.DEGRADED, reason=str(exc))
-            except SessionStateError:
-                pass
-            raise
+            self.core.register(query.source, query.destination)
         except Exception as exc:  # noqa: BLE001 - degrade, never kill the shard
             try:
                 session.transition(SessionState.DEGRADED, reason=str(exc))
             except SessionStateError:
                 pass  # already closed by the client; nothing to report
+            if isinstance(exc, ShardKilledError):
+                # the kill signal escapes session isolation: the session
+                # is degraded (its bootstrap is lost) and the thread dies
+                raise
             return
         try:
             session.transition(SessionState.LIVE)
         except SessionStateError:
             pass  # closed while warming: the group stays, harmlessly
-
-    def _handle_deregister(self, source: int, destination: int) -> None:
-        group = self.groups.get(source)
-        if group is not None and group.remove_destination(destination):
-            del self.groups[source]
 
     def _handle_batch(
         self,
@@ -407,67 +520,7 @@ class ShardWorker:
             self.telemetry_source() if self.telemetry_source is not None
             else None
         )
-        if telemetry is None:
-            self._process_epoch(epoch, effective, None)
-            return
-        # adopt the ingest thread's context so this thread's spans join
-        # the batch's causal tree instead of rooting a disconnected one
-        with telemetry.tracer.activate(context):
-            with telemetry.span(
-                "shard.batch", shard=self.index, epoch=epoch,
-                updates=len(effective),
-            ) as span:
-                outcome = self._process_epoch(epoch, effective, telemetry)
-                span.set(
-                    groups=len(self.groups),
-                    answers=len(outcome.answers),
-                    degraded=len(outcome.degraded),
-                )
-
-    def _process_epoch(
-        self,
-        epoch: int,
-        effective: UpdateBatch,
-        telemetry: Optional[Telemetry],
-    ) -> ShardBatchOutcome:
-        outcome = ShardBatchOutcome(epoch=epoch, shard=self.index)
-        provenance = self.provenance
-        for upd in effective:
-            self.graph.apply_update(upd, missing_ok=True)
-        totals: Dict[str, int] = {}
-        for source in list(self.groups):
-            group = self.groups[source]
-            observation = (
-                GroupObservation(group, effective, provenance.sample_limit)
-                if provenance is not None else None
-            )
-            try:
-                if self.fault_hook is not None:
-                    self.fault_hook("batch", source, epoch)
-                group_stats = group.process_batch(
-                    effective, outcome.response_ops, outcome.post_ops
-                )
-            except ShardKilledError:
-                raise  # chaos kill signal: no isolation, the thread dies
-            except Exception as exc:  # noqa: BLE001 - isolate the failure
-                del self.groups[source]
-                outcome.degraded.append((source, str(exc)))
-                if telemetry is not None:
-                    telemetry.point(
-                        "shard.degraded", shard=self.index, epoch=epoch,
-                        source=source, error=str(exc),
-                    )
-                continue
-            if observation is not None:
-                provenance.record_group(
-                    observation.finish(group, group_stats, epoch, self.index)
-                )
-            for key, value in group_stats.items():
-                totals[key] = totals.get(key, 0) + value
-            for destination in group.destinations:
-                outcome.answers[(source, destination)] = group.answer(destination)
-        outcome.stats = totals
+        outcome = self.core.run_epoch(epoch, effective, telemetry, context)
         with self._results_cv:
             self._results[epoch] = outcome
             self._results_cv.notify_all()
-        return outcome

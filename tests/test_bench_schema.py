@@ -3,8 +3,8 @@
 ``repro.bench.schema`` is the single implementation behind all three
 bench tools' ``--check`` contract (snapshot, serving, traffic); the
 tool-level behavior is exercised in their own suites, so this one pins
-the module API directly — including that the historical re-exports on
-``tools/bench_snapshot.py`` still resolve to the shared functions.
+the module API directly — including that ``tools/bench_snapshot.py``,
+which once owned the checker, calls the shared one and keeps no copy.
 """
 
 import json
@@ -87,16 +87,16 @@ class TestBaselineRoundTrip:
         assert text.index('"a"') < text.index('"z"')
 
 
-def test_snapshot_tool_reexports_shared_checker():
-    """tools/bench_snapshot.py historically owned the checker; its names
-    must keep resolving (tests and scripts import them from there)."""
+def test_snapshot_tool_uses_the_shared_checker():
+    """tools/bench_snapshot.py once owned the checker; it now calls the
+    shared implementation and re-exports nothing of it."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     sys.path.insert(0, os.path.join(root, "tools"))
     try:
         import bench_snapshot
     finally:
         sys.path.pop(0)
-    assert bench_snapshot.key_paths is key_paths
-    assert bench_snapshot.schema_drift is schema_drift
     assert bench_snapshot.check_baseline is check_baseline
     assert bench_snapshot.write_baseline is write_baseline
+    assert not hasattr(bench_snapshot, "key_paths")
+    assert not hasattr(bench_snapshot, "schema_drift")

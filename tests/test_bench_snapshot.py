@@ -16,6 +16,8 @@ sys.path.insert(0, os.path.join(ROOT, "tools"))
 
 import bench_snapshot  # noqa: E402
 
+from repro.bench.schema import key_paths, schema_drift  # noqa: E402
+
 pytestmark = pytest.mark.telemetry
 
 BASELINE = os.path.join(ROOT, "BENCH_observability.json")
@@ -24,19 +26,19 @@ BASELINE = os.path.join(ROOT, "BENCH_observability.json")
 class TestKeyPaths:
     def test_key_paths_cover_nested_dicts_and_lists(self):
         document = {"a": {"b": 1}, "c": [{"d": 2}, {"e": 3}]}
-        paths = set(bench_snapshot.key_paths(document))
+        paths = set(key_paths(document))
         assert {"a", "a.b", "c", "c[0].d", "c[1].e"} <= paths
 
     def test_schema_drift_reports_both_directions(self):
         base = {"kept": 1, "removed": 2}
         fresh = {"kept": 1, "added": 3}
-        drift = bench_snapshot.schema_drift(base, fresh)
+        drift = schema_drift(base, fresh)
         assert any("removed" in line for line in drift)
         assert any("added" in line for line in drift)
 
     def test_identical_documents_have_no_drift(self):
         document = {"a": {"b": [1, 2]}}
-        assert bench_snapshot.schema_drift(document, document) == []
+        assert schema_drift(document, document) == []
 
 
 class TestCommittedBaseline:

@@ -5,7 +5,7 @@ import pytest
 from repro.algorithms import PPSP, dijkstra, get_algorithm
 from repro.core.engine import CISGraphEngine
 from repro.core.multiquery import MultiQueryEngine
-from repro.errors import DuplicateQueryError
+from repro.errors import DuplicateQueryError, VertexOutOfRangeError
 from repro.graph.batch import UpdateBatch, add, delete
 from repro.graph.dynamic import DynamicGraph
 from repro.query import PairwiseQuery
@@ -52,6 +52,21 @@ class TestConstruction:
         engine = MultiQueryEngine(diamond_graph, PPSP(), [PairwiseQuery(0, 4)])
         with pytest.raises(RuntimeError):
             engine.on_batch(UpdateBatch())
+
+    @pytest.mark.parametrize("update", [add(7, 1), add(1, 7)])
+    def test_out_of_range_update_raises_the_typed_error(self, update):
+        """Same contract as ``CISGraphEngine``: an update naming a vertex
+        the graph lacks is a ``VertexOutOfRangeError`` whichever end is
+        off, never a bare ``IndexError`` from the net-effect lookup."""
+        graph = DynamicGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0)])
+        query = PairwiseQuery(0, 2)
+        for engine in (
+            MultiQueryEngine(graph.copy(), PPSP(), [query]),
+            CISGraphEngine(graph.copy(), PPSP(), query),
+        ):
+            engine.initialize()
+            with pytest.raises(VertexOutOfRangeError):
+                engine.on_batch(UpdateBatch([update]))
 
 
 class TestAnswers:

@@ -195,6 +195,31 @@ class TestBitIdenticalBackends:
         assert timelines["process"] == timelines["thread"]
 
 
+class TestSessionHandles:
+    def test_churned_sessions_are_not_pinned_by_the_worker(self, tmp_path):
+        """The parent-side worker holds a session only while its
+        registration is in flight — register / live / deregister churn
+        must leave neither a handle nor a mirror entry behind."""
+        graph = random_graph(60, 300, seed=17)
+        (batch,) = _stream(graph, num_batches=1, seed=17)
+        with _open(tmp_path, "process", graph) as harness:
+            shards = harness.engine.shards
+            for _ in range(3):
+                sessions = [harness.register(*pair) for pair in PAIRS]
+                assert harness.wait_all_live(timeout=30.0)
+                assert all(shard._sessions == {} for shard in shards)
+                for session in sessions:
+                    harness.deregister(session.id)
+            # deregistered while the registration is still in flight: the
+            # late ``live`` event must not resurrect the pair in the mirror
+            for pair in PAIRS:
+                harness.deregister(harness.register(*pair).id)
+            harness.submit(batch)  # FIFO barrier: every event above applied
+            for shard in shards:
+                assert shard._sessions == {}
+                assert shard.groups == {}
+
+
 class TestFailureTaxonomy:
     def test_sigkill_is_classified_killed_and_survived(self, tmp_path):
         graph = random_graph(60, 300, seed=12)

@@ -1,0 +1,250 @@
+"""Cross-commit bit-identity pin for the contribution-aware workflow.
+
+``tests/data/workflow_golden.json`` was written by :func:`build_golden`
+at commit ``7cd8e6b`` — before the classify loop, the batch body and the
+shard epoch body were each collapsed to one implementation — and is
+compared here value for value: answers, ``OpCounts``, stats and
+activation-wave sizes, per batch, for every algorithm under both key-path
+rules, on the single-query engine, the multi-query engine and a sharded
+serve harness (both backends).  A hot-path change that keeps this file
+green did not change what the engines compute or how much work they
+count for it.
+
+Regenerate (only when an answer or a counter is *meant* to change)::
+
+    PYTHONPATH=src:. python tests/test_workflow_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from dataclasses import fields
+
+import pytest
+
+from repro.algorithms.registry import get_algorithm, list_algorithms
+from repro.core.classification import KeyPathRule
+from repro.core.engine import CISGraphEngine
+from repro.core.multiquery import MultiQueryEngine
+from repro.metrics import OpCounts
+from repro.query import PairwiseQuery
+from repro.serve import ServeHarness
+from tests.conftest import random_batch, random_graph
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "workflow_golden.json"
+)
+
+VERTICES, EDGES, GRAPH_SEED = 150, 900, 19
+NUM_BATCHES = 25
+SINGLE = PairwiseQuery(3, 77)
+#: four queries over three sources, on both shards of the serve harness
+QUERIES = [
+    PairwiseQuery(3, 77),
+    PairwiseQuery(3, 120),
+    PairwiseQuery(12, 40),
+    PairwiseQuery(29, 95),
+]
+OP_FIELDS = [f.name for f in fields(OpCounts)]
+CASES = [
+    (name, rule) for name in list_algorithms() for rule in KeyPathRule
+]
+
+
+def _stream():
+    """The seeded graph and its 25 mixed batches (re-weights included)."""
+    graph = random_graph(VERTICES, EDGES, seed=GRAPH_SEED)
+    reference = graph.copy()
+    batches = []
+    for index in range(NUM_BATCHES):
+        # alternate addition- and deletion-heavy batches
+        adds, dels = (16, 8) if index % 2 == 0 else (8, 16)
+        batch = random_batch(reference, adds, dels, seed=1900 + index)
+        reference.apply_batch(batch)
+        batches.append(batch)
+    return graph, batches
+
+
+def _ops(ops: OpCounts) -> list:
+    """``as_dict()`` values in :data:`OP_FIELDS` order (compact on disk)."""
+    counted = ops.as_dict()
+    assert list(counted) == OP_FIELDS
+    return list(counted.values())
+
+
+def _pairs(answers) -> list:
+    return [[q.source, q.destination, answers[q]] for q in QUERIES]
+
+
+def run_single(graph, batches, algorithm, rule) -> list:
+    engine = CISGraphEngine(graph.copy(), algorithm, SINGLE, rule=rule)
+    engine.initialize()
+    rows = []
+    for batch in batches:
+        result = engine.on_batch(batch)
+        rows.append({
+            "answer": result.answer,
+            "response_answer": engine.last_response_answer,
+            "response_ops": _ops(result.response_ops),
+            "post_ops": _ops(result.post_ops),
+            "stats": dict(result.stats),
+            "activated": [
+                len(engine.last_activated_add),
+                len(engine.last_activated_del),
+                len(engine.last_activated_del_response),
+            ],
+        })
+    return rows
+
+
+def run_multi(graph, batches, algorithm, rule) -> list:
+    engine = MultiQueryEngine(graph.copy(), algorithm, QUERIES, rule=rule)
+    engine.initialize()
+    rows = []
+    for batch in batches:
+        result = engine.on_batch(batch)
+        rows.append({
+            "answers": _pairs(result.answers),
+            "response_ops": _ops(result.response_ops),
+            "post_ops": _ops(result.post_ops),
+            "stats": dict(result.stats),
+        })
+    return rows
+
+
+def run_serve(graph, batches, algorithm, rule, directory, backend) -> list:
+    rows = []
+    with ServeHarness.open(
+        directory, graph.copy(), algorithm, SINGLE,
+        num_shards=2, rule=rule, backend=backend,
+    ) as harness:
+        for query in QUERIES:
+            harness.register(query.source, query.destination)
+        assert harness.wait_all_live(timeout=30.0)
+        for batch in batches:
+            result = harness.submit(batch)
+            assert not result.degraded and not result.failed_shards
+            rows.append({
+                "epoch": result.epoch,
+                "answer": result.answer,
+                "answers": _pairs({
+                    q: result.answers[(q.source, q.destination)]
+                    for q in QUERIES
+                }),
+                "response_ops": _ops(result.response_ops),
+                "post_ops": _ops(result.post_ops),
+                "stats": dict(result.stats),
+            })
+    return rows
+
+
+def build_golden(directory: str) -> dict:
+    """Everything the fixture pins, computed by the code under test."""
+    graph, batches = _stream()
+    cases = {}
+    for name, rule in CASES:
+        algorithm = get_algorithm(name)
+        cases[f"{name}/{rule.value}"] = {
+            "single": run_single(graph, batches, algorithm, rule),
+            "multi": run_multi(graph, batches, algorithm, rule),
+            **{
+                f"serve/{backend}": run_serve(
+                    graph, batches, algorithm, rule,
+                    os.path.join(directory, f"{name}-{rule.value}-{backend}"),
+                    backend,
+                )
+                for backend in ("thread", "process")
+            },
+        }
+    return {"op_fields": OP_FIELDS, "cases": cases}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(GOLDEN_PATH) as handle:
+        data = json.load(handle)
+    assert data["op_fields"] == OP_FIELDS
+    return data["cases"]
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return _stream()
+
+
+def _assert_rows(got: list, want: list, what: str) -> None:
+    assert len(got) == len(want) == NUM_BATCHES
+    for index, (have, pinned) in enumerate(zip(got, want)):
+        assert have == pinned, f"{what}: batch {index} drifted from the pin"
+
+
+@pytest.mark.parametrize("name,rule", CASES)
+def test_single_engine_matches_the_pin(golden, stream, name, rule):
+    rows = run_single(*stream, get_algorithm(name), rule)
+    _assert_rows(rows, golden[f"{name}/{rule.value}"]["single"], "single")
+
+
+@pytest.mark.parametrize("name,rule", CASES)
+def test_multi_engine_matches_the_pin(golden, stream, name, rule):
+    rows = run_multi(*stream, get_algorithm(name), rule)
+    _assert_rows(rows, golden[f"{name}/{rule.value}"]["multi"], "multi")
+
+
+@pytest.mark.serve
+@pytest.mark.parametrize("name,rule", CASES)
+def test_thread_harness_matches_the_pin(golden, stream, tmp_path, name, rule):
+    rows = run_serve(
+        *stream, get_algorithm(name), rule, str(tmp_path / "state"), "thread"
+    )
+    _assert_rows(
+        rows, golden[f"{name}/{rule.value}"]["serve/thread"], "serve/thread"
+    )
+
+
+@pytest.mark.serve
+@pytest.mark.procserve
+@pytest.mark.parametrize("name,rule", CASES)
+def test_process_harness_matches_the_pin(golden, stream, tmp_path, name, rule):
+    """The process backend is pinned on its own run: its children rebuild
+    the topology from a CSR snapshot, whose neighbour order breaks
+    equal-state ties differently from the thread workers' dict copies —
+    same answers, different parents, hence different repair ``OpCounts``
+    (already so at ``7cd8e6b``).  Answers must agree across backends."""
+    rows = run_serve(
+        *stream, get_algorithm(name), rule, str(tmp_path / "state"), "process"
+    )
+    pinned = golden[f"{name}/{rule.value}"]
+    _assert_rows(rows, pinned["serve/process"], "serve/process")
+    for have, thread in zip(rows, pinned["serve/thread"]):
+        assert (have["epoch"], have["answer"], have["answers"]) == (
+            thread["epoch"], thread["answer"], thread["answers"]
+        )
+
+
+def test_the_stream_exercises_every_class(golden):
+    """The pin is only worth its bytes if every branch of the workflow
+    runs under it: all four classes, under both rules, plus post work."""
+    for case, runs in golden.items():
+        totals = {}
+        for row in runs["single"] + runs["multi"]:
+            for key, value in row["stats"].items():
+                totals[key] = totals.get(key, 0) + value
+        for key in ("valuable_additions", "nondelayed_deletions",
+                    "delayed_deletions", "useless"):
+            assert totals[key] > 0, f"{case}: no {key} in the pinned stream"
+        post = OP_FIELDS.index("updates_processed")
+        assert any(row["post_ops"][post] for row in runs["single"]), case
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        payload = build_golden(scratch)
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    text = json.dumps(payload, separators=(",", ":"))
+    with open(GOLDEN_PATH, "w") as handle:
+        # one line per pinned batch row keeps a deliberate re-pin diffable
+        handle.write(text.replace("},{", "},\n{") + "\n")
+    print(f"wrote {GOLDEN_PATH}")

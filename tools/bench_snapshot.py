@@ -31,15 +31,7 @@ from typing import Dict, Optional, Sequence
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-# re-exported here because this tool historically owned the checker;
-# the implementation now lives in repro.bench.schema (shared with
-# bench_serving.py and bench_traffic.py)
-from repro.bench.schema import (  # noqa: E402
-    check_baseline,
-    key_paths,
-    schema_drift,
-    write_baseline,
-)
+from repro.bench.schema import check_baseline, write_baseline  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(ROOT, "BENCH_observability.json")
 
