@@ -1,9 +1,12 @@
-"""Key-path-aware result cache for ad-hoc pairwise reads.
+"""The read chokepoint, and a key-path-aware cache for what nobody owns.
 
-Standing sessions get their answers for free from the shard workers'
-converged source groups; the cache serves the other read pattern — clients
-issuing (often duplicate) one-shot ``query(s, d)`` reads against the
-current snapshot — without a full computation per read.
+Every ad-hoc ``query(s, d)`` goes through :meth:`ResultCache.fetch`.  A
+source some healthy shard maintains (or the anchor's) is answered by that
+owner from its converged state — the cache is not consulted at all.  What
+is left is the cache proper: sources nobody owns, owners that are dead,
+retired or not yet sealed at the current epoch, and the recompute leg of
+a degraded read — served without a full computation per read where that
+can be proven safe.
 
 A cache entry is keyed ``(source, destination)`` and lives inside a
 per-source *family* holding the solver's converged state/parent arrays
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.solvers import dijkstra
@@ -52,6 +55,8 @@ class CacheStats:
     lookups: int = 0
     hits: int = 0
     misses: int = 0
+    #: the hits answered by the source's owner (anchor or sealed shard)
+    owned_hits: int = 0
     invalidated_entries: int = 0
     invalidated_families: int = 0
     evicted_families: int = 0
@@ -66,6 +71,7 @@ class CacheStats:
             "lookups": self.lookups,
             "hits": self.hits,
             "misses": self.misses,
+            "owned_hits": self.owned_hits,
             "invalidated_entries": self.invalidated_entries,
             "invalidated_families": self.invalidated_families,
             "evicted_families": self.evicted_families,
@@ -110,12 +116,17 @@ class ResultCache:
         graph: DynamicGraph,
         algorithm: MonotonicAlgorithm,
         capacity: int = 128,
+        owner: Optional[Callable[[int, int], Optional[float]]] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.graph = graph
         self.algorithm = algorithm
         self.capacity = capacity
+        #: ``(source, destination) -> value`` from whoever maintains the
+        #: source's converged state, None when nobody healthy does (the
+        #: harness wires :meth:`ShardedServeEngine.lookup` here)
+        self.owner = owner
         self.stats = CacheStats()
         self._families: "OrderedDict[int, _SourceFamily]" = OrderedDict()
         #: committed batches seen (the staleness clock for degraded reads)
@@ -140,15 +151,28 @@ class ResultCache:
     # reads
     # ------------------------------------------------------------------
     def fetch(
-        self, source: int, destination: int, ops: Optional[OpCounts] = None
+        self,
+        source: int,
+        destination: int,
+        ops: Optional[OpCounts] = None,
+        ask_owner: bool = True,
     ) -> float:
         """Answer ``Q(source -> destination)`` on the current snapshot.
 
-        Serves from the family's converged states (fresh family, any
-        destination) or a retained entry (stale family, cached
-        destination); otherwise runs the solver, installing a fresh family.
+        The source's owner answers when there is a healthy one
+        (``ask_owner`` is False for a read on the degraded path, whose
+        contract predates owners); otherwise serves from the family's
+        converged states (fresh family, any destination) or a retained
+        entry (stale family, cached destination); otherwise runs the
+        solver, installing a fresh family.
         """
         self.stats.lookups += 1
+        if ask_owner and self.owner is not None:
+            value = self.owner(source, destination)
+            if value is not None:
+                self.stats.hits += 1
+                self.stats.owned_hits += 1
+                return value
         family = self._families.get(source)
         if family is not None:
             self._families.move_to_end(source)

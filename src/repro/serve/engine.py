@@ -23,6 +23,11 @@ Topology and work are split as follows:
 Because shard inboxes are FIFO and registrations travel through the same
 inbox as batches, a session registered before batch *k* is bootstrapped on
 the pre-*k* topology and answers from *k* on — no locks, no torn reads.
+
+Converged state has one owner on the read path too: :meth:`lookup`
+returns ``Q(s -> d)`` from whoever maintains ``s`` — the anchor group, or
+the owning shard when it is alive and sealed at :attr:`epoch` — and None
+otherwise, which is the result cache's cue to solve.
 """
 
 from __future__ import annotations
@@ -196,11 +201,12 @@ class ShardedServeEngine:
                 clock=self.clock,
                 telemetry_source=lambda: self.telemetry,
                 spill_dir=self._spill_dir(),
+                epoch=self.epoch,
             )
         return ShardWorker(
             ShardCore(
                 index, self.graph.copy(), self.algorithm, self.rule,
-                self.fault_hook, self.provenance,
+                self.fault_hook, self.provenance, epoch=self.epoch,
             ),
             queue_bound=self.queue_bound,
             clock=self.clock,
@@ -376,6 +382,22 @@ class ShardedServeEngine:
     def shard_of(self, source: int) -> ShardWorker:
         """The worker owning ``source``'s group (stable hash by source)."""
         return self.shards[source % len(self.shards)]
+
+    def lookup(self, source: int, destination: int) -> Optional[float]:
+        """``Q(source -> destination)`` from whoever maintains ``source``.
+
+        The anchor group (processed inline, so converged whenever the
+        ingest thread is between batches) or the owning shard's core —
+        the latter only when that worker is alive, in the pool, holds a
+        group for ``source`` and has fully absorbed :attr:`epoch`.  None
+        otherwise, never an exception: the caller
+        (:meth:`repro.serve.cache.ResultCache.fetch`) then solves.
+        """
+        if not self._initialized:
+            return None
+        if source == self.query.source:
+            return self._anchor.answer(destination)
+        return self.shard_of(source).lookup(source, destination, self.epoch)
 
     def max_depth(self) -> int:
         """Deepest shard inbox right now (the admission probe)."""

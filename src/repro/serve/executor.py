@@ -20,7 +20,7 @@ Both backends implement one worker surface, which is what
 
 ``start() / request_stop() / stop(timeout)``,
 ``submit_register / submit_deregister / submit_batch / submit_wedge``,
-``wait_outcome(epoch, timeout)``,
+``wait_outcome(epoch, timeout)``, ``lookup(source, destination, epoch)``,
 ``alive / started / stop_requested / depth / heartbeat / groups``,
 ``kill()`` (real SIGKILL here, an injected kill command on threads),
 ``failure_mode()`` (``crashed`` / ``hung`` / ``killed`` / ``stopped``)
@@ -58,6 +58,7 @@ from repro.serve.ipc import (
     CMD_BATCH,
     CMD_DEREGISTER,
     CMD_DIE,
+    CMD_READ,
     CMD_REGISTER,
     CMD_STOP,
     CMD_WEDGE,
@@ -65,6 +66,7 @@ from repro.serve.ipc import (
     OUT_FATAL,
     OUT_HEARTBEAT,
     OUT_OUTCOME,
+    OUT_READ,
     OUT_SESSION,
     OUT_TELEMETRY,
     decode_batch,
@@ -74,6 +76,8 @@ from repro.serve.ipc import (
     encode_batch,
     encode_context,
     encode_outcome,
+    encode_read,
+    encode_read_reply,
 )
 from repro.serve.session import QuerySession, SessionState
 from repro.serve.shard import ShardCore
@@ -83,6 +87,9 @@ __all__ = ["BACKENDS", "ProcessShardWorker", "resolve_backend"]
 
 #: executor backends the engine accepts
 BACKENDS = ("thread", "process")
+#: how long one owned-state read waits for the child's reply; a child that
+#: misses it is not asked again until it next publishes an epoch outcome
+READ_DEADLINE = 0.5
 
 
 def resolve_backend(name: str) -> str:
@@ -119,6 +126,7 @@ def _shard_child_main(
     outcomes,
     telemetry_on: bool = False,
     spill_path: Optional[str] = None,
+    epoch: int = 0,
 ) -> None:
     """Command loop of one shard child process.
 
@@ -139,6 +147,7 @@ def _shard_child_main(
         core = ShardCore(
             index, graph, get_algorithm(algorithm_name),
             KeyPathRule(rule_value), fault_hook=None, provenance=None,
+            epoch=epoch,
         )
         agent = (
             ChildTelemetryAgent(index, outcomes, spill_path=spill_path)
@@ -171,6 +180,10 @@ def _shard_child_main(
                         decode_context(ctx),
                     )
                     outcomes.put((OUT_OUTCOME, encode_outcome(outcome)))
+                elif kind == CMD_READ:
+                    outcomes.put(encode_read_reply(
+                        core.lookup(*command[1:]), core.sealed_epoch
+                    ))
                 elif kind == CMD_WEDGE:
                     # the wedge fault: spin right here, no heartbeat end,
                     # no outcome for anything queued behind us — exactly
@@ -229,6 +242,7 @@ class ProcessShardWorker:
             Callable[[], Optional[Telemetry]]
         ] = None,
         spill_dir: Optional[str] = None,
+        epoch: int = 0,
     ) -> None:
         self.index = index
         self.publication = publication
@@ -269,6 +283,7 @@ class ProcessShardWorker:
                 self.outcomes,
                 telemetry_on,
                 self.spill_path,
+                epoch,  # the one ``publication`` was taken at
             ),
             name=f"serve-shard-{index}-proc",
             daemon=True,
@@ -279,6 +294,14 @@ class ProcessShardWorker:
         self._results: Dict[int, object] = {}
         self._state_cv = threading.Condition()
         self._pending = 0
+        #: acks seen so far: command number ``_acks + _pending`` at enqueue
+        #: time is retired once ``_acks`` reaches it (FIFO child)
+        self._acks = 0
+        #: the last ``OUT_READ`` payload, and whether the child may be
+        #: asked at all (cleared by a late or unsealed reply, restored by
+        #: its next epoch outcome)
+        self._read_reply = (None, None)
+        self._readable = True
         self._started = False
         self._stop_requested = False
         self._dead = False
@@ -450,7 +473,43 @@ class ProcessShardWorker:
                         0.1 if remaining is None else min(remaining, 0.1)
                     )
             self._pending += 1
+            ticket = self._acks + self._pending
         self.commands.put(command)
+        return ticket
+
+    def lookup(
+        self, source: int, destination: int, epoch: int
+    ) -> Optional[float]:
+        """Ask the child's core for its converged value at ``epoch``.
+
+        The request rides the FIFO command queue, so it is answered
+        after every registration and batch submitted before it, and the
+        wait runs to the command's *ack*, so an answered read leaves
+        ``depth`` where it found it.  None — never an exception — when
+        the mirror says the source is not here, the child is dead,
+        retired or killed, the inbox is full, or the child missed
+        :data:`READ_DEADLINE` or answered unsealed (then it is not asked
+        again before its next outcome: a wedged child costs one deadline,
+        not one per read).
+        """
+        if (source not in self.groups or not self._readable
+                or self._stop_requested or self._killed or not self.alive):
+            return None
+        try:
+            ticket = self._enqueue(
+                encode_read(source, destination, epoch), block=False
+            )
+        except queue.Full:
+            return None
+        with self._state_cv:
+            self._state_cv.wait_for(
+                lambda: self._acks >= ticket or self._dead, READ_DEADLINE
+            )
+            value, sealed_epoch = self._read_reply
+            if self._acks < ticket or sealed_epoch != epoch:
+                self._readable = False
+                return None
+        return value
 
     def wait_outcome(self, epoch: int, timeout: float = 30.0):
         """Block until the child publishes ``epoch``'s outcome.
@@ -601,7 +660,10 @@ class ProcessShardWorker:
         elif tag == OUT_ACK:
             with self._state_cv:
                 self._pending = max(0, self._pending - 1)
+                self._acks += 1
                 self._state_cv.notify_all()
+        elif tag == OUT_READ:
+            self._read_reply = (message[1], message[2])
         elif tag == OUT_SESSION:
             self._apply_session_event(message[1], message[2], message[3])
         elif tag == OUT_OUTCOME:
@@ -610,6 +672,7 @@ class ProcessShardWorker:
                 self.groups.pop(source, None)
             with self._state_cv:
                 self._results[outcome.epoch] = outcome
+                self._readable = True
                 self._state_cv.notify_all()
         elif tag == OUT_TELEMETRY:
             try:
@@ -675,14 +738,16 @@ class ProcessShardWorker:
         if self._stop_requested:
             return  # retired worker; the replacement owns this session now
         if state == "live":
+            # mirror first: a caller woken by LIVE may read at once, and
+            # :meth:`lookup` only asks the child for mirrored sources
+            self.groups.setdefault(session.query.source, set()).add(
+                session.query.destination
+            )
             try:
                 session.transition(SessionState.WARMING)
                 session.transition(SessionState.LIVE)
             except SessionStateError:
                 pass  # closed while still queued (or closing concurrently)
-            self.groups.setdefault(session.query.source, set()).add(
-                session.query.destination
-            )
         else:
             try:
                 session.transition(SessionState.DEGRADED, reason=reason)

@@ -7,8 +7,11 @@ workers behind the :class:`~repro.serve.admission.AdmissionController`,
 pushes every committed batch through a WAL-backed
 :class:`~repro.resilience.pipeline.ResilientPipeline` (so a crash mid-serve
 is recoverable with :meth:`ServeHarness.resume`), fans per-batch answers
-out to live sessions, and serves ad-hoc reads through the key-path-aware
-:class:`~repro.serve.cache.ResultCache`.
+out to live sessions, and serves ad-hoc reads — breaker first, then
+:meth:`ResultCache.fetch <repro.serve.cache.ResultCache.fetch>`, which
+asks the engine for the source's owner before it touches its own
+families — each stamped with the epoch it is exact for (the read
+contract, ``docs/serving.md``).
 
 Threading contract: the harness itself is driven from one caller thread
 (registrations, batches, reads); the shard workers are the only other
@@ -73,11 +76,15 @@ class ReadResult:
     batches old; 0 means current-epoch) or, with nothing fresh enough
     remembered, from a direct recompute that still carries the flag so
     clients know the serving path for this source is unhealthy.
+    ``epoch`` is the engine epoch ``value`` is exact for: the last
+    committed one, minus ``stale_epochs`` for a last-known answer (the
+    read contract, ``docs/serving.md``).
     """
 
     value: float
     degraded: bool = False
     stale_epochs: int = 0
+    epoch: int = 0
 
 
 class ServeHarness:
@@ -274,7 +281,7 @@ class ServeHarness:
         )
         registry = SessionRegistry(dedupe=dedupe)
         cache = ResultCache(engine.graph, engine.algorithm,
-                            capacity=cache_capacity)
+                            capacity=cache_capacity, owner=engine.lookup)
         # the supervisor flips the engine into tolerant mode: shard loss
         # degrades and resurrects instead of raising out of submit()
         supervisor = Supervisor(engine, registry, config=supervision,
@@ -417,7 +424,7 @@ class ServeHarness:
         trace_id = context.trace_id if context is not None else None
         for session in self.sessions.active_sessions():
             source = session.query.source
-            shard_index = source % self.engine.num_shards
+            shard_index = self.engine.shard_of(source).index
             if source in degraded or shard_index in failed:
                 reason = degraded.get(source) or reasons[shard_index]
                 if session.state is not SessionState.DEGRADED:
@@ -471,13 +478,16 @@ class ServeHarness:
         :class:`~repro.errors.SessionClosedError` when the session is
         unknown or already closed, instead of leaking a ``KeyError``.
 
-        On a closed circuit this is the cached exact read.  While
-        ``source``'s breaker is open (or trialling half-open), the answer
-        comes from the last-known store when one exists within the
-        supervisor's ``max_staleness`` bound — tagged ``degraded`` with
-        its age — and otherwise falls back to a direct recompute that
-        still carries the flag (the value is exact; the serving path for
-        this source is not healthy).
+        On a closed circuit this is the exact read for the last committed
+        epoch: the shard that maintains ``source`` (or the inline anchor)
+        answers from its converged state when it is alive and has sealed
+        that epoch, the result cache (one solver run per miss) otherwise.
+        While ``source``'s breaker is open (or trialling half-open) no
+        owner is consulted: the answer comes from the last-known store
+        when one exists within the supervisor's ``max_staleness`` bound —
+        tagged ``degraded`` with its age — and otherwise falls back to a
+        direct recompute that still carries the flag (the value is exact;
+        the serving path for this source is not healthy).
         """
         source, destination = self._resolve_pair(
             source, destination, session_id
@@ -485,7 +495,7 @@ class ServeHarness:
         request = PairwiseQuery(source, destination)
         request.validate(self.engine.graph.num_vertices)
         degraded = self.supervisor.breaker_open(source)
-        stale_epochs = 0
+        epoch = self.engine.epoch
         if degraded:
             self.supervisor.degraded_reads += 1
             stamped = self.cache.stale_lookup(source, destination)
@@ -498,12 +508,12 @@ class ServeHarness:
                 self._staleness_high = max(self._staleness_high, stale_epochs)
                 self._record_telemetry()
                 return ReadResult(value, degraded=True,
-                                  stale_epochs=stale_epochs)
-        value = self.cache.fetch(source, destination, ops=self.query_ops)
-        if self.telemetry is not None:
-            record_serve_cache(self.telemetry.registry,
-                               self.cache.stats.as_dict())
-        return ReadResult(value, degraded=degraded, stale_epochs=stale_epochs)
+                                  stale_epochs=stale_epochs,
+                                  epoch=epoch - stale_epochs)
+        # breaker first: a source on the degraded path never reaches its owner
+        value = self.cache.fetch(source, destination, ops=self.query_ops,
+                                 ask_owner=not degraded)
+        return ReadResult(value, degraded=degraded, epoch=epoch)
 
     def _resolve_pair(
         self,
@@ -581,7 +591,7 @@ class ServeHarness:
 
         Rescales the engine to ``num_shards`` fresh workers built from
         the canonical graph, then requeues every active session on its
-        new owning shard (``source % num_shards``): the session drops to
+        new owning shard (``engine.shard_of``): the session drops to
         PENDING and re-enters the normal warm-up, answering again from
         the next committed batch.  Degraded sessions stay with the
         supervisor's rescue path, which routes through the new pool.

@@ -12,9 +12,10 @@ explicit and primitive:
 * **commands** (parent → child) are tuples of str/int/float only —
   ``register`` carries the session *id*, never the session object;
   ``batch`` carries the effective updates as ``(kind, u, v, w)`` rows;
+  ``read`` carries ``(source, destination, epoch)``;
 * **outcomes** (child → parent) are tuples/dicts of the same primitives
-  — heartbeats, session lifecycle events, encoded epoch outcomes, acks,
-  telemetry frames and a ``fatal`` last-gasp record.
+  — heartbeats, session lifecycle events, encoded epoch outcomes, read
+  replies, acks, telemetry frames and a ``fatal`` last-gasp record.
 
 Two observability payloads cross the channel in primitive form as well:
 the ingest :class:`~repro.obs.tracing.TraceContext` rides every batch
@@ -44,6 +45,7 @@ __all__ = [
     "CMD_BATCH",
     "CMD_DIE",
     "CMD_DEREGISTER",
+    "CMD_READ",
     "CMD_REGISTER",
     "CMD_STOP",
     "CMD_WEDGE",
@@ -51,6 +53,7 @@ __all__ = [
     "OUT_FATAL",
     "OUT_HEARTBEAT",
     "OUT_OUTCOME",
+    "OUT_READ",
     "OUT_SESSION",
     "OUT_TELEMETRY",
     "decode_batch",
@@ -60,6 +63,8 @@ __all__ = [
     "encode_batch",
     "encode_context",
     "encode_outcome",
+    "encode_read",
+    "encode_read_reply",
     "encode_telemetry_frame",
 ]
 
@@ -67,6 +72,7 @@ __all__ = [
 CMD_REGISTER = "register"
 CMD_DEREGISTER = "deregister"
 CMD_BATCH = "batch"
+CMD_READ = "read"    # (source, destination, epoch): one owned-state lookup
 CMD_WEDGE = "wedge"  # spin without heartbeating (chaos wedge fault)
 CMD_DIE = "die"      # exit with a nonzero code (chaos crash fault)
 CMD_STOP = "stop"
@@ -75,6 +81,7 @@ CMD_STOP = "stop"
 OUT_HEARTBEAT = "hb"
 OUT_SESSION = "session"
 OUT_OUTCOME = "outcome"
+OUT_READ = "read"    # (value or None, the core's sealed epoch or None)
 OUT_ACK = "ack"
 OUT_FATAL = "fatal"
 OUT_TELEMETRY = "telemetry"
@@ -179,6 +186,26 @@ def decode_batch(rows: List[Tuple[str, int, int, float]]) -> UpdateBatch:
     return UpdateBatch([
         EdgeUpdate(UpdateKind(kind), u, v, w) for kind, u, v, w in rows
     ])
+
+
+# ----------------------------------------------------------------------
+# owned-state reads
+# ----------------------------------------------------------------------
+def encode_read(source: int, destination: int, epoch: int) -> Tuple:
+    """The ``CMD_READ`` command: which pair, exact for which epoch."""
+    return (CMD_READ, int(source), int(destination), int(epoch))
+
+
+def encode_read_reply(
+    value: Optional[float], sealed_epoch: Optional[int]
+) -> Tuple:
+    """The ``OUT_READ`` reply; ``value`` is None unless the child's core
+    owns the source and is sealed at the epoch asked for."""
+    return (
+        OUT_READ,
+        None if value is None else float(value),
+        None if sealed_epoch is None else int(sealed_epoch),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,10 @@ line, ``#`` starts a comment)::
     add U V W           buffer edge addition U --W--> V
     delete U V [W]      buffer edge deletion U -> V
     commit              commit buffered updates as one batch; prints answers
-    query S D           one-shot cached read of Q(S -> D); reports the
-                        ``degraded`` flag (and staleness) while the
+    query S D           one-shot read of Q(S -> D), answered by the shard
+                        that maintains S when there is one (else cached);
+                        reports the ``epoch`` the value is exact for and
+                        the ``degraded`` flag (with staleness) while the
                         source's circuit breaker is open
     query SID           the same read addressed through a standing
                         session id (a closed or unknown id is a typed
@@ -149,6 +151,7 @@ class ScriptRunner:
         event: Dict[str, object] = {
             "answer": read.value,
             "hit_rate": self.harness.cache.stats.hit_rate,
+            "epoch": read.epoch,
             "degraded": read.degraded,
         }
         if read.degraded:

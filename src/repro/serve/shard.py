@@ -18,6 +18,10 @@ thread consuming a **bounded** inbox of commands in FIFO order:
   drive every owned group through contribution-aware processing, then
   publish a :class:`ShardBatchOutcome` for the epoch.
 
+Reads do not queue: :meth:`ShardWorker.lookup` loads the converged value
+straight from the core on the caller's thread, and the core's epoch seal
+(:attr:`ShardCore.sealed_epoch`) is what makes that safe.
+
 Every shard holds a private :class:`~repro.graph.dynamic.DynamicGraph`
 copy that it alone mutates — no cross-thread topology sharing, hence no
 locks on the hot path.  A failure inside one group's processing (or an
@@ -102,8 +106,9 @@ class ShardCore:
 
     Owns the shard-private topology and the source groups hashed to the
     shard, and is the only implementation of their lifecycle
-    (:meth:`register` / :meth:`deregister`) and of a shard's epoch
-    (:meth:`run_epoch`).  The thread worker below and the process
+    (:meth:`register` / :meth:`deregister`), of a shard's epoch
+    (:meth:`run_epoch`) and of a read of shard-held state
+    (:meth:`lookup`).  The thread worker below and the process
     backend's child loop (:mod:`repro.serve.executor`) each hold one and
     add only transport: queues, session-lifecycle delivery, heartbeats,
     acks, kill/wedge/stop.
@@ -117,6 +122,7 @@ class ShardCore:
         rule: KeyPathRule,
         fault_hook: Optional[FaultHook] = None,
         provenance: Optional[ProvenanceRecorder] = None,
+        epoch: int = 0,
     ) -> None:
         self.index = index
         self.graph = graph
@@ -125,6 +131,11 @@ class ShardCore:
         self.fault_hook = fault_hook
         self.provenance = provenance
         self.groups: Dict[int, SourceGroup] = {}
+        #: the engine epoch this core has fully absorbed — ``epoch`` is the
+        #: one ``graph`` was copied at; None from the start of an epoch to
+        #: its end, and for good once an epoch was skipped or died half-way
+        #: (the topology then lacks a delta no later epoch brings back)
+        self.sealed_epoch: Optional[int] = epoch
 
     def register(self, source: int, destination: int) -> None:
         """Attach a standing query; a brand-new source is bootstrapped
@@ -147,6 +158,25 @@ class ShardCore:
         group = self.groups.get(source)
         if group is not None and group.remove_destination(destination):
             del self.groups[source]
+
+    def lookup(
+        self, source: int, destination: int, epoch: int
+    ) -> Optional[float]:
+        """Converged ``Q(source -> destination)`` at ``epoch``, or None.
+
+        The read path's one door into shard-held state, open only while
+        the source has a group here and the core is sealed at ``epoch``.
+        A drained group is converged for *every* vertex, so any
+        destination is answerable.  The thread transport calls this from
+        the reader's thread, so the seal is checked on both sides of the
+        load (a seqlock): a zombie waking into an epoch mid-read unseals
+        first and the value is discarded.
+        """
+        group = self.groups.get(source)
+        if group is None or self.sealed_epoch != epoch:
+            return None
+        value = group.answer(destination)
+        return value if self.sealed_epoch == epoch else None
 
     def run_epoch(
         self,
@@ -183,6 +213,8 @@ class ShardCore:
         telemetry: Optional[Telemetry],
     ) -> ShardBatchOutcome:
         outcome = ShardBatchOutcome(epoch=epoch, shard=self.index)
+        contiguous = self.sealed_epoch == epoch - 1
+        self.sealed_epoch = None
         for upd in effective:
             self.graph.apply_update(upd, missing_ok=True)
         totals: Dict[str, int] = {}
@@ -211,6 +243,8 @@ class ShardCore:
             for destination in group.destinations:
                 outcome.answers[(source, destination)] = group.answer(destination)
         outcome.stats = totals
+        if contiguous:
+            self.sealed_epoch = epoch
         return outcome
 
 
@@ -375,6 +409,15 @@ class ShardWorker:
             self.inbox.put_nowait(("die",))
         except queue.Full:
             pass  # flag is set; the worker checks it between commands
+
+    def lookup(
+        self, source: int, destination: int, epoch: int
+    ) -> Optional[float]:
+        """The core's converged value at ``epoch``, read from the caller's
+        thread; None from a worker that is dead, retired or told to die."""
+        if self._stop_requested or self._die_requested or not self.alive:
+            return None
+        return self.core.lookup(source, destination, epoch)
 
     def wait_outcome(self, epoch: int, timeout: float = 30.0) -> ShardBatchOutcome:
         """Block until this shard publishes its outcome for ``epoch``.

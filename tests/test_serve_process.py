@@ -20,6 +20,8 @@ from repro.serve import BACKENDS, ServeHarness, SessionState, resolve_backend
 from repro.serve.health import HealthMonitor, ShardHealth
 from repro.obs.tracing import TraceContext
 from repro.serve.ipc import (
+    CMD_READ,
+    OUT_READ,
     decode_batch,
     decode_context,
     decode_outcome,
@@ -27,6 +29,8 @@ from repro.serve.ipc import (
     encode_batch,
     encode_context,
     encode_outcome,
+    encode_read,
+    encode_read_reply,
     encode_telemetry_frame,
 )
 from repro.serve.shard import ShardBatchOutcome
@@ -120,6 +124,19 @@ class TestCodec:
         )
         wire = json.loads(json.dumps(encode_outcome(outcome)))
         assert decode_outcome(wire) == outcome
+
+    def test_read_command_and_reply_round_trip_as_primitives(self):
+        import pickle
+
+        command = encode_read(True, 20, 3)  # bool is an int; the wire is not
+        assert command == (CMD_READ, 1, 20, 3)
+        assert [type(x) for x in command] == [str, int, int, int]
+        for value, sealed in ((4, 3), (float("inf"), 3), (None, 3), (None, None)):
+            reply = encode_read_reply(value, sealed)
+            assert reply == (OUT_READ, value, sealed)
+            assert value is None or type(reply[1]) is float
+            assert pickle.loads(pickle.dumps(reply)) == reply
+        assert pickle.loads(pickle.dumps(command)) == command
 
     def test_trace_context_round_trip(self):
         context = TraceContext(trace_id="t000042", parent_span_id=17)

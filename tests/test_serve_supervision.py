@@ -444,7 +444,7 @@ class TestDegradedReads:
             assert harness.supervisor.degraded_reads == 1
             # a healthy source reads fresh and unflagged
             healthy = harness.read(2, 30)
-            assert healthy == ReadResult(second.answers[(2, 30)])
+            assert healthy == ReadResult(second.answers[(2, 30)], epoch=2)
             # query() stays the bare-value compatibility front
             assert harness.query(1, 20) == outcome.value
 
