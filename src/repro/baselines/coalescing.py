@@ -63,8 +63,7 @@ class CoalescingEngine(PairwiseEngine):
         state = self.state
 
         effective = net_effects(batch, graph.weight_or_none)
-        for upd in effective:
-            graph.apply_update(upd, missing_ok=False)
+        graph.apply_batch(effective, missing_ok=False)
         ops.updates_processed += len(effective)
 
         # ---- coalesced deletion repair first: collect every supplying

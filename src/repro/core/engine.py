@@ -100,8 +100,7 @@ class CISGraphEngine(PairwiseEngine):
         # net topology effect, applied before any processing so that
         # propagation and repair always traverse the new snapshot
         effective = net_effects(batch, graph.weight_or_none)
-        for upd in effective:
-            graph.apply_update(upd, missing_ok=False)
+        graph.apply_batch(effective, missing_ok=False)
 
         seen = BatchObserver(telemetry=self.telemetry, engine=self.name)
         self._group.process_batch(effective, response, post, seen)

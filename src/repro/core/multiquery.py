@@ -370,8 +370,7 @@ class MultiQueryEngine:
         post = OpCounts()
 
         effective = net_effects(batch, self.graph.weight_or_none)
-        for upd in effective:
-            self.graph.apply_update(upd, missing_ok=False)
+        self.graph.apply_batch(effective, missing_ok=False)
 
         stats: Dict[str, float] = {
             "groups": float(len(self._groups)),

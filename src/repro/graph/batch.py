@@ -147,37 +147,40 @@ def net_effects(batch: UpdateBatch, edge_weight) -> "UpdateBatch":
     Engines that classify a whole batch before processing (CISGraph) must
     not propagate through an edge that a later update in the same batch
     removes.  This helper replays the batch against the pre-batch topology
-    (queried through ``edge_weight(u, v) -> Optional[float]``) and returns an
-    equivalent batch with at most one deletion followed by at most one
-    addition per edge: pure additions, pure deletions (carrying the
-    *pre-batch* weight, which classification needs), and re-weights expressed
-    as a deletion plus an addition.  Updates that cancel out disappear.
+    (queried once per distinct edge through
+    ``edge_weight(u, v) -> Optional[float]``) and returns an equivalent
+    batch with at most one deletion followed by at most one addition per
+    edge: pure additions, pure deletions (carrying the *pre-batch* weight,
+    which classification needs), and re-weights expressed as a deletion
+    plus an addition.  Updates that cancel out disappear.
 
-    Deletions come first in the returned batch only per-edge; the overall
-    ordering groups all net deletions after all net additions is NOT imposed
-    here — callers schedule as they see fit.
+    Callers may rely on three things:
+
+    * edges appear in *first-touch* order — the order in which the input
+      first names them — and no other ordering (say, deletions before
+      additions across edges) is imposed: callers schedule as they see fit;
+    * a re-weight is the deletion immediately followed by the addition, so
+      applying the result moves the edge to the end of both adjacency
+      dicts exactly as a delete-then-add would;
+    * a returned update may be the caller's own object: the last update of
+      an edge is reused whenever it already is its net effect (an addition
+      of an absent edge, a deletion carrying the pre-batch weight), and a
+      new :class:`EdgeUpdate` is built only for the deletion half of a
+      re-weight or a deletion whose weight is stale.
     """
-    before: dict = {}
-    after: dict = {}
-    order: List[Tuple[int, int]] = []
-    for upd in batch:
-        key = upd.edge
-        if key not in before:
-            before[key] = edge_weight(upd.u, upd.v)
-            order.append(key)
-        after[key] = upd.weight if upd.is_addition else None
-
-    reduced = UpdateBatch()
-    for key in order:
-        u, v = key
-        old = before[key]
-        new = after[key]
-        if old is None and new is not None:
-            reduced.append(EdgeUpdate(UpdateKind.ADD, u, v, new))
-        elif old is not None and new is None:
-            reduced.append(EdgeUpdate(UpdateKind.DELETE, u, v, old))
-        elif old is not None and new is not None and old != new:
-            reduced.append(EdgeUpdate(UpdateKind.DELETE, u, v, old))
-            reduced.append(EdgeUpdate(UpdateKind.ADD, u, v, new))
-        # old == new (including both None): no net effect
-    return reduced
+    last = {(upd.u, upd.v): upd for upd in batch}
+    is_add = UpdateKind.ADD
+    reduced: List[EdgeUpdate] = []
+    for (u, v), upd in last.items():
+        old = edge_weight(u, v)
+        if upd.kind is is_add:
+            if old is None:
+                reduced.append(upd)
+            elif old != upd.weight:
+                reduced.append(EdgeUpdate(UpdateKind.DELETE, u, v, old))
+                reduced.append(upd)
+        elif old is not None:
+            if upd.weight != old:
+                upd = EdgeUpdate(UpdateKind.DELETE, u, v, old)
+            reduced.append(upd)
+    return UpdateBatch(reduced)

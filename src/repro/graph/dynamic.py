@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import EdgeNotFoundError, VertexOutOfRangeError
-from repro.graph.batch import EdgeUpdate, UpdateBatch
+from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind
 
 
 class DynamicGraph:
@@ -125,12 +125,38 @@ class DynamicGraph:
         return self.remove_edge(update.u, update.v, missing_ok=missing_ok)
 
     def apply_batch(self, batch: UpdateBatch, missing_ok: bool = True) -> int:
-        """Apply a whole batch in order; returns the number of effective changes."""
-        changed = 0
-        for update in batch:
-            if self.apply_update(update, missing_ok=missing_ok):
-                changed += 1
-        return changed
+        """Apply a whole batch in order; returns the number of effective changes.
+
+        The one apply routine of every engine.  Both endpoints of every
+        update are range-checked *before the first write*, so a batch
+        refused with :class:`VertexOutOfRangeError` leaves the graph as it
+        found it.  With ``missing_ok=False`` deleting an absent edge raises
+        :class:`EdgeNotFoundError` after the updates in front of it were
+        applied; the edge count stays consistent with the adjacency.
+        """
+        out, inn = self._out, self._in
+        top = batch.max_vertex()
+        if top >= len(out):
+            raise VertexOutOfRangeError(top, len(out))
+        is_add = UpdateKind.ADD
+        added = removed = 0
+        try:
+            for update in batch:
+                u, v = update.u, update.v
+                adj = out[u]
+                if update.kind is is_add:
+                    if v not in adj:
+                        added += 1
+                    adj[v] = inn[v][u] = update.weight
+                elif v in adj:
+                    del adj[v]
+                    del inn[v][u]
+                    removed += 1
+                elif not missing_ok:
+                    raise EdgeNotFoundError(u, v)
+        finally:
+            self._num_edges += added - removed
+        return added + removed
 
     # ------------------------------------------------------------------
     # traversal

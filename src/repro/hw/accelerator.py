@@ -137,8 +137,7 @@ class CISGraphAccelerator(PairwiseEngine):
 
         # -- snapshot generation: apply net topology effect, rebuild CSR.
         effective = net_effects(batch, self.graph.weight_or_none)
-        for upd in effective:
-            self.graph.apply_update(upd, missing_ok=False)
+        self.graph.apply_batch(effective, missing_ok=False)
         csr = CSRGraph.from_dynamic(self.graph)
         new_layout = MemoryLayout(csr, csr.reversed())
         if self._spm is None or self._dram is None:

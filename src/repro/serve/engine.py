@@ -310,8 +310,7 @@ class ShardedServeEngine:
                 if not self.tolerate_shard_failures:
                     raise ShardCrashedError(reason) from None
                 failed_shards.append((shard.index, reason))
-        for upd in effective:
-            self.graph.apply_update(upd, missing_ok=True)
+        self.graph.apply_batch(effective, missing_ok=True)
         # the anchor is the durability surface, not an isolated source:
         # a failure here propagates out of on_batch
         with (

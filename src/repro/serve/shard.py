@@ -215,8 +215,7 @@ class ShardCore:
         outcome = ShardBatchOutcome(epoch=epoch, shard=self.index)
         contiguous = self.sealed_epoch == epoch - 1
         self.sealed_epoch = None
-        for upd in effective:
-            self.graph.apply_update(upd, missing_ok=True)
+        self.graph.apply_batch(effective, missing_ok=True)
         totals: Dict[str, int] = {}
         for source in list(self.groups):
             group = self.groups[source]

@@ -159,3 +159,55 @@ class TestNetEffects:
         reduced = net_effects(batch, self._lookup(g))
         reduced_graph.apply_batch(reduced, missing_ok=False)
         assert sorted(sequential.edges()) == sorted(reduced_graph.edges())
+
+    def test_first_touch_order_and_reweight_shape(self):
+        g = DynamicGraph.from_edges(5, [(0, 1, 2.0), (3, 4, 1.0)])
+        batch = UpdateBatch(
+            [
+                add(2, 3, 1.0),
+                delete(3, 4, 1.0),
+                add(0, 1, 6.0),
+                add(2, 3, 8.0),  # second touch: keeps the first position
+                add(3, 4, 1.0),  # cancels the deletion
+            ]
+        )
+        reduced = net_effects(batch, g.weight_or_none)
+        assert [(u.kind, u.edge, u.weight) for u in reduced] == [
+            (UpdateKind.ADD, (2, 3), 8.0),
+            (UpdateKind.DELETE, (0, 1), 2.0),
+            (UpdateKind.ADD, (0, 1), 6.0),
+        ]
+
+    def test_one_lookup_per_distinct_edge(self):
+        seen = []
+
+        def lookup(u, v):
+            seen.append((u, v))
+            return None
+
+        batch = UpdateBatch([add(0, 1), add(1, 2), delete(0, 1), add(0, 1)])
+        net_effects(batch, lookup)
+        assert seen == [(0, 1), (1, 2)]
+
+    def test_own_net_effects_are_returned_not_copied(self):
+        """The common case allocates no update: an addition of an absent
+        edge and a deletion carrying the pre-batch weight come back as the
+        very objects the caller passed in."""
+        g = DynamicGraph.from_edges(
+            6, [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 4.0), (4, 5, 1.0)]
+        )
+        batch = UpdateBatch(
+            [add(0, 2, 1.0), delete(1, 2, 3.0), add(3, 4, 2.0), delete(4, 5, 1.0)]
+        )
+        reduced = net_effects(batch, g.weight_or_none)
+        assert len(reduced) == len(batch)
+        for got, given in zip(reduced, batch):
+            assert got is given
+
+    def test_stale_delete_and_reweight_build_only_the_deletion(self):
+        g = DynamicGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0)])
+        stale, reweight = delete(0, 1, 9.0), add(1, 2, 5.0)
+        reduced = net_effects(UpdateBatch([stale, reweight]), g.weight_or_none)
+        assert reduced[0] == delete(0, 1, 2.0) and reduced[0] is not stale
+        assert reduced[1] == delete(1, 2, 3.0)
+        assert reduced[2] is reweight

@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms import PPSP, dijkstra, get_algorithm
 from repro.core.classification import KeyPathRule
 from repro.core.engine import CISGraphEngine
+from repro.errors import VertexOutOfRangeError
 from repro.graph.batch import UpdateBatch, add, delete
 from repro.graph.dynamic import DynamicGraph
 from repro.query import PairwiseQuery
@@ -73,6 +74,30 @@ class TestBasics:
             UpdateBatch([delete(0, 2, 4.0), add(0, 4, 3.0)])
         )
         assert engine.last_response_answer == result.answer
+
+
+class TestRefusedBatch:
+    @pytest.mark.parametrize("bad", [add(2, 9, 1.0), add(9, 2, 1.0)])
+    def test_out_of_range_batch_leaves_topology_untouched(self, diamond_graph, bad):
+        """``on_batch`` refuses the whole batch before writing any of it:
+        the updates in front of the bad one are not applied either."""
+        engine = make_engine(diamond_graph)
+        engine.initialize()
+        graph = engine.graph
+        edges, num_edges, answer = list(graph.edges()), graph.num_edges, engine.answer
+        first = next(iter(graph.edges()))
+        batch = UpdateBatch([add(4, 0, 1.0), delete(*first), bad, add(3, 0, 2.0)])
+        with pytest.raises(VertexOutOfRangeError):
+            engine.on_batch(batch)
+        assert list(graph.edges()) == edges
+        assert graph.num_edges == num_edges
+        graph.check_consistency()
+        assert engine.answer == answer
+        # and the engine still serves: the same batch without the bad update
+        batch.updates.remove(bad)
+        result = engine.on_batch(batch)
+        reference = dijkstra(graph, engine.algorithm, engine.query.source)
+        assert result.answer == reference.states[engine.query.destination]
 
 
 class TestDelayedPromotion:

@@ -89,6 +89,50 @@ class TestMutation:
         assert g.apply_batch(batch) == 2
         g.check_consistency()
 
+    @pytest.mark.parametrize("missing_ok", [True, False])
+    def test_refused_batch_leaves_the_graph_as_it_found_it(self, missing_ok):
+        """The range check runs before the first write: a batch whose k-th
+        update names a vertex the graph lacks changes nothing."""
+        g = DynamicGraph.from_edges(4, [(0, 1, 2.0), (1, 2, 3.0)])
+        edges, out_order = list(g.edges()), [list(g.out_adj(u)) for u in range(4)]
+        batch = UpdateBatch([add(2, 3, 1.0), delete(0, 1, 2.0), add(3, 9, 1.0)])
+        with pytest.raises(VertexOutOfRangeError) as info:
+            g.apply_batch(batch, missing_ok=missing_ok)
+        assert (info.value.vertex, info.value.num_vertices) == (9, 4)
+        assert list(g.edges()) == edges
+        assert [list(g.out_adj(u)) for u in range(4)] == out_order
+        assert g.num_edges == 2
+        g.check_consistency()
+
+    def test_out_of_range_deletion_is_refused_too(self):
+        g = DynamicGraph.from_edges(3, [(0, 1, 2.0)])
+        with pytest.raises(VertexOutOfRangeError):
+            g.apply_batch(UpdateBatch([delete(0, 1, 2.0), delete(0, 5, 1.0)]))
+        assert list(g.edges()) == [(0, 1, 2.0)]
+        g.check_consistency()
+
+    def test_edge_count_consistent_after_missing_edge_mid_batch(self):
+        g = DynamicGraph.from_edges(4, [(0, 1, 2.0), (1, 2, 3.0)])
+        batch = UpdateBatch(
+            [add(2, 3, 1.0), delete(0, 1, 2.0), delete(3, 0, 1.0), add(0, 2, 1.0)]
+        )
+        with pytest.raises(EdgeNotFoundError):
+            g.apply_batch(batch, missing_ok=False)
+        # the updates in front of the missing edge were applied, none after
+        assert sorted(g.edges()) == [(1, 2, 3.0), (2, 3, 1.0)]
+        assert g.num_edges == 2
+        g.check_consistency()
+
+    def test_reweight_by_delete_then_add_moves_the_edge_to_the_end(self):
+        g = DynamicGraph.from_edges(3, [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 1.0)])
+        assert g.apply_batch(UpdateBatch([delete(0, 1, 2.0), add(0, 1, 5.0)])) == 2
+        assert list(g.out_adj(0).items()) == [(2, 3.0), (1, 5.0)]
+        # a plain overwrite keeps the position and is not a change
+        assert g.apply_batch(UpdateBatch([add(0, 2, 4.0)])) == 0
+        assert list(g.out_adj(0).items()) == [(2, 4.0), (1, 5.0)]
+        assert list(g.in_adj(2).items()) == [(0, 4.0), (1, 1.0)]
+        g.check_consistency()
+
 
 class TestTraversal:
     def test_in_out_neighbors_mirror(self):

@@ -13,11 +13,13 @@ check the invariants the whole system rests on:
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import dijkstra, get_algorithm, list_algorithms
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.engine import CISGraphEngine
+from repro.errors import VertexOutOfRangeError
 from repro.graph.batch import (
     EdgeUpdate,
     UpdateBatch,
@@ -150,6 +152,124 @@ def test_keypath_witnesses_the_answer(graph, batches, source, dest):
             assert engine.graph.has_edge(u, v), f"key path uses missing {u}->{v}"
             total += engine.graph.edge_weight(u, v)
         assert total == answer
+
+
+# ----------------------------------------------------------------------
+# the ingest pair this repository started with, kept verbatim as the
+# written specification of ``net_effects`` + ``DynamicGraph.apply_batch``
+# ----------------------------------------------------------------------
+def _seed_net_effects(batch, edge_weight):
+    before: dict = {}
+    after: dict = {}
+    order = []
+    for upd in batch:
+        key = upd.edge
+        if key not in before:
+            before[key] = edge_weight(upd.u, upd.v)
+            order.append(key)
+        after[key] = upd.weight if upd.is_addition else None
+
+    reduced = UpdateBatch()
+    for key in order:
+        u, v = key
+        old = before[key]
+        new = after[key]
+        if old is None and new is not None:
+            reduced.append(EdgeUpdate(UpdateKind.ADD, u, v, new))
+        elif old is not None and new is None:
+            reduced.append(EdgeUpdate(UpdateKind.DELETE, u, v, old))
+        elif old is not None and new is not None and old != new:
+            reduced.append(EdgeUpdate(UpdateKind.DELETE, u, v, old))
+            reduced.append(EdgeUpdate(UpdateKind.ADD, u, v, new))
+        # old == new (including both None): no net effect
+    return reduced
+
+
+def _seed_apply(graph, effective, missing_ok):
+    changed = 0
+    for upd in effective:
+        if graph.apply_update(upd, missing_ok=missing_ok):
+            changed += 1
+    return changed
+
+
+def _rows(batch):
+    return [(upd.kind, upd.u, upd.v, upd.weight) for upd in batch]
+
+
+def _storage(graph):
+    """Adjacency in *iteration order* — what ``OpCounts`` tie-breaks read."""
+    n = graph.num_vertices
+    return (
+        [list(graph.out_adj(u).items()) for u in range(n)],
+        [list(graph.in_adj(v).items()) for v in range(n)],
+        graph.num_edges,
+    )
+
+
+# five vertices and three weights: duplicate edges, add -> delete -> add
+# chains, re-weights, cancelling pairs and deletes carrying the true weight
+# all turn up within a few updates
+_INGEST_N = 5
+_ingest_edge = st.tuples(
+    st.integers(0, _INGEST_N - 1), st.integers(0, _INGEST_N - 1)
+).filter(lambda e: e[0] != e[1])
+_ingest_graph = st.dictionaries(_ingest_edge, st.integers(1, 3), max_size=12).map(
+    lambda edges: DynamicGraph.from_edges(
+        _INGEST_N, [(u, v, float(w)) for (u, v), w in edges.items()]
+    )
+)
+# deletions may also name a vertex the graph lacks, at either end
+_ingest_update = st.one_of(
+    st.tuples(st.just("add"), _ingest_edge, st.integers(1, 3)),
+    st.tuples(
+        st.just("delete"),
+        st.tuples(
+            st.integers(0, _INGEST_N + 2), st.integers(0, _INGEST_N + 2)
+        ).filter(lambda e: e[0] != e[1]),
+        st.integers(1, 3),
+    ),
+)
+_ingest_batch = st.lists(_ingest_update, max_size=30).map(
+    lambda items: UpdateBatch(
+        [EdgeUpdate(UpdateKind(kind), u, v, float(w)) for kind, (u, v), w in items]
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_ingest_graph, batch=_ingest_batch)
+def test_ingest_matches_the_seed_pair(graph, batch):
+    """``net_effects`` + ``apply_batch`` against the seed's pair: the same
+    reduced sequence and the same topology *in the same storage order*."""
+    old_graph, new_graph = graph.copy(), graph.copy()
+    old = _seed_net_effects(batch, old_graph.weight_or_none)
+    old_changed = _seed_apply(old_graph, old, missing_ok=False)
+    new = net_effects(batch, new_graph.weight_or_none)
+    new_changed = new_graph.apply_batch(new, missing_ok=False)
+    assert _rows(new) == _rows(old)
+    assert new_changed == old_changed == len(old)
+    assert _storage(new_graph) == _storage(old_graph)
+    new_graph.check_consistency()
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=_ingest_graph, batch=_ingest_batch)
+def test_apply_batch_matches_per_update_apply_on_raw_batches(graph, batch):
+    """The bulk loop on an *unreduced* batch (cold-start baselines, stream
+    replay): same changes, same storage order, or the same refusal."""
+    old_graph, new_graph = graph.copy(), graph.copy()
+    if batch.max_vertex() >= _INGEST_N:
+        before = _storage(new_graph)
+        with pytest.raises(VertexOutOfRangeError):
+            _seed_apply(old_graph, batch, True)
+        with pytest.raises(VertexOutOfRangeError):
+            new_graph.apply_batch(batch)
+        assert _storage(new_graph) == before
+        return
+    assert new_graph.apply_batch(batch) == _seed_apply(old_graph, batch, True)
+    assert _storage(new_graph) == _storage(old_graph)
+    new_graph.check_consistency()
 
 
 @settings(max_examples=60, deadline=None)
