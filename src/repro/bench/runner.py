@@ -55,7 +55,8 @@ __all__ = [
 ]
 
 #: bump when the bundle layout itself changes shape
-RUN_SCHEMA_VERSION = 1
+#: (2: ``config`` lost the result-cache bound, now a constant of the cache)
+RUN_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 METRICS_NAME = "metrics.jsonl"
@@ -113,7 +114,6 @@ class RunConfig:
     queue_bound: int = 64
     registration_rate: float = 24.0
     registration_burst: float = 32.0
-    cache_capacity: int = 128
     num_vertices: int = 120
     num_edges: int = 720
     slo_answer_p99: float = 5.0
@@ -212,7 +212,6 @@ def _drive(
         registration_rate=config.registration_rate,
         registration_burst=config.registration_burst,
         dedupe=True,
-        cache_capacity=config.cache_capacity,
         clock=clock,
         checkpoint_every=8,
         backend=config.backend,

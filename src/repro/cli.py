@@ -187,8 +187,8 @@ def cmd_info(args: argparse.Namespace) -> int:
     print("  shed policies:     reject (fail fast), delay (park until deadline)")
     print("  session lifecycle: "
           + " -> ".join(s.value for s in SessionState))
-    print("  result cache:      key-path-aware invalidation "
-          "(contribution-driven, see docs/serving.md)")
+    print("  result cache:      one solve per epoch per unowned source "
+          "(see docs/serving.md)")
     return 0
 
 

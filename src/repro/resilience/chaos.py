@@ -47,6 +47,7 @@ from repro.resilience.deadletter import retry_with_backoff
 from repro.resilience.faults import truncate_segment
 from repro.resilience.recovery import state_paths
 from repro.serve.control import ControllerConfig, ControlLimits, SLOPolicy, SLOVerdict
+from repro.serve.engine import ShardedServeEngine
 from repro.serve.harness import ServeHarness
 from repro.serve.session import SessionState
 from repro.serve.supervision import SupervisorConfig
@@ -393,11 +394,13 @@ class ChaosController:
     the driver thread).  ``fired`` records what actually went off.
     """
 
-    def __init__(self, schedule: ChaosSchedule, num_shards: int,
-                 clock: ManualClock) -> None:
+    def __init__(self, schedule: ChaosSchedule, clock: ManualClock) -> None:
         self.schedule = schedule
-        self.num_shards = num_shards
         self.clock = clock
+        #: the live engine: kill / slow / hot-key targets resolve through
+        #: its routing when they fire, so a rescale mid-run moves a fault
+        #: with the source (the driver points this at each harness it opens)
+        self.engine: Optional[ShardedServeEngine] = None
         self.fired: List[FaultEvent] = []
         self._kills: Dict[int, FaultEvent] = {}      # epoch -> event
         self._hangs: Dict[Tuple[int, int], FaultEvent] = {}
@@ -444,6 +447,10 @@ class ChaosController:
             elif event.kind == "slow_shard":
                 self._slow.append(event)
 
+    def _owner(self, source: int) -> int:
+        """Index of the shard that owns ``source`` right now."""
+        return self.engine.shard_of(source).index
+
     # ------------------------------------------------------------------
     # worker-thread side (the fault hook)
     # ------------------------------------------------------------------
@@ -451,7 +458,7 @@ class ChaosController:
         if kind != "batch":
             return
         kill = self._kills.get(epoch)
-        if kill is not None and source % self.num_shards == kill.target:
+        if kill is not None and self._owner(source) == kill.target:
             del self._kills[epoch]
             self.fired.append(kill)
             raise ShardKilledError(
@@ -467,7 +474,7 @@ class ChaosController:
         for slow in self._slow:
             if (
                 slow.epoch <= epoch < slow.epoch + slow.duration
-                and source % self.num_shards == slow.target
+                and self._owner(source) == slow.target
             ):
                 if slow not in self._overloads_started:
                     self._overloads_started.add(slow)
@@ -568,7 +575,7 @@ class ChaosController:
                 continue
             if (
                 shard_target is not None
-                and source % self.num_shards != shard_target
+                and self._owner(source) != shard_target
             ):
                 continue
             destination = (source + 23) % num_vertices
@@ -762,22 +769,23 @@ def run_chaos(
     offline = _offline_replay(graph, algorithm, pairs, batches)
 
     clock = ManualClock()
-    controller = ChaosController(schedule, num_shards, clock)
-    harness = ServeHarness.open(
-        directory,
-        graph.copy(),
-        algorithm,
-        anchor,
+    controller = ChaosController(schedule, clock)
+    # what the first harness and every post-tear resume are opened with
+    serve_options = dict(
         num_shards=num_shards,
         registration_rate=schedule.registration_rate,
         registration_burst=schedule.registration_burst,
         fault_hook=controller if backend == "thread" else None,
         epoch_deadline=epoch_deadline,
         clock=clock,
-        supervision=schedule.supervision(),
         checkpoint_every=2,
         backend=backend,
     )
+    harness = ServeHarness.open(
+        directory, graph.copy(), algorithm, anchor,
+        supervision=schedule.supervision(), **serve_options,
+    )
+    controller.engine = harness.engine
     control_config = None
     if adaptive:
         control_config = control or ControllerConfig(
@@ -828,18 +836,10 @@ def run_chaos(
                 truncate_segment(wal_dir, tear.payload)
                 controller.fired.append(tear)
                 harness = ServeHarness.resume(
-                    directory,
-                    algorithm=algorithm,
-                    num_shards=num_shards,
-                    registration_rate=schedule.registration_rate,
-                    registration_burst=schedule.registration_burst,
-                    fault_hook=controller if backend == "thread" else None,
-                    epoch_deadline=epoch_deadline,
-                    clock=clock,
-                    supervision=schedule.supervision(),
-                    checkpoint_every=2,
-                    backend=backend,
+                    directory, algorithm=algorithm,
+                    supervision=schedule.supervision(), **serve_options,
                 )
+                controller.engine = harness.engine
                 resumes += 1
                 telemetry = harness.telemetry
                 if adaptive:

@@ -1,16 +1,15 @@
 """Adaptive runtime control: SLO-guarded self-tuning of the serve layer.
 
 Every serve-layer knob was static until this module: shard count,
-admission token bucket, result-cache capacity, and the supervisor's
-``max_staleness`` bound were all fixed at :meth:`ServeHarness.open` no
-matter what the workload did.  :class:`RuntimeController` closes the
+admission token bucket and the supervisor's ``max_staleness`` bound
+were all fixed at :meth:`ServeHarness.open` no matter what the workload
+did.  :class:`RuntimeController` closes the
 observe → diagnose → remediate loop (RisGraph meets its per-update SLO by
 exactly this kind of runtime trading of admission against load; see
 PAPERS.md): it runs after every committed epoch, reads one
 :class:`ControlSignals` frame off the components it holds (queue depths,
-admission rejections, cache effectiveness, breaker states, answer p99,
-served staleness), diagnoses one :class:`Condition`, and applies bounded
-remediations live.
+admission rejections, breaker states, answer p99, served staleness),
+diagnoses one :class:`Condition`, and applies bounded remediations live.
 
 Safety properties, in order of importance:
 
@@ -177,8 +176,6 @@ class ControlLimits:
     max_rate: float = 1024.0
     min_burst: float = 1.0
     max_burst: float = 4096.0
-    min_cache: int = 8
-    max_cache: int = 4096
     min_staleness: int = 0
     max_staleness: int = 64
 
@@ -188,7 +185,6 @@ class ControlLimits:
             ("shards", self.min_shards, self.max_shards),
             ("rate", self.min_rate, self.max_rate),
             ("burst", self.min_burst, self.max_burst),
-            ("cache", self.min_cache, self.max_cache),
             ("staleness", self.min_staleness, self.max_staleness),
         )
         for name, lo, hi in pairs:
@@ -196,8 +192,8 @@ class ControlLimits:
                 raise ControlError(f"min_{name} {lo} exceeds max_{name} {hi}")
         if self.min_shards < 1:
             raise ControlError("min_shards must be at least 1")
-        if self.min_rate <= 0 or self.min_burst <= 0 or self.min_cache <= 0:
-            raise ControlError("rate/burst/cache floors must be positive")
+        if self.min_rate <= 0 or self.min_burst <= 0:
+            raise ControlError("rate/burst floors must be positive")
         if self.min_staleness < 0:
             raise ControlError("min_staleness must be non-negative")
 
@@ -206,7 +202,6 @@ class ControlLimits:
         "shards": ("min_shards", "max_shards"),
         "admission_rate": ("min_rate", "max_rate"),
         "admission_burst": ("min_burst", "max_burst"),
-        "cache_capacity": ("min_cache", "max_cache"),
         "max_staleness": ("min_staleness", "max_staleness"),
     }
 
@@ -237,16 +232,12 @@ class ControlSignals:
     rejections_delta: int
     saturated_delta: int
     admitted_delta: int
-    cache_hit_rate: float
-    cache_lookups_delta: int
-    cache_evictions_delta: int
     breakers_open: int
     degraded_sessions: int
     answer_p99: float
     staleness_served: int
     admission_rate: float
     admission_burst: float
-    cache_capacity: int
     max_staleness: int
 
     @property
@@ -279,10 +270,6 @@ class ControllerConfig:
     skew_min_groups: int = 4
     #: multiplier applied to the token bucket when raising admission
     admission_growth: float = 8.0
-    #: multiplier applied to the cache capacity under miss pressure
-    cache_growth: float = 2.0
-    #: hit rate below which cache evictions trigger a capacity raise
-    cache_hit_target: float = 0.5
     #: bounded length of the in-memory decision audit log
     audit_capacity: int = 1024
 
@@ -300,10 +287,8 @@ class ControllerConfig:
             )
         if self.skew_factor <= 1.0:
             raise ControlError("skew_factor must exceed 1")
-        if self.admission_growth <= 1.0 or self.cache_growth <= 1.0:
-            raise ControlError("growth factors must exceed 1")
-        if not 0.0 <= self.cache_hit_target <= 1.0:
-            raise ControlError("cache_hit_target must be within [0, 1]")
+        if self.admission_growth <= 1.0:
+            raise ControlError("admission_growth must exceed 1")
         if self.audit_capacity <= 0:
             raise ControlError("audit_capacity must be positive")
 
@@ -332,7 +317,6 @@ KNOBS = (
     "shards",
     "admission_rate",
     "admission_burst",
-    "cache_capacity",
     "max_staleness",
 )
 
@@ -416,7 +400,6 @@ class DecisionEngine:
             s.num_shards > self.baseline["shards"]
             or s.admission_rate > self.baseline["admission_rate"]
             or s.admission_burst > self.baseline["admission_burst"]
-            or s.cache_capacity > self.baseline["cache_capacity"]
             or s.max_staleness != self.baseline["max_staleness"]
         )
 
@@ -468,18 +451,6 @@ class DecisionEngine:
             ))
         elif condition is Condition.IDLE:
             proposals.extend(self._relax(s))
-        if (
-            condition not in (Condition.IDLE, Condition.FROZEN)
-            and s.cache_evictions_delta > 0
-            and s.cache_lookups_delta > 0
-            and s.cache_hit_rate < c.cache_hit_target
-        ):
-            proposals.append((
-                "cache_capacity",
-                float(int(s.cache_capacity * c.cache_growth)),
-                f"hit rate {s.cache_hit_rate:.2f} below target with "
-                "evictions this epoch: grow the cache",
-            ))
         return proposals
 
     def _relax(self, s: ControlSignals) -> List[Tuple[str, float, str]]:
@@ -501,13 +472,6 @@ class DecisionEngine:
                 "admission_burst",
                 max(self.baseline["admission_burst"],
                     s.admission_burst / c.admission_growth),
-                reason,
-            ))
-        if s.cache_capacity > self.baseline["cache_capacity"]:
-            out.append((
-                "cache_capacity",
-                max(self.baseline["cache_capacity"],
-                    float(int(s.cache_capacity / c.cache_growth))),
                 reason,
             ))
         if (
@@ -554,7 +518,6 @@ class DecisionEngine:
             "shards": float(s.num_shards),
             "admission_rate": s.admission_rate,
             "admission_burst": s.admission_burst,
-            "cache_capacity": float(s.cache_capacity),
             "max_staleness": float(s.max_staleness),
         }[knob]
 
@@ -575,7 +538,7 @@ class RuntimeController:
         self.harness = harness
         self.config = config or ControllerConfig()
         self.config.validate()
-        self.baseline = self._capture_baseline()
+        self.baseline = self._knobs()
         self.engine = DecisionEngine(self.config, self.baseline)
         self.audit: Deque[ControlDecision] = deque(
             maxlen=self.config.audit_capacity
@@ -587,13 +550,13 @@ class RuntimeController:
         self.last_condition = Condition.HEALTHY.value
         self._prev_levels: Dict[str, int] = {}
 
-    def _capture_baseline(self) -> Dict[str, float]:
+    def _knobs(self) -> Dict[str, float]:
+        """Current value of every knob in :data:`KNOBS`."""
         h = self.harness
         return {
             "shards": float(h.engine.num_shards),
             "admission_rate": h.admission.bucket.rate,
             "admission_burst": h.admission.bucket.capacity,
-            "cache_capacity": float(h.cache.capacity),
             "max_staleness": float(h.supervisor.config.max_staleness),
         }
 
@@ -624,19 +587,16 @@ class RuntimeController:
         ``record_serve_*`` calls but is never read back.
         """
         h = self.harness
-        surface = self._surface()
+        knobs = self._knobs()
         groups = [
             len(sources) for sources in h.engine.sources_owned().values()
         ]
         admission = h.admission.stats()
-        cache = h.cache.stats
         levels = {
             "rejections": sum(admission["rejections"].values()),
             "saturated": admission["rejections"].get("queue-saturated", 0),
             "admitted": admission["admitted_registrations"]
             + admission["admitted_batches"],
-            "lookups": cache.lookups,
-            "evictions": cache.evicted_families,
         }
         delta = {
             key: level - self._prev_levels.get(key, 0)
@@ -656,37 +616,20 @@ class RuntimeController:
             rejections_delta=delta["rejections"],
             saturated_delta=delta["saturated"],
             admitted_delta=delta["admitted"],
-            cache_hit_rate=cache.hit_rate,
-            cache_lookups_delta=delta["lookups"],
-            cache_evictions_delta=delta["evictions"],
             breakers_open=sum(
                 1 for breaker in supervisor["breakers"].values()
                 if breaker["state"] != "closed"
             ),
             degraded_sessions=sessions.get("degraded", 0),
-            answer_p99=surface["answer_p99"],
-            staleness_served=int(surface["staleness_served"]),
-            admission_rate=surface["admission_rate"],
-            admission_burst=surface["admission_burst"],
-            cache_capacity=int(surface["cache_capacity"]),
-            max_staleness=int(surface["max_staleness"]),
+            answer_p99=h.answer_p99(),
+            staleness_served=h.staleness_high_water(),
+            admission_rate=knobs["admission_rate"],
+            admission_burst=knobs["admission_burst"],
+            max_staleness=int(knobs["max_staleness"]),
         )
         self._prev_levels = levels
         h.reset_staleness_high_water()
         return signals
-
-    def _surface(self) -> Dict[str, float]:
-        """Current knob values + derived SLO measurements."""
-        h = self.harness
-        return {
-            "shards": float(h.engine.num_shards),
-            "admission_rate": h.admission.bucket.rate,
-            "admission_burst": h.admission.bucket.capacity,
-            "cache_capacity": float(h.cache.capacity),
-            "max_staleness": float(h.supervisor.config.max_staleness),
-            "answer_p99": h.answer_p99(),
-            "staleness_served": float(h.staleness_high_water()),
-        }
 
     # ------------------------------------------------------------------
     # applying decisions
@@ -700,8 +643,6 @@ class RuntimeController:
             h.admission.retune(registration_rate=decision.new)
         elif decision.knob == "admission_burst":
             h.admission.retune(registration_burst=decision.new)
-        elif decision.knob == "cache_capacity":
-            h.cache.set_capacity(int(decision.new))
         elif decision.knob == "max_staleness":
             h.supervisor.config.max_staleness = int(decision.new)
         else:  # pragma: no cover - guarded by KNOBS everywhere
@@ -739,7 +680,7 @@ class RuntimeController:
             return []
         epoch = self.harness.engine.epoch
         reverts: List[ControlDecision] = []
-        current = self._surface()
+        current = self._knobs()
         for knob in KNOBS:
             target = self.baseline[knob]
             if target == current[knob]:
@@ -776,10 +717,7 @@ class RuntimeController:
             "decisions_total": self.decisions_total,
             "last_condition": self.last_condition,
             "conditions": dict(self.condition_counts),
-            "knobs": {
-                knob: value for knob, value in self._surface().items()
-                if knob in KNOBS
-            },
+            "knobs": self._knobs(),
             "baseline": dict(self.baseline),
             "audit_size": len(self.audit),
         }

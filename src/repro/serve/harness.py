@@ -152,7 +152,6 @@ class ServeHarness:
         registration_burst: float = 32.0,
         delay_timeout: float = 2.0,
         dedupe: bool = False,
-        cache_capacity: int = 128,
         clock: Callable[[], float] = time.monotonic,
         fault_hook=None,
         epoch_deadline: float = 30.0,
@@ -194,7 +193,7 @@ class ServeHarness:
         pipeline = ResilientPipeline.wrap(directory, engine, **pipeline_kwargs)
         return cls._assemble(
             pipeline, engine, policy, queue_bound, registration_rate,
-            registration_burst, delay_timeout, dedupe, cache_capacity, clock,
+            registration_burst, delay_timeout, dedupe, clock,
             supervision,
         )
 
@@ -212,7 +211,6 @@ class ServeHarness:
         registration_burst: float = 32.0,
         delay_timeout: float = 2.0,
         dedupe: bool = False,
-        cache_capacity: int = 128,
         clock: Callable[[], float] = time.monotonic,
         fault_hook=None,
         epoch_deadline: float = 30.0,
@@ -260,14 +258,14 @@ class ServeHarness:
         )
         return cls._assemble(
             pipeline, engine, policy, queue_bound, registration_rate,
-            registration_burst, delay_timeout, dedupe, cache_capacity, clock,
+            registration_burst, delay_timeout, dedupe, clock,
             supervision, recovered=recovered,
         )
 
     @classmethod
     def _assemble(
         cls, pipeline, engine, policy, queue_bound, registration_rate,
-        registration_burst, delay_timeout, dedupe, cache_capacity, clock,
+        registration_burst, delay_timeout, dedupe, clock,
         supervision=None, recovered=None,
     ) -> "ServeHarness":
         """Shared tail of :meth:`open` / :meth:`resume`."""
@@ -280,8 +278,7 @@ class ServeHarness:
             clock=clock,
         )
         registry = SessionRegistry(dedupe=dedupe)
-        cache = ResultCache(engine.graph, engine.algorithm,
-                            capacity=cache_capacity, owner=engine.lookup)
+        cache = ResultCache(engine.graph, engine.algorithm, engine.lookup)
         # the supervisor flips the engine into tolerant mode: shard loss
         # degrades and resurrects instead of raising out of submit()
         supervisor = Supervisor(engine, registry, config=supervision,

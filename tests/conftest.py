@@ -66,6 +66,29 @@ def algorithm(request):
     return get_algorithm(request.param)
 
 
+@pytest.fixture(scope="session")
+def adaptive_chaos_report(tmp_path_factory):
+    """``name -> ChaosReport``: a builtin schedule's adaptive PPSP run.
+
+    Each schedule is played once per session: ``tests/test_chaos_adaptive.py``
+    grades the reports and ``tests/test_serve_control.py`` reads the same
+    ones to check that every controller knob is moved by some schedule.
+    """
+    from repro.resilience.chaos import builtin_schedule, run_chaos
+
+    reports = {}
+
+    def report(name: str):
+        if name not in reports:
+            reports[name] = run_chaos(
+                builtin_schedule(name), str(tmp_path_factory.mktemp(name)),
+                get_algorithm("ppsp"), adaptive=True,
+            )
+        return reports[name]
+
+    return report
+
+
 @pytest.fixture
 def diamond_graph() -> DynamicGraph:
     """A 6-vertex graph with two s->d routes of different quality.

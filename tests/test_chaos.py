@@ -14,8 +14,10 @@ shed + retry).  A green run that never injected anything proves nothing.
 import pytest
 
 from repro.algorithms import PPSP
+from repro.query import PairwiseQuery
 from repro.resilience.chaos import (
     BUILTIN_SCHEDULES,
+    ChaosController,
     ChaosSchedule,
     FaultEvent,
     ManualClock,
@@ -23,6 +25,8 @@ from repro.resilience.chaos import (
     random_schedule,
     run_chaos,
 )
+from repro.serve import ServeHarness
+from tests.conftest import random_batch, random_graph
 
 pytestmark = [pytest.mark.chaos, pytest.mark.serve, pytest.mark.faults]
 
@@ -65,6 +69,36 @@ class TestSchedules:
         assert clock() == 2.5
         with pytest.raises(ValueError):
             clock.advance(-1.0)
+
+
+class TestRoutingAfterRescale:
+    def test_a_kill_after_a_rescale_lands_on_the_owning_shard(self, tmp_path):
+        """Targets resolve through the engine's routing when the fault
+        fires: once an adaptive run has rescaled 2 -> 3, "shard 1" is
+        whoever ``shard_of`` says, not ``source % 2``."""
+        controller = ChaosController(
+            ChaosSchedule(
+                "kill-after-rescale",
+                [FaultEvent(epoch=1, kind="kill_shard", target=1)],
+            ),
+            ManualClock(),
+        )
+        graph = random_graph(60, 360, seed=5)
+        harness = ServeHarness.open(
+            str(tmp_path), graph.copy(), PPSP(), PairwiseQuery(7, 23),
+            num_shards=2, fault_hook=controller,
+        )
+        controller.engine = harness.engine
+        with harness:
+            harness.rescale_shards(3)
+            harness.register(3, 40)  # shard 0 of three (was shard 1 of two)
+            harness.register(4, 50)  # shard 1 of three (was shard 0 of two)
+            assert harness.wait_all_live()
+            assert harness.engine.shard_of(4).index == 1
+            result = harness.submit(random_batch(graph, 10, 10, seed=5))
+        assert [event.kind for event in controller.fired] == ["kill_shard"]
+        assert [index for index, _ in result.failed_shards] == [1]
+        assert (3, 40) in result.answers and (4, 50) not in result.answers
 
 
 class TestConvergence:

@@ -46,14 +46,13 @@ class TestOverloadSchedules:
 
 
 class TestFlashCrowd:
-    def test_adaptive_meets_shed_slo_where_static_violates(self, tmp_path):
+    def test_adaptive_meets_shed_slo_where_static_violates(
+        self, tmp_path, adaptive_chaos_report
+    ):
         static = run_chaos(
             builtin_schedule("flash-crowd"), str(tmp_path / "static"), PPSP()
         )
-        adaptive = run_chaos(
-            builtin_schedule("flash-crowd"), str(tmp_path / "adaptive"),
-            PPSP(), adaptive=True,
-        )
+        adaptive = adaptive_chaos_report("flash-crowd")
         assert static.converged and adaptive.converged
         # the static configuration sheds most of the crowd and fails SLO
         assert not static.slo["met"]
@@ -66,26 +65,24 @@ class TestFlashCrowd:
             for d in adaptive.decisions
         )
 
-    def test_adaptive_convergence_is_bit_identical(self, tmp_path):
+    def test_adaptive_convergence_is_bit_identical(
+        self, adaptive_chaos_report
+    ):
         """Adapting knobs mid-run must not change a single answer: both
         runs are checked against the same offline oracle, and the
         standing answers are the oracle's, bit for bit."""
-        report = run_chaos(
-            builtin_schedule("flash-crowd"), str(tmp_path), PPSP(),
-            adaptive=True,
-        )
+        report = adaptive_chaos_report("flash-crowd")
         assert report.converged and report.mismatches == []
 
 
 class TestKillShardStaleness:
-    def test_adaptive_narrows_staleness_where_static_violates(self, tmp_path):
+    def test_adaptive_narrows_staleness_where_static_violates(
+        self, tmp_path, adaptive_chaos_report
+    ):
         static = run_chaos(
             builtin_schedule("kill-shard"), str(tmp_path / "static"), PPSP()
         )
-        adaptive = run_chaos(
-            builtin_schedule("kill-shard"), str(tmp_path / "adaptive"),
-            PPSP(), adaptive=True,
-        )
+        adaptive = adaptive_chaos_report("kill-shard")
         assert static.converged and adaptive.converged
         assert not static.slo["met"]
         assert any("staleness" in v for v in static.slo["violations"])
@@ -99,11 +96,10 @@ class TestKillShardStaleness:
 
 
 class TestHotSkew:
-    def test_adaptive_rescales_live_and_converges(self, tmp_path):
-        report = run_chaos(
-            builtin_schedule("hot-skew"), str(tmp_path), PPSP(),
-            adaptive=True,
-        )
+    def test_adaptive_rescales_live_and_converges(
+        self, adaptive_chaos_report
+    ):
+        report = adaptive_chaos_report("hot-skew")
         assert report.converged
         assert report.slo["met"]
         scale_ups = [

@@ -1,9 +1,9 @@
-"""Tests for the key-path-aware result cache (repro.serve.cache).
+"""Tests for the per-epoch result cache (repro.serve.cache).
 
-The retention rules are theorems, not heuristics, so besides exercising
-each rule on a hand-built graph this file ends with a differential fuzz:
-every cache hit over a random update stream must equal a fresh solver run
-on the current snapshot.
+One rule — a family is valid for the epoch it was solved in — exercised
+on a hand-built graph, then a differential fuzz: every fetch over a
+random update stream must equal a fresh solver run on the current
+snapshot.
 """
 
 import pytest
@@ -12,6 +12,7 @@ from repro.algorithms import PPSP, dijkstra
 from repro.graph.batch import UpdateBatch, add, delete, net_effects
 from repro.graph.dynamic import DynamicGraph
 from repro.metrics import OpCounts
+from repro.serve import cache as cache_module
 from repro.serve.cache import CacheStats, ResultCache
 from tests.conftest import random_batch, random_graph
 
@@ -29,14 +30,14 @@ def _graph() -> DynamicGraph:
     )
 
 
-def _commit(graph: DynamicGraph, cache: ResultCache, updates) -> None:
+def _commit(graph: DynamicGraph, cache: ResultCache, updates):
     """Apply a batch the way the harness does: net effects, graph, cache."""
     effective = net_effects(
         UpdateBatch(list(updates)), lambda u, v: graph.out_adj(u).get(v)
     )
     for upd in effective:
         graph.apply_update(upd, missing_ok=True)
-    cache.on_batch(effective)
+    return cache.on_batch(effective)
 
 
 # ----------------------------------------------------------------------
@@ -61,8 +62,9 @@ class TestFetch:
         cache.fetch(0, 3, ops=ops)  # hit: no solver work
         assert ops.total_compute() == spent
 
-    def test_lru_evicts_least_recent_family(self):
-        cache = ResultCache(_graph(), PPSP(), capacity=2)
+    def test_lru_evicts_least_recent_family(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "FAMILY_BOUND", 2)
+        cache = ResultCache(_graph(), PPSP())
         cache.fetch(0, 3)
         cache.fetch(1, 3)
         cache.fetch(2, 3)  # evicts source 0
@@ -71,24 +73,26 @@ class TestFetch:
         cache.fetch(0, 3)
         assert cache.stats.misses == 4  # source 0 had to resolve again
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            ResultCache(_graph(), PPSP(), capacity=0)
-
 
 # ----------------------------------------------------------------------
-# invalidation rules (each retention is provable; see docs/serving.md)
+# invalidation: one rule (see docs/serving.md)
 # ----------------------------------------------------------------------
 class TestInvalidation:
-    def test_useless_addition_retains_fresh_family(self):
-        graph, cache = _graph(), None
+    def test_nonempty_batch_drops_every_family_and_counts_it(self):
+        graph = _graph()
         cache = ResultCache(graph, PPSP())
-        cache.fetch(0, 3)
-        # 1 -5-> 3 cannot improve: states[1] + 5 = 6 > states[3] = 3
-        _commit(graph, cache, [add(1, 3, 5.0)])
-        assert cache.num_families == 1
+        for source in (0, 1, 4):
+            cache.fetch(source, 3)
+        # 1 -5-> 3 improves nothing for any of the three sources; it is
+        # still a topology change, and a family is valid for one epoch
+        tallies = _commit(graph, cache, [add(1, 3, 5.0)])
+        assert tallies == {"families_dropped": 3}
+        assert cache.num_families == 0
+        assert cache.stats.invalidated_families == 3
+        assert cache.stats.invalidated_entries == 0
+        assert cache.stats.misses == 3  # stats stay cumulative
         assert cache.fetch(0, 3) == 3.0 == dijkstra(graph, PPSP(), 0).states[3]
-        assert cache.stats.misses == 1  # served without a new solve
+        assert cache.stats.misses == 4
 
     def test_valuable_addition_drops_family(self):
         graph = _graph()
@@ -100,50 +104,20 @@ class TestInvalidation:
         assert cache.stats.invalidated_families == 1
         assert cache.fetch(0, 3) == 2.0
 
-    def test_nonsupplying_deletion_retains_fresh_family(self):
+    def test_supplying_deletion_resolves_on_the_new_topology(self):
         graph = _graph()
         cache = ResultCache(graph, PPSP())
-        cache.fetch(0, 3)
-        # 4 -10-> 3 supplies nothing: states[4] + 10 = 20 != states[3] = 3
-        _commit(graph, cache, [delete(4, 3, 10.0)])
-        assert cache.num_families == 1
-        assert cache.fetch(0, 3) == 3.0
-        assert cache.stats.misses == 1
-
-    def test_supplying_deletion_cuts_only_path_intersecting_entries(self):
-        graph = _graph()
-        cache = ResultCache(graph, PPSP())
-        cache.fetch(0, 3)  # key path 0-1-2-3
-        cache.fetch(0, 4)  # key path 0-4
-        # 1 -1-> 2 supplies states[2]: entry (0,3) dies, (0,4) survives
+        cache.fetch(0, 3)  # via 0-1-2-3
         _commit(graph, cache, [delete(1, 2, 1.0)])
-        assert cache.stats.invalidated_entries == 1
-        assert cache.num_families == 1
-        assert cache.fetch(0, 4) == 10.0  # retained answer, no new solve
-        assert cache.stats.misses == 1
-        # the cut destination resolves freshly on the new topology
-        assert cache.fetch(0, 3) == 20.0  # via 0-4-3 now
-        assert cache.fetch(0, 3) == dijkstra(graph, PPSP(), 0).states[3]
-
-    def test_stale_family_survives_offpath_deletion_but_not_additions(self):
-        graph = _graph()
-        cache = ResultCache(graph, PPSP())
-        cache.fetch(0, 4)
-        _commit(graph, cache, [delete(1, 2, 1.0)])  # family goes stale
-        # off-path deletion: (2,3) not on the 0-4 witness path -> retained
-        _commit(graph, cache, [delete(2, 3, 1.0)])
-        assert cache.num_families == 1
-        assert cache.fetch(0, 4) == 10.0
-        # stale states cannot classify additions -> family dropped
-        _commit(graph, cache, [add(1, 3, 9.0)])
         assert cache.num_families == 0
+        assert cache.fetch(0, 3) == 20.0  # via 0-4-3 now
+        assert cache.fetch(0, 4) == 10.0  # same epoch, same family
+        assert cache.stats.misses == 2
 
     def test_supplying_deletion_mixed_with_adds_drops_family(self):
         graph = _graph()
         cache = ResultCache(graph, PPSP())
         cache.fetch(0, 4)
-        # the useless add alone would be retained; combined with a
-        # supplying deletion the repair could make it valuable -> drop
         _commit(graph, cache, [add(1, 3, 5.0), delete(1, 2, 1.0)])
         assert cache.num_families == 0
 
@@ -154,24 +128,50 @@ class TestInvalidation:
         graph.ensure_vertex(5)
         _commit(graph, cache, [add(5, 3, 1.0)])  # vertex unknown to states
         assert cache.num_families == 0
+        assert cache.fetch(0, 5) == dijkstra(graph, PPSP(), 0).states[5]
 
     def test_empty_batch_is_a_noop(self):
         graph = _graph()
         cache = ResultCache(graph, PPSP())
         cache.fetch(0, 3)
-        tallies = cache.on_batch(UpdateBatch())
-        assert tallies == {
-            "families_dropped": 0, "entries_dropped": 0, "retained": 0
-        }
+        assert cache.on_batch(UpdateBatch()) == {"families_dropped": 0}
+        # an add and a delete of the same absent edge net to nothing
+        assert _commit(
+            graph, cache, [add(3, 0, 1.0), delete(3, 0, 1.0)]
+        ) == {"families_dropped": 0}
+        assert cache.epoch == 2
         assert cache.num_families == 1
+        assert cache.fetch(0, 4) == 10.0
+        assert cache.stats.misses == 1
 
-    def test_clear_drops_families_keeps_stats(self):
+    def test_unowned_source_solves_at_most_once_per_epoch(self):
+        graph = _graph()
+        cache = ResultCache(graph, PPSP())
+        commits = [
+            [add(1, 3, 5.0)],
+            [delete(4, 3, 10.0)],
+            [],
+            [delete(1, 2, 1.0)],
+            [add(1, 2, 2.0), add(4, 3, 1.0)],
+        ]
+        for updates in commits:
+            _commit(graph, cache, updates)
+            want = dijkstra(graph, PPSP(), 0).states
+            for destination in (1, 2, 3, 4):
+                assert cache.fetch(0, destination) == want[destination]
+        assert cache.stats.lookups == 4 * len(commits)
+        # the empty commit changed no edge, so it cost no solve either
+        assert cache.stats.misses == len(commits) - 1
+
+    def test_last_known_store_survives_the_drop(self):
         graph = _graph()
         cache = ResultCache(graph, PPSP())
         cache.fetch(0, 3)
-        cache.clear()
+        cache.remember(0, 3, 3.0)
+        _commit(graph, cache, [delete(1, 2, 1.0)])
         assert cache.num_families == 0
-        assert cache.stats.misses == 1
+        assert cache.stale_lookup(0, 3) == (3.0, 1)  # old value, aged one
+        assert cache.stale_lookup(0, 4) is None
 
 
 class TestStats:
@@ -192,7 +192,7 @@ class TestDifferentialFuzz:
         self, algorithm, seed
     ):
         graph = random_graph(40, 240, seed=seed)
-        cache = ResultCache(graph, algorithm, capacity=8)
+        cache = ResultCache(graph, algorithm)
         pairs = [(s, d) for s in (0, 1, 2) for d in (10, 20, 30)]
         for batch_index in range(6):
             batch = random_batch(graph, 15, 15, seed=seed * 31 + batch_index)
@@ -204,5 +204,6 @@ class TestDifferentialFuzz:
                     f"cache diverged on batch {batch_index} for "
                     f"Q({source}->{destination})"
                 )
-        # retention must actually have happened for this to test anything
-        assert cache.stats.hits > 0
+        # one solve per source per epoch; the other destinations hit it
+        assert cache.stats.misses == 3 * 6
+        assert cache.stats.hits == 6 * 6

@@ -1,7 +1,7 @@
 """Adaptive runtime control: decision engine, knobs, and the live loop.
 
 Three layers under test: the retunable knobs themselves (token bucket
-rates, cache capacity, admission retune — all validated and thread-safe),
+rates, admission retune — all validated and thread-safe),
 the pure :class:`~repro.serve.control.DecisionEngine` (deterministic on
 identical signal streams, flap-proof inside the hysteresis band, clamped
 and cooled down), and the side-effecting
@@ -24,7 +24,6 @@ from repro.serve import (
     ControlSignals,
     ControllerConfig,
     DecisionEngine,
-    ResultCache,
     SLOPolicy,
     SLOVerdict,
     ServeHarness,
@@ -32,6 +31,7 @@ from repro.serve import (
     TokenBucket,
 )
 from repro.serve.admission import AdmissionController
+from repro.serve.control import KNOBS
 from tests.conftest import random_batch, random_graph
 
 pytestmark = pytest.mark.serve
@@ -56,7 +56,6 @@ BASELINE = {
     "shards": 2.0,
     "admission_rate": 64.0,
     "admission_burst": 32.0,
-    "cache_capacity": 128.0,
     "max_staleness": 8.0,
 }
 
@@ -73,16 +72,12 @@ def signals(**overrides) -> ControlSignals:
         rejections_delta=0,
         saturated_delta=0,
         admitted_delta=1,
-        cache_hit_rate=1.0,
-        cache_lookups_delta=0,
-        cache_evictions_delta=0,
         breakers_open=0,
         degraded_sessions=0,
         answer_p99=0.01,
         staleness_served=0,
         admission_rate=64.0,
         admission_burst=32.0,
-        cache_capacity=128,
         max_staleness=8,
     )
     frame.update(overrides)
@@ -197,22 +192,6 @@ class TestTokenBucketRetune:
         assert stats["registration_burst"] == 32.0
 
 
-class TestCacheResize:
-    def test_set_capacity_evicts_down_to_bound(self):
-        graph = random_graph(30, 120, seed=3)
-        cache = ResultCache(graph, PPSP(), capacity=8)
-        for source in range(8):
-            cache.fetch(source, 29 - source)
-        assert cache.num_families == 8
-        evicted_before = cache.stats.evicted_families
-        cache.set_capacity(2)
-        assert cache.capacity == 2
-        assert cache.num_families == 2
-        assert cache.stats.evicted_families == evicted_before + 6
-        with pytest.raises(ControlError):
-            cache.set_capacity(0)
-
-
 # ----------------------------------------------------------------------
 # the pure decision engine
 # ----------------------------------------------------------------------
@@ -319,7 +298,7 @@ class TestDeterminism:
         frames = []
         state = dict(
             num_shards=2, admission_rate=8.0, admission_burst=16.0,
-            cache_capacity=64, max_staleness=8,
+            max_staleness=8,
         )
         for epoch in range(1, epochs + 1):
             roll = rng.random()
@@ -331,9 +310,6 @@ class TestDeterminism:
                 breakers_open=1 if roll > 0.9 else 0,
                 groups_max=rng.randrange(2, 12),
                 groups_total=12,
-                cache_hit_rate=rng.random(),
-                cache_lookups_delta=rng.randrange(0, 9),
-                cache_evictions_delta=rng.randrange(0, 3),
                 **state,
             )
             frames.append(frame)
@@ -450,10 +426,22 @@ class TestRuntimeController:
             harness.attach_controller()
             stats = harness.stats()["controller"]
             assert stats["frozen"] is False
-            assert set(stats["knobs"]) == {
-                "shards", "admission_rate", "admission_burst",
-                "cache_capacity", "max_staleness",
-            }
+            assert set(stats["knobs"]) == set(KNOBS)
+
+
+class TestKnobCoverage:
+    def test_every_knob_is_moved_by_a_builtin_adaptive_schedule(
+        self, adaptive_chaos_report
+    ):
+        """A knob no run ever moves is configuration nobody can grade
+        (the deleted ``cache_capacity`` never applied a decision).  Read
+        off the runs ``tests/test_chaos_adaptive.py`` grades."""
+        moved = {
+            decision["knob"]
+            for name in ("flash-crowd", "hot-skew", "kill-shard")
+            for decision in adaptive_chaos_report(name).decisions
+        }
+        assert moved == set(KNOBS)
 
 
 class TestSessionReadErrors:

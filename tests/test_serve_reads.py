@@ -128,8 +128,8 @@ def test_reads_match_a_cold_solve_and_say_who_served_them(
                 len(owned), len(owned), 0, len(owned)
             )
             # nobody maintains UNOWNED: its first read after a commit is
-            # the one solve (none when the cache proved the batch useless
-            # for the family it kept), the rest are cache hits
+            # the one solve of the epoch (none when the net batch was
+            # empty and the family stayed), the rest are cache hits
             for destination in ELSEWHERE + ELSEWHERE:
                 _exact(harness, UNOWNED, destination)
             lookups, hits, misses, owned_hits = _deltas(harness, before)
