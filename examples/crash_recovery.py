@@ -76,11 +76,14 @@ def main() -> None:
             f"{stats.torn_tails} torn tail(s)"
         )
 
-        # 4: recover = checkpoint + WAL tail, then finish the stream
+        # 4: recover = base checkpoint + state record (its topology rebuilt
+        # from the WAL span) + WAL tail, then finish the stream
         recovered = RecoveryManager(state_dir).recover()
+        assert recovered.record is not None, recovered.record_rejected
         print(
             f"recovered at snapshot {recovered.snapshot_id} "
             f"(checkpoint@{recovered.checkpoint.snapshot_id} + "
+            f"state record@{recovered.record.snapshot_id} + "
             f"{len(recovered.replayed)} replayed records), "
             f"answer={recovered.answer:g}"
         )

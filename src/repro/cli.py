@@ -396,6 +396,13 @@ def cmd_recover(args: argparse.Namespace) -> int:
     info = result.checkpoint
     print(f"checkpoint: v{info.version} {info.algorithm} snapshot={info.snapshot_id} "
           f"({info.num_vertices} vertices, {info.num_edges} edges)")
+    record = result.record
+    print("state record: " + (
+        f"v{record.version} snapshot={record.snapshot_id} "
+        f"base={record.base_snapshot_id}" if record is not None
+        else f"rejected ({result.record_rejected})" if result.record_rejected
+        else "none"
+    ))
     print(f"wal: {result.wal_stats.records} records, "
           f"{len(result.replayed)} replayed, {len(result.skipped)} skipped, "
           f"{result.wal_stats.torn_tails} torn, "

@@ -15,11 +15,18 @@ it covers — so a crash at *any* point is recoverable by
 :class:`repro.resilience.recovery.RecoveryManager` (restore checkpoint,
 replay WAL tail) with no batch applied twice and at most the not-yet-sealed
 buffer lost.
+
+A periodic checkpoint costs what changed: the WAL already holds the
+topology delta since the base ``checkpoint.npz``, so a cadence tick writes
+only a small state record (``state.npz``: states, parents, position, the
+base it continues).  The full base is rewritten on the occasions listed at
+:meth:`ResilientPipeline.checkpoint`.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext, suppress
 from typing import Iterable, List, Optional
 
 from repro.algorithms.base import MonotonicAlgorithm
@@ -35,8 +42,15 @@ from repro.obs.tracing import TraceContext
 from repro.query import PairwiseQuery
 from repro.resilience.deadletter import DeadLetterQueue, IngestGuard, RawRecord
 from repro.resilience.guard import DifferentialGuard
-from repro.resilience.recovery import RecoveryManager, state_paths
+from repro.resilience.recovery import STATE_RECORD_NAME, RecoveryManager, state_paths
 from repro.resilience.wal import WriteAheadLog
+
+
+def _span(telemetry: Optional[Telemetry], name: str, **attributes):
+    """``telemetry.span(...)``, or a no-op context when telemetry is off."""
+    if telemetry is None:
+        return nullcontext()
+    return telemetry.span(name, **attributes)
 
 
 class ResilientPipeline:
@@ -73,6 +87,7 @@ class ResilientPipeline:
             engine.telemetry = self.telemetry
         self.counters = counters if counters is not None else ResilienceCounters()
         self.checkpoint_path, wal_dir = state_paths(directory)
+        self.record_path = os.path.join(directory, STATE_RECORD_NAME)
         os.makedirs(directory, exist_ok=True)
         # the stream and the engine share one DynamicGraph: the engine owns
         # topology application, the stream owns buffering and the snapshot
@@ -90,7 +105,11 @@ class ResilientPipeline:
             else None
         )
         self.checkpoint_every = checkpoint_every
-        self.results: List[BatchResult] = []
+        #: snapshot id of the base this pipeline wrote (None until it has:
+        #: a resumed pipeline cannot vouch for the WAL span behind it, so
+        #: its first cadence tick writes a base) and updates logged since
+        self._base_snapshot: Optional[int] = None
+        self._logged_since_base = 0
         #: trace context of the most recent commit (the batch's causal
         #: root); consumers — answer fan-out, cache invalidation,
         #: supervision — re-activate it so their events join the tree
@@ -224,67 +243,65 @@ class ResilientPipeline:
     def _commit(self, batch: UpdateBatch) -> BatchResult:
         sequence = self.snapshot_id + 1
         telemetry = self.telemetry
-        if telemetry is None:
-            self.last_trace = None
-            return self._commit_inner(batch, sequence, None)
         # the trace root: everything this batch causes — WAL append,
         # engine fan-out, shard work, barrier, checkpoint, guard, answer
         # delivery — links back to this span's trace
-        with telemetry.span(
-            "pipeline.commit", sequence=sequence, updates=len(batch)
+        with _span(
+            telemetry, "pipeline.commit", sequence=sequence, updates=len(batch)
         ) as root:
-            self.last_trace = root.context()
-            return self._commit_inner(batch, sequence, telemetry)
-
-    def _commit_inner(
-        self, batch: UpdateBatch, sequence: int,
-        telemetry: Optional[Telemetry],
-    ) -> BatchResult:
-        if telemetry is None:
-            self.wal.append(batch, sequence)  # durable before the engine sees it
-        else:
-            with telemetry.span(
-                "pipeline.wal_append", sequence=sequence, updates=len(batch)
-            ):
-                self.wal.append(batch, sequence)
-        self.counters.wal_records_appended += 1
-        result = self.engine.on_batch(batch)
-        self.stream.commit_external()
-        self.results.append(result)
-        if sequence % self.checkpoint_every == 0:
-            self.checkpoint()
-        if self.guard is not None:
-            if telemetry is None:
-                self.guard.maybe_check(sequence)
-            else:
-                with telemetry.span("pipeline.guard_check", sequence=sequence):
+            self.last_trace = root.context() if root is not None else None
+            with _span(telemetry, "pipeline.wal_append",
+                       sequence=sequence, updates=len(batch)):
+                self.wal.append(batch, sequence)  # durable before the engine sees it
+            self.counters.wal_records_appended += 1
+            self._logged_since_base += len(batch)
+            result = self.engine.on_batch(batch)
+            self.stream.commit_external()
+            if sequence % self.checkpoint_every == 0:
+                # fast-forwarding as many updates as the graph has edges
+                # costs about one base load: past that, a new base is cheaper
+                self._checkpoint(
+                    base=self._base_snapshot is None
+                    or self._logged_since_base >= self.engine.graph.num_edges
+                )
+            if self.guard is not None:
+                with _span(telemetry, "pipeline.guard_check", sequence=sequence):
                     self.guard.maybe_check(sequence)
-        if telemetry is not None:
-            record_resilience_counters(telemetry.registry, self.counters)
-            record_deadletters(telemetry.registry, self.deadletters)
-        return result
+            if telemetry is not None:
+                record_resilience_counters(telemetry.registry, self.counters)
+                record_deadletters(telemetry.registry, self.deadletters)
+            return result
 
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Checkpoint the engine's state at the current stream position."""
+        """Write a full base checkpoint at the current stream position.
+
+        A base is written here (an explicit call, :meth:`open`,
+        :meth:`wrap` with ``checkpoint_now``, :meth:`close` with
+        ``final_checkpoint``), by the first cadence tick after a
+        :meth:`resume`, and by a cadence tick at which the updates logged
+        since the last base reach ``graph.num_edges``; every other cadence
+        tick writes a state record on top of it.
+        """
+        self._checkpoint(base=True)
+
+    def _checkpoint(self, base: bool) -> None:
         telemetry = self.telemetry
-        if telemetry is None:
+        snapshot = self.snapshot_id
+        with _span(telemetry, "pipeline.checkpoint", snapshot=snapshot):
             save_checkpoint(
-                self.checkpoint_path,
+                self.checkpoint_path if base else self.record_path,
                 self.engine,
-                snapshot_id=self.snapshot_id,
-                wal_sequence=self.snapshot_id,
+                snapshot_id=snapshot,
+                wal_sequence=snapshot,
+                base_snapshot_id=None if base else self._base_snapshot,
             )
-        else:
-            with telemetry.span("pipeline.checkpoint", snapshot=self.snapshot_id):
-                save_checkpoint(
-                    self.checkpoint_path,
-                    self.engine,
-                    snapshot_id=self.snapshot_id,
-                    wal_sequence=self.snapshot_id,
-                )
+            if base:
+                self._base_snapshot, self._logged_since_base = snapshot, 0
+                with suppress(FileNotFoundError):
+                    os.unlink(self.record_path)  # it continued the old base
         self.counters.checkpoints_written += 1
         if telemetry is not None:
             # checkpoint is also the close path, so refresh both gauge

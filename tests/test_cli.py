@@ -131,7 +131,7 @@ class TestGenstream:
 
 
 class TestRecoverAndWalVerify:
-    def build_state(self, tmp_path):
+    def build_state(self, tmp_path, checkpoint_every=100):
         from repro.algorithms import get_algorithm
         from repro.query import PairwiseQuery
         from repro.resilience.pipeline import ResilientPipeline
@@ -141,7 +141,7 @@ class TestRecoverAndWalVerify:
         directory = str(tmp_path / "state")
         pipeline = ResilientPipeline.open(
             directory, graph.copy(), get_algorithm("ppsp"), PairwiseQuery(0, 20),
-            checkpoint_every=100, wal_sync=False,
+            checkpoint_every=checkpoint_every, wal_sync=False,
         )
         for i in range(3):
             pipeline.run_batch(random_batch(graph, 5, 3, seed=10 + i))
@@ -154,7 +154,25 @@ class TestRecoverAndWalVerify:
         out = capsys.readouterr().out
         assert "recovered: snapshot=3" in out
         assert "3 replayed" in out
+        assert "state record: none" in out
         assert "clean" in out
+
+    def test_recover_reports_state_record(self, tmp_path, capsys):
+        directory = self.build_state(tmp_path, checkpoint_every=2)
+        assert main(["recover", directory, "--guard"]) == 0
+        out = capsys.readouterr().out
+        assert "checkpoint: v2 ppsp snapshot=0" in out
+        assert "state record: v3 snapshot=2 base=0" in out
+        assert "1 replayed, 2 skipped" in out
+        assert "recovered: snapshot=3" in out
+
+        with open(os.path.join(directory, "state.npz"), "r+b") as handle:
+            handle.truncate(40)
+        assert main(["recover", directory, "--guard"]) == 0
+        out = capsys.readouterr().out
+        assert "state record: rejected (" in out
+        assert "3 replayed, 0 skipped" in out
+        assert "recovered: snapshot=3" in out
 
     def test_recover_missing_directory_fails(self, tmp_path, capsys):
         assert main(["recover", str(tmp_path / "void")]) == 1

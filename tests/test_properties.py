@@ -358,3 +358,53 @@ def test_propagation_chain_never_improves(algorithm, state_weight_pairs):
         nxt = algorithm.propagate(state, algorithm.transform_weight(float(weight)))
         assert not algorithm.is_better(nxt, state)
         state = nxt
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=graph_strategy,
+    batches=st.lists(batch_strategy, min_size=1, max_size=8),
+    algorithm=algorithm_strategy,
+    source=st.integers(0, N_VERTICES - 1),
+    dest=st.integers(0, N_VERTICES - 1),
+    checkpoint_every=st.integers(1, 5),
+    data=st.data(),
+)
+def test_resumed_then_continued_equals_uninterrupted(
+    graph, batches, algorithm, source, dest, checkpoint_every, data
+):
+    """Crash anywhere, at any checkpoint cadence (so behind a base, behind
+    a state record, or with a WAL tail past either): the resumed session
+    gives every later answer an uninterrupted one gives."""
+    import tempfile
+
+    from repro.resilience.pipeline import ResilientPipeline
+
+    if source == dest:
+        dest = (dest + 1) % N_VERTICES
+    query = PairwiseQuery(source, dest)
+    cut = data.draw(st.integers(0, len(batches)), label="cut")
+    reference = CISGraphEngine(graph.copy(), algorithm, query)
+    reference.initialize()
+    expected = [reference.on_batch(batch).answer for batch in batches]
+
+    with tempfile.TemporaryDirectory() as directory:
+        pipeline = ResilientPipeline.open(
+            directory, graph.copy(), algorithm, query,
+            checkpoint_every=checkpoint_every, wal_sync=False,
+        )
+        for batch in batches[:cut]:
+            pipeline.run_batch(batch)
+        pipeline.wal.close()  # crash: no final checkpoint
+
+        resumed = ResilientPipeline.resume(
+            directory, checkpoint_every=checkpoint_every, wal_sync=False
+        )
+        assert resumed.snapshot_id == cut
+        if cut:
+            assert resumed.answer == expected[cut - 1]
+        answers = [resumed.run_batch(batch).answer for batch in batches[cut:]]
+        resumed.wal.close()
+    assert answers == expected[cut:]
+    assert resumed.engine.state.states == reference.state.states
+    assert sorted(resumed.engine.graph.edges()) == sorted(reference.graph.edges())

@@ -19,7 +19,11 @@ from repro.query import PairwiseQuery
 from repro.resilience import faults
 from repro.resilience.guard import DifferentialGuard
 from repro.resilience.pipeline import ResilientPipeline
-from repro.resilience.recovery import RecoveryManager, state_paths
+from repro.resilience.recovery import (
+    STATE_RECORD_NAME,
+    RecoveryManager,
+    state_paths,
+)
 from repro.resilience.wal import WriteAheadLog
 from tests.conftest import random_batch, random_graph
 
@@ -381,3 +385,385 @@ class TestCheckpointV2:
             load_checkpoint(path)
             checkpoint_info(path)
             gc.collect()
+
+
+# ----------------------------------------------------------------------
+# state records (checkpoint format v3): a cadence tick writes states +
+# parents + position beside the base; recovery rebuilds the topology from
+# the WAL span.  Every way that can go wrong must end in base + replay.
+# ----------------------------------------------------------------------
+def run_then_crash(directory, graph, batches, every=2, **kwargs):
+    """Commit ``batches`` at cadence ``every``, then die (no final checkpoint)."""
+    pipeline = ResilientPipeline.open(
+        directory, graph.copy(), ALG, QUERY,
+        checkpoint_every=every, wal_sync=False, **kwargs,
+    )
+    for batch in batches:
+        pipeline.run_batch(batch)
+    pipeline.wal.close()
+    return pipeline
+
+
+def record_path(directory):
+    return os.path.join(directory, STATE_RECORD_NAME)
+
+
+def directory_bytes(directory):
+    found = {}
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, directory)] = handle.read()
+    return found
+
+
+def assert_equals_straight_through(recovered, graph, batches, lost=()):
+    """Answers, topology, states and position equal an uninterrupted run
+    over ``batches`` minus the (1-based) ``lost`` sequences; ``parents``
+    may differ between equal-state trees, so they are not pinned."""
+    kept = [b for i, b in enumerate(batches, start=1) if i not in lost]
+    reference, answers = straight_through(graph, kept)
+    assert recovered.snapshot_id == len(batches)
+    if kept:
+        assert recovered.answer == answers[-1]
+    assert sorted(recovered.engine.graph.edges()) == sorted(reference.graph.edges())
+    assert recovered.engine.state.states == reference.state.states
+    recovered.engine.state.check_converged()
+
+
+class TestStateRecord:
+    def test_cadence_writes_record_not_base(self, tmp_path):
+        """Crash between a record write and the next append: the record is
+        adopted, its span reported as skipped, nothing replayed."""
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:4])
+
+        base = checkpoint_info(state_paths(directory)[0])
+        record = checkpoint_info(record_path(directory))
+        assert (base.version, base.snapshot_id) == (2, 0)
+        assert (record.version, record.snapshot_id, record.base_snapshot_id) == (3, 4, 0)
+        assert record.wal_sequence == 4
+        assert record.num_vertices == graph.num_vertices
+
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.record == record
+        assert recovered.record_rejected == ""
+        assert recovered.skipped == [1, 2, 3, 4]
+        assert recovered.replayed == []
+        assert recovered.record.num_edges == recovered.engine.graph.num_edges
+        assert_equals_straight_through(recovered, graph, batches[:4])
+
+    def test_tail_replays_on_top_of_record(self, tmp_path):
+        graph, batches = make_scenario()
+        _, ref_answers = straight_through(graph, batches)
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.record.snapshot_id == 4
+        assert recovered.skipped == [1, 2, 3, 4]
+        assert recovered.replayed == [5]
+        assert_equals_straight_through(recovered, graph, batches[:5])
+        assert recovered.engine.on_batch(batches[5]).answer == ref_answers[5]
+
+    def test_torn_record_write_keeps_old_record(self, tmp_path, monkeypatch):
+        """A crash mid-record-write goes through the same temp-file + rename
+        routine as the base: the old record survives; a leftover
+        ``state.npz.tmp`` (power cut before the cleanup ran) is inert."""
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        pipeline = ResilientPipeline.open(
+            directory, graph.copy(), ALG, QUERY, checkpoint_every=2, wal_sync=False,
+        )
+        for batch in batches[:3]:
+            pipeline.run_batch(batch)
+
+        def torn_write(handle, **arrays):
+            handle.write(b"PK\x03\x04 half a zip archive")
+            raise faults.SimulatedCrash("killed mid-record")
+
+        monkeypatch.setattr("repro.checkpoint.np.savez_compressed", torn_write)
+        with pytest.raises(faults.SimulatedCrash):
+            pipeline.run_batch(batches[3])  # tick at 4 dies inside the write
+        pipeline.wal.close()
+        monkeypatch.undo()
+        assert not os.path.exists(record_path(directory) + ".tmp")
+        with open(record_path(directory) + ".tmp", "wb") as handle:
+            handle.write(b"PK\x03\x04 half a zip archive")
+
+        assert checkpoint_info(record_path(directory)).snapshot_id == 2
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.record.snapshot_id == 2
+        assert recovered.skipped == [1, 2]
+        assert recovered.replayed == [3, 4]
+        assert_equals_straight_through(recovered, graph, batches[:4])
+
+    def test_byte_flipped_record_falls_back(self, tmp_path):
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+        path = record_path(directory)
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+
+        rejected = 0
+        for position in range(0, len(pristine), 37):
+            damaged = bytearray(pristine)
+            damaged[position] ^= 0xFF
+            with open(path, "wb") as handle:
+                handle.write(bytes(damaged))
+            recovered = RecoveryManager(directory).recover()
+            assert_equals_straight_through(recovered, graph, batches[:5])
+            if recovered.record is None:
+                rejected += 1
+                assert recovered.record_rejected
+                assert recovered.skipped == []
+                assert recovered.replayed == [1, 2, 3, 4, 5]
+        assert rejected > len(pristine) // 37 // 2  # most flips are fatal
+
+    @pytest.mark.parametrize("on_corrupt", ["quarantine", "raise"])
+    def test_corrupt_wal_record_inside_span(self, tmp_path, on_corrupt):
+        """The cost of not re-serialising topology: a WAL record that rots
+        inside the record's span forces base + replay, which loses that
+        batch under ``quarantine`` (and says so) and raises under ``raise``."""
+        from repro.errors import WalCorruptionError
+
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+        faults.corrupt_record_byte(state_paths(directory)[1], record_index=1)
+
+        manager = RecoveryManager(directory, on_corrupt=on_corrupt)
+        if on_corrupt == "raise":
+            with pytest.raises(WalCorruptionError):
+                manager.recover()
+            return
+        recovered = manager.recover()
+        assert recovered.record is None
+        assert "WAL holds [1, 3, 4] of its span 1..4" in recovered.record_rejected
+        assert recovered.replayed == [1, 3, 4, 5]
+        assert len(recovered.deadletters.letters("wal-corrupt")) == 1
+        assert_equals_straight_through(recovered, graph, batches[:5], lost={2})
+
+    def test_missing_wal_record_inside_span(self, tmp_path):
+        import shutil
+
+        from repro.resilience.wal import replay
+
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+        wal_dir = state_paths(directory)[1]
+        records = list(replay(wal_dir))
+        shutil.rmtree(wal_dir)
+        with WriteAheadLog(wal_dir, sync=False) as wal:
+            for record in records:
+                if record.sequence != 3:
+                    wal.append(record.batch, record.sequence)
+
+        recovered = RecoveryManager(directory, on_corrupt="raise").recover()
+        assert recovered.record is None
+        assert "WAL holds [1, 2, 4] of its span 1..4" in recovered.record_rejected
+        assert recovered.replayed == [1, 2, 4, 5]
+        assert_equals_straight_through(recovered, graph, batches[:5], lost={3})
+
+    def test_wal_shorter_than_record(self, tmp_path):
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:4])
+        faults.truncate_segment(state_paths(directory)[1], drop_bytes=7)
+
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.record is None
+        assert "WAL holds [1, 2, 3] of its span 1..4" in recovered.record_rejected
+        assert recovered.replayed == [1, 2, 3]
+        assert_equals_straight_through(recovered, graph, batches[:3])
+
+    def test_stale_record_after_base_rewrite_is_ignored(self, tmp_path):
+        """Crash between the base's rename and the record's unlink."""
+        import shutil
+
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        pipeline = ResilientPipeline.open(
+            directory, graph.copy(), ALG, QUERY, checkpoint_every=2, wal_sync=False,
+        )
+        for batch in batches[:3]:
+            pipeline.run_batch(batch)
+        shutil.copy(record_path(directory), str(tmp_path / "kept.npz"))
+        pipeline.checkpoint()  # base@3
+        assert not os.path.exists(record_path(directory))  # removed with it
+        shutil.copy(str(tmp_path / "kept.npz"), record_path(directory))
+        pipeline.run_batch(batches[3])  # tick at 4 would overwrite: crash first
+        pipeline.wal.close()
+        shutil.copy(str(tmp_path / "kept.npz"), record_path(directory))
+
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.checkpoint.snapshot_id == 3
+        assert recovered.record is None
+        assert "written for base" in recovered.record_rejected
+        assert recovered.replayed == [4]
+        assert_equals_straight_through(recovered, graph, batches[:4])
+
+    @pytest.mark.parametrize(
+        "tamper, reason",
+        [
+            (dict(algorithm="ppwp"), "written for base"),
+            (dict(query=PairwiseQuery(1, 20)), "written for base"),
+            (dict(extra_vertices=1), "written for base"),
+            (dict(base_snapshot_id=1), "written for base"),
+            (dict(snapshot_id=0), "not newer"),
+            (dict(snapshot_id=9), "of its span 1..9"),
+            (dict(extra_edge=True), "edges after its WAL span"),
+            (dict(drop_state=True), "do not match num_vertices"),
+            (dict(wrong_state=True), "convergence verification"),
+        ],
+    )
+    def test_every_mismatch_falls_back(self, tmp_path, tamper, reason):
+        """A record that parses but is not *this* directory's truth."""
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+
+        reference, _ = straight_through(graph, batches[:4])
+        shape = reference.graph.copy()
+        if tamper.get("extra_edge"):
+            u, v = next(
+                (u, v) for u in range(40) for v in range(40)
+                if u != v and shape.weight_or_none(u, v) is None
+            )
+            shape.add_edge(u, v, 3.0)
+        if tamper.get("extra_vertices"):
+            shape = type(shape).from_edges(41, shape.edges())
+        forged = CISGraphEngine(
+            shape, get_algorithm(tamper.get("algorithm", "ppsp")),
+            tamper.get("query", QUERY),
+        )
+        forged.initialize()
+        if tamper.get("drop_state"):
+            forged.state.states = forged.state.states[:-1]
+        if tamper.get("wrong_state"):
+            forged.state.states[QUERY.destination] += 1.0
+        save_checkpoint(
+            record_path(directory), forged,
+            snapshot_id=tamper.get("snapshot_id", 4), wal_sequence=4,
+            base_snapshot_id=tamper.get("base_snapshot_id", 0),
+        )
+
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.record is None
+        assert reason in recovered.record_rejected
+        assert recovered.skipped == []
+        assert recovered.replayed == [1, 2, 3, 4, 5]
+        assert_equals_straight_through(recovered, graph, batches[:5])
+
+    def test_rebase_exactly_when_logged_updates_reach_num_edges(self, tmp_path):
+        graph = random_graph(12, 30, seed=5)
+        batches = [random_batch(graph, 6, 4, seed=40 + i) for i in range(9)]
+        directory = str(tmp_path / "state")
+        pipeline = ResilientPipeline.open(
+            directory, graph.copy(), ALG, PairwiseQuery(0, 7),
+            checkpoint_every=1, wal_sync=False,
+        )
+        base_path = state_paths(directory)[0]
+        logged, bases = 0, []
+        for sequence, batch in enumerate(batches, start=1):
+            pipeline.run_batch(batch)
+            logged += len(batch)
+            if logged >= pipeline.engine.graph.num_edges:
+                logged = 0
+                bases.append(sequence)
+                assert checkpoint_info(base_path).snapshot_id == sequence
+                assert not os.path.exists(record_path(directory))
+            else:
+                record = checkpoint_info(record_path(directory))
+                assert record.snapshot_id == sequence
+                assert record.base_snapshot_id == (bases[-1] if bases else 0)
+                assert checkpoint_info(base_path).snapshot_id == record.base_snapshot_id
+        assert bases and len(bases) < len(batches)  # both branches ran
+        assert pipeline.counters.checkpoints_written == 1 + len(batches)
+        pipeline.wal.close()
+
+    def test_first_tick_after_resume_writes_a_base(self, tmp_path):
+        """A resumed pipeline cannot vouch for the WAL span behind it (a
+        quarantined record may sit there), so it re-bases once."""
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:3])
+        base_path = state_paths(directory)[0]
+        assert checkpoint_info(base_path).snapshot_id == 0
+
+        resumed = ResilientPipeline.resume(directory, wal_sync=False,
+                                           checkpoint_every=2)
+        assert resumed.snapshot_id == 3
+        assert checkpoint_info(record_path(directory)).snapshot_id == 2  # untouched
+        resumed.run_batch(batches[3])  # tick at 4: base, record removed
+        assert checkpoint_info(base_path).snapshot_id == 4
+        assert not os.path.exists(record_path(directory))
+        resumed.run_batch(batches[4])
+        resumed.run_batch(batches[5])  # tick at 6: a record again
+        assert checkpoint_info(base_path).snapshot_id == 4
+        assert checkpoint_info(record_path(directory)).base_snapshot_id == 4
+        resumed.wal.close()
+
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.record.snapshot_id == 6
+        assert recovered.skipped == [1, 2, 3, 4, 5, 6]
+        assert_equals_straight_through(recovered, graph, batches)
+
+    def test_v2_only_directory_recovers_as_before(self, tmp_path):
+        """No ``state.npz`` (a parent-commit directory, or the record was
+        deleted): same snapshot and answers, via the base."""
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+        with_record = RecoveryManager(directory).recover()
+        os.unlink(record_path(directory))
+
+        recovered = RecoveryManager(directory).recover()
+        assert recovered.record is None and recovered.record_rejected == ""
+        assert recovered.skipped == []
+        assert recovered.replayed == [1, 2, 3, 4, 5]
+        assert recovered.answer == with_record.answer
+        assert recovered.engine.state.states == with_record.engine.state.states
+        assert_equals_straight_through(recovered, graph, batches[:5])
+
+    def test_double_recovery_is_bit_identical_and_read_only(self, tmp_path):
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+        before = directory_bytes(directory)
+        assert "state.npz" in before
+
+        first = RecoveryManager(directory).recover()
+        second = RecoveryManager(directory).recover()
+        assert directory_bytes(directory) == before
+        assert first.record == second.record
+        assert first.snapshot_id == second.snapshot_id
+        assert first.engine.state.states == second.engine.state.states
+        assert first.engine.state.parents == second.engine.state.parents
+        assert list(first.engine.graph.edges()) == list(second.engine.graph.edges())
+
+    def test_explicit_and_final_checkpoints_are_bases(self, tmp_path):
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        with ResilientPipeline.open(
+            directory, graph.copy(), ALG, QUERY, checkpoint_every=2, wal_sync=False,
+        ) as pipeline:
+            for batch in batches[:5]:
+                pipeline.run_batch(batch)
+            assert os.path.exists(record_path(directory))
+        info = checkpoint_info(state_paths(directory)[0])
+        assert (info.version, info.snapshot_id) == (2, 5)
+        assert not os.path.exists(record_path(directory))
+
+    def test_record_is_not_a_loadable_checkpoint(self, tmp_path):
+        from repro.checkpoint import CheckpointError, load_checkpoint
+
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:2])
+        with pytest.raises(CheckpointError, match="edges_src"):
+            load_checkpoint(record_path(directory))

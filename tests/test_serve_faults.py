@@ -212,6 +212,57 @@ class TestWalCrashRecovery:
             ]
         resumed.close()
 
+    def test_resume_adopts_state_record_at_default_cadence(self, tmp_path):
+        """Nine commits at the default ``checkpoint_every=4``: base@0, a
+        state record at 4 rewritten at 8, one WAL record past it.  Resume
+        rebuilds the topology from the WAL span, adopts the record's anchor
+        state and replays only the tail."""
+        import os
+
+        from repro.checkpoint import checkpoint_info
+
+        pairs = [(1, 20), (2, 30), (5, 40)]
+        anchor = (ANCHOR.source, ANCHOR.destination)
+        graph = random_graph(50, 300, seed=24)
+        batches = _stream(graph, num_batches=11, seed=24)
+        offline = _offline_replay(graph, pairs + [anchor], batches)
+        directory = str(tmp_path / "state")
+
+        harness = ServeHarness.open(directory, graph.copy(), PPSP(), ANCHOR,
+                                    num_shards=2)
+        for pair in pairs:
+            harness.register(*pair)
+        assert harness.wait_all_live()
+        for batch in batches[:9]:
+            harness.submit(batch)
+        harness.close(final_checkpoint=False)
+        assert checkpoint_info(harness.pipeline.checkpoint_path).snapshot_id == 0
+        record = checkpoint_info(os.path.join(directory, "state.npz"))
+        assert (record.version, record.snapshot_id, record.base_snapshot_id) == (3, 8, 0)
+
+        resumed = ServeHarness.resume(directory, num_shards=2)
+        assert resumed.recovered.record == record
+        assert resumed.recovered.skipped == list(range(1, 9))
+        assert resumed.recovered.replayed == [9]
+        assert resumed.snapshot_id == 9
+        assert resumed.engine.answer == offline[8][anchor]
+        sessions = {pair: resumed.register(*pair) for pair in pairs}
+        assert resumed.wait_all_live()
+        for pair in pairs:
+            assert resumed.query(*pair) == offline[8][pair]
+        for index in (9, 10):
+            result = resumed.submit(batches[index])
+            assert result.degraded == []
+            assert result.answer == offline[index][anchor]
+            for pair in pairs:
+                assert result.answers[pair] == offline[index][pair]
+        for pair, session in sessions.items():
+            assert [e.answer for e in session.drain()] == [
+                offline[i][pair] for i in (9, 10)
+            ]
+        resumed.close()
+
+
 
 class TestCrashLoop:
     """Repeated crash/resume cycles — the pathological deployment.
