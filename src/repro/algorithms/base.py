@@ -18,7 +18,7 @@ behind this interface.
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List
+from typing import Callable, List, Optional, Tuple
 
 
 class MonotonicAlgorithm(abc.ABC):
@@ -101,6 +101,37 @@ class MonotonicAlgorithm(abc.ABC):
             self.propagate(u_state, self.transform_weight(raw_weight)) == v_state
         )
 
+    # ------------------------------------------------------------------
+    # the hot-loop form of the semiring
+    # ------------------------------------------------------------------
+    #: C-level stand-ins for :meth:`propagate` / :meth:`is_better`
+    #: (``operator.add``, ``operator.lt``, ...).  Only an operator that
+    #: returns what the method returns, in value *and* type, qualifies:
+    #: answer digests hash ``repr``.  Honoured only when declared by the
+    #: class that defines the method, so overriding the method drops it.
+    plus_op: Optional[Callable[[float, float], float]] = None
+    better_op: Optional[Callable[[float, float], bool]] = None
+
+    def kernel(self) -> Tuple[Callable, Callable, Optional[Callable]]:
+        """``(plus, better, transform)`` for the per-edge loops.
+
+        :class:`~repro.incremental.IncrementalState` and
+        :func:`~repro.core.classification.classify_batch` apply ``plus``
+        / ``better`` in place of :meth:`propagate` / :meth:`is_better`,
+        and ``transform`` in place of :meth:`transform_weight` — ``None``
+        when it is the identity, so the loop skips the call.  The methods
+        stay the reference: the solvers and the oracle call them.
+        """
+        cls = type(self)
+        identity_transform = (
+            cls.transform_weight is MonotonicAlgorithm.transform_weight
+        )
+        return (
+            _declared_beside(cls, "propagate", "plus_op") or self.propagate,
+            _declared_beside(cls, "is_better", "better_op") or self.is_better,
+            None if identity_transform else self.transform_weight,
+        )
+
     def is_reached(self, state: float) -> bool:
         """``True`` when a state is better than the identity (vertex reached)."""
         return self.is_better(state, self.identity())
@@ -121,3 +152,9 @@ class MonotonicAlgorithm(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+def _declared_beside(cls: type, method: str, attribute: str):
+    """``attribute`` of the class that defines ``method``, else ``None``."""
+    owner = next(klass for klass in cls.__mro__ if method in vars(klass))
+    return vars(owner).get(attribute)

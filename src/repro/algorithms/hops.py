@@ -10,6 +10,7 @@ see :func:`repro.algorithms.register_algorithm`.
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -25,6 +26,7 @@ class HopCount(MonotonicAlgorithm):
     minimizing = True
     plus_formula = "T = u.state + 1"
     times_formula = "MIN(T, v.state)"
+    better_op = operator.lt
 
     def identity(self) -> float:
         return math.inf

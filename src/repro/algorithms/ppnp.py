@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -20,6 +21,8 @@ class PPNP(MonotonicAlgorithm):
     minimizing = True
     plus_formula = "T = max(u.state, w)"
     times_formula = "MIN(T, v.state)"
+    # no plus_op: ``max`` returns the other operand on a tie (5 vs 5.0)
+    better_op = operator.lt
 
     def identity(self) -> float:
         return math.inf

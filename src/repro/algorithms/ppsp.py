@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -19,6 +20,8 @@ class PPSP(MonotonicAlgorithm):
     minimizing = True
     plus_formula = "T = u.state + w"
     times_formula = "MIN(T, v.state)"
+    plus_op = operator.add
+    better_op = operator.lt
 
     def identity(self) -> float:
         return math.inf

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -21,6 +22,8 @@ class PPWP(MonotonicAlgorithm):
     minimizing = False
     plus_formula = "T = min(u.state, w)"
     times_formula = "MAX(T, v.state)"
+    # no plus_op: ``min`` returns the other operand on a tie (5 vs 5.0)
+    better_op = operator.gt
 
     def identity(self) -> float:
         return 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 from repro.algorithms.base import MonotonicAlgorithm
 
 
@@ -18,6 +20,7 @@ class Reach(MonotonicAlgorithm):
     minimizing = False
     plus_formula = "T = u.state"
     times_formula = "MAX(T, v.state)"
+    better_op = operator.gt
 
     def identity(self) -> float:
         return 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.graph.generators import DEFAULT_MAX_WEIGHT
 
@@ -26,6 +28,8 @@ class Viterbi(MonotonicAlgorithm):
     minimizing = False
     plus_formula = "T = u.state * p(w)"
     times_formula = "MAX(T, v.state)"
+    plus_op = operator.mul
+    better_op = operator.gt
 
     def __init__(self, max_weight: int = DEFAULT_MAX_WEIGHT) -> None:
         if max_weight <= 0:

@@ -22,8 +22,7 @@ useless ones.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Set
+from typing import Set
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.engine import PairwiseEngine
@@ -68,57 +67,14 @@ class CoalescingEngine(PairwiseEngine):
 
         # ---- coalesced deletion repair first: collect every supplying
         # deletion, tag the union of their dependence subtrees once.
-        supplier_deletions = [
-            upd
+        roots = [
+            upd.v
             for upd in effective
             if upd.is_deletion and state.parents[upd.v] == upd.u
         ]
         ops.tag_ops += sum(1 for upd in effective if upd.is_deletion)
-        tagged: Set[int] = set()
-        frontier: Deque[int] = deque()
-        for upd in supplier_deletions:
-            if upd.v not in tagged:
-                tagged.add(upd.v)
-                frontier.append(upd.v)
-        while frontier:
-            x = frontier.popleft()
-            for y in graph.out_adj(x):
-                ops.tag_ops += 1
-                if y not in tagged and state.parents[y] == x:
-                    tagged.add(y)
-                    frontier.append(y)
-
-        identity = alg.identity()
-        for x in tagged:
-            state.states[x] = identity
-            state.parents[x] = -1
-            ops.state_writes += 1
-
-        seeds: Set[int] = set()
-        better = alg.is_better
-        propagate = alg.propagate
-        transform = alg.transform_weight
-        for x in tagged:
-            if x == self.query.source:
-                state.states[x] = alg.source_state()
-                seeds.add(x)
-                continue
-            best = identity
-            parent = -1
-            for y, w in graph.in_adj(x).items():
-                ops.edges_scanned += 1
-                ops.relaxations += 1
-                ops.state_reads += 1
-                candidate = propagate(state.states[y], transform(w))
-                if better(candidate, best):
-                    best = candidate
-                    parent = y
-            if better(best, identity):
-                state.states[x] = best
-                state.parents[x] = parent
-                ops.state_writes += 1
-                ops.activations += 1
-                seeds.add(x)
+        tagged, rederived = state.repair_subtrees(roots, ops)
+        seeds: Set[int] = set(rederived)
 
         # ---- coalesced additions: relax every added edge, merge improved
         # targets into the same single wave.
@@ -127,10 +83,10 @@ class CoalescingEngine(PairwiseEngine):
                 continue
             ops.relaxations += 1
             ops.state_reads += 2
-            candidate = propagate(
-                state.states[upd.u], transform(upd.weight)
+            candidate = alg.propagate(
+                state.states[upd.u], alg.transform_weight(upd.weight)
             )
-            if better(candidate, state.states[upd.v]):
+            if alg.is_better(candidate, state.states[upd.v]):
                 state.states[upd.v] = candidate
                 state.parents[upd.v] = upd.u
                 ops.state_writes += 1
@@ -141,5 +97,5 @@ class CoalescingEngine(PairwiseEngine):
         return BatchResult(
             answer=self.answer,
             response_ops=ops,
-            stats={"coalesced_seeds": len(seeds), "tagged": len(tagged)},
+            stats={"coalesced_seeds": len(seeds), "tagged": tagged},
         )

@@ -30,7 +30,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.keypath import KeyPathTracker
-from repro.graph.batch import EdgeUpdate, UpdateBatch
+from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind
 from repro.metrics import OpCounts
 
 
@@ -172,23 +172,28 @@ def classify_batch(
     This is the only loop that runs the triangle-inequality tests over a
     batch (:func:`classify_addition` / :func:`classify_deletion` are its
     single-update specification), so it is written for the useless
-    majority: bound methods, no per-update enum, counters added in bulk.
+    majority: the algorithm's :meth:`~MonotonicAlgorithm.kernel` inlined
+    (one ``(+)`` per update), no per-update enum, counters added in bulk.
     """
     trackers = _trackers(keypath)
-    improves = algorithm.improves
-    supplies = algorithm.supplies
+    plus, better, transform = algorithm.kernel()
+    addition = UpdateKind.ADD
     result = ClassifiedBatch()
     valuable = result.valuable_additions.append
     nondelayed = result.nondelayed_deletions.append
     delayed = result.delayed_deletions.append
     useless = result.useless.append
     for update in batch:
-        if update.is_addition:
-            if improves(states[update.u], update.weight, states[update.v]):
+        weight = update.weight
+        candidate = plus(
+            states[update.u], weight if transform is None else transform(weight)
+        )
+        if update.kind is addition:
+            if better(candidate, states[update.v]):
                 valuable(update)
             else:
                 useless(update)
-        elif not supplies(states[update.u], update.weight, states[update.v]):
+        elif candidate != states[update.v]:
             useless(update)
         elif carries_answer(rule, trackers, parents, update):
             nondelayed(update)

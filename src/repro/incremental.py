@@ -15,12 +15,15 @@ the three primitives of incremental monotonic computation:
   with an optional pruning hook used by the bound-based baselines.
 
 All primitives are instrumented with :class:`~repro.metrics.OpCounts`.
+Per edge they pay only for the semiring (the algorithm's
+:meth:`~repro.algorithms.base.MonotonicAlgorithm.kernel`); the counters
+are charged per scanned adjacency and added once per call.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Deque, Iterable, List, Optional, Set, Tuple
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.solvers import dijkstra
@@ -48,6 +51,8 @@ class IncrementalState:
             graph.num_vertices, source
         )
         self.parents: List[int] = [-1] * graph.num_vertices
+        #: (+), (x) and the weight transform of the per-edge loops
+        self._kernel = algorithm.kernel()
         #: vertices whose new state was written but not broadcast (pruned)
         self.suppressed: Set[int] = set()
 
@@ -81,48 +86,52 @@ class IncrementalState:
         in :attr:`suppressed` so a later :meth:`flush_suppressed` can finish
         convergence.
         """
-        alg = self.algorithm
-        better = alg.is_better
-        propagate_op = alg.propagate
-        transform = alg.transform_weight
+        plus, better, transform = self._kernel
         states = self.states
         parents = self.parents
+        out_adj = self.graph.out_adj
+        suppressed = self.suppressed
 
         queue: Deque[int] = deque()
+        checks = 0
         for seed in seeds:
-            if prune is not None and prune(seed, states[seed]):
-                ops.bound_checks += 1
-                self.suppressed.add(seed)
-                continue
             if prune is not None:
-                ops.bound_checks += 1
+                checks += 1
+                if prune(seed, states[seed]):
+                    suppressed.add(seed)
+                    continue
             queue.append(seed)
 
-        changes = 0
+        # per popped vertex: one state read, then one scan + relaxation +
+        # read per out-edge, charged for the whole adjacency at once
+        pops = scanned = changes = 0
         while queue:
             u = queue.popleft()
             du = states[u]
-            ops.state_reads += 1
-            for v, w in self.graph.out_adj(u).items():
-                ops.edges_scanned += 1
-                ops.relaxations += 1
-                ops.state_reads += 1
-                candidate = propagate_op(du, transform(w))
+            adj = out_adj(u)
+            pops += 1
+            scanned += len(adj)
+            for v, w in adj.items():
+                candidate = plus(du, w if transform is None else transform(w))
                 if better(candidate, states[v]):
                     states[v] = candidate
                     parents[v] = u
-                    ops.state_writes += 1
-                    ops.activations += 1
                     changes += 1
                     if activated is not None:
                         activated.add(v)
-                    self.suppressed.discard(v)
+                    suppressed.discard(v)
                     if prune is not None:
-                        ops.bound_checks += 1
+                        checks += 1
                         if prune(v, candidate):
-                            self.suppressed.add(v)
+                            suppressed.add(v)
                             continue
                     queue.append(v)
+        ops.edges_scanned += scanned
+        ops.relaxations += scanned
+        ops.state_reads += pops + scanned
+        ops.state_writes += changes
+        ops.activations += changes
+        ops.bound_checks += checks
         return changes
 
     def flush_suppressed(
@@ -153,11 +162,13 @@ class IncrementalState:
         monotone-safe (Section II-A): they constrict results or leave them
         unchanged.
         """
-        alg = self.algorithm
+        plus, better, transform = self._kernel
         ops.relaxations += 1
         ops.state_reads += 2
-        candidate = alg.propagate(self.states[u], alg.transform_weight(weight))
-        if not alg.is_better(candidate, self.states[v]):
+        candidate = plus(
+            self.states[u], weight if transform is None else transform(weight)
+        )
+        if not better(candidate, self.states[v]):
             return False
         self.states[v] = candidate
         self.parents[v] = u
@@ -224,32 +235,63 @@ class IncrementalState:
         ops.tag_ops += 1  # the did-this-edge-supply-its-target check
         if policy == "supplier" and self.parents[v] != u:
             return False
+        _, seeds = self.repair_subtrees(
+            [v], ops, follow_all=policy == "reachable", activated=activated
+        )
+        self.propagate(seeds, ops, prune=prune, activated=activated)
+        return True
 
+    def repair_subtrees(
+        self,
+        roots: Iterable[int],
+        ops: OpCounts,
+        follow_all: bool = False,
+        activated: Optional[Set[int]] = None,
+    ) -> Tuple[int, List[int]]:
+        """Tag, reset and re-derive the repair sets of ``roots``.
+
+        The body of :meth:`process_deletion`, and of the coalescing
+        baseline, which repairs every supplying deletion of a batch at once
+        (the source is never such a root: ``parents[source] == -1``).
+        Returns how many vertices were tagged and the re-derived ones — the
+        seeds to :meth:`propagate` from — without propagating.  Members are
+        inserted in breadth-first adjacency order and re-derived in the
+        set's iteration order, which follows that insertion history; the
+        order is observable (a member re-derived earlier supplies later
+        ones), so changing either moves ``parents`` and ``OpCounts``.
+        """
         alg = self.algorithm
+        plus, better, transform = self._kernel
         states = self.states
         parents = self.parents
         identity = alg.identity()
 
-        # Tag the repair set.  Supplier policy follows only dependence
-        # (parent) edges; reachable policy follows every topology edge out
-        # of a currently-reached vertex, as conservative prior systems do.
-        follow_all = policy == "reachable"
-        subtree: Set[int] = {v}
-        frontier: Deque[int] = deque([v])
+        # Tag the repair set.  Without ``follow_all`` (supplier policy) only
+        # dependence (parent) edges are followed; with it (reachable
+        # policy) every topology edge out of a currently-reached vertex is,
+        # as conservative prior systems do.
+        subtree: Set[int] = set()
+        frontier: Deque[int] = deque()
+        for root in roots:
+            if root not in subtree:
+                subtree.add(root)
+                frontier.append(root)
+        tags = reads = 0
         while frontier:
             x = frontier.popleft()
-            for y in self.graph.out_adj(x):
-                ops.tag_ops += 1
-                if y in subtree:
-                    continue
+            adj = self.graph.out_adj(x)
+            tags += len(adj)
+            for y in adj:
                 if follow_all:
-                    ops.state_reads += 1
-                    tagged = alg.is_reached(states[y])
-                else:
-                    tagged = parents[y] == x
-                if tagged:
-                    subtree.add(y)
-                    frontier.append(y)
+                    if y in subtree:
+                        continue
+                    reads += 1
+                    if not alg.is_reached(states[y]):
+                        continue
+                elif parents[y] != x or y in subtree:
+                    continue
+                subtree.add(y)
+                frontier.append(y)
 
         # Reset, then re-derive each member from in-neighbors.  Reset states
         # equal the identity, which can never supply (monotonicity), so
@@ -257,41 +299,41 @@ class IncrementalState:
         for x in subtree:
             states[x] = identity
             parents[x] = -1
-            ops.state_writes += 1
         if self.source in subtree:
             # the source never loses its own state
             states[self.source] = alg.source_state()
-            parents[self.source] = -1
 
-        better = alg.is_better
-        propagate_op = alg.propagate
-        transform = alg.transform_weight
         seeds: List[int] = []
+        scanned = derived = 0
         for x in subtree:
             if x == self.source:
                 seeds.append(x)
                 continue
             best = identity
             parent = -1
-            for y, w in self.graph.in_adj(x).items():
-                ops.edges_scanned += 1
-                ops.relaxations += 1
-                ops.state_reads += 1
-                candidate = propagate_op(states[y], transform(w))
+            adj = self.graph.in_adj(x)
+            scanned += len(adj)
+            for y, w in adj.items():
+                candidate = plus(
+                    states[y], w if transform is None else transform(w)
+                )
                 if better(candidate, best):
                     best = candidate
                     parent = y
             if better(best, identity):
                 states[x] = best
                 parents[x] = parent
-                ops.state_writes += 1
-                ops.activations += 1
+                derived += 1
                 if activated is not None:
                     activated.add(x)
                 seeds.append(x)
-
-        self.propagate(seeds, ops, prune=prune, activated=activated)
-        return True
+        ops.tag_ops += tags
+        ops.edges_scanned += scanned
+        ops.relaxations += scanned
+        ops.state_reads += reads + scanned
+        ops.state_writes += len(subtree) + derived
+        ops.activations += derived
+        return len(subtree), seeds
 
     # ------------------------------------------------------------------
     # invariants (used by tests)

@@ -12,6 +12,8 @@ check the invariants the whole system rests on:
 """
 
 import math
+import operator
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,6 +272,290 @@ def test_apply_batch_matches_per_update_apply_on_raw_batches(graph, batch):
     assert new_graph.apply_batch(batch) == _seed_apply(old_graph, batch, True)
     assert _storage(new_graph) == _storage(old_graph)
     new_graph.check_consistency()
+
+
+# ----------------------------------------------------------------------
+# the incremental kernels this repository started with, kept verbatim as
+# the written specification of ``IncrementalState``: per-edge counters,
+# the algorithm's own methods, the same iteration orders
+# ----------------------------------------------------------------------
+def _seed_propagate(self, seeds, ops, prune=None, activated=None):
+    alg = self.algorithm
+    better = alg.is_better
+    propagate_op = alg.propagate
+    transform = alg.transform_weight
+    states = self.states
+    parents = self.parents
+
+    queue = deque()
+    for seed in seeds:
+        if prune is not None and prune(seed, states[seed]):
+            ops.bound_checks += 1
+            self.suppressed.add(seed)
+            continue
+        if prune is not None:
+            ops.bound_checks += 1
+        queue.append(seed)
+
+    changes = 0
+    while queue:
+        u = queue.popleft()
+        du = states[u]
+        ops.state_reads += 1
+        for v, w in self.graph.out_adj(u).items():
+            ops.edges_scanned += 1
+            ops.relaxations += 1
+            ops.state_reads += 1
+            candidate = propagate_op(du, transform(w))
+            if better(candidate, states[v]):
+                states[v] = candidate
+                parents[v] = u
+                ops.state_writes += 1
+                ops.activations += 1
+                changes += 1
+                if activated is not None:
+                    activated.add(v)
+                self.suppressed.discard(v)
+                if prune is not None:
+                    ops.bound_checks += 1
+                    if prune(v, candidate):
+                        self.suppressed.add(v)
+                        continue
+                queue.append(v)
+    return changes
+
+
+def _seed_process_addition(self, u, v, weight, ops, prune=None, activated=None):
+    alg = self.algorithm
+    ops.relaxations += 1
+    ops.state_reads += 2
+    candidate = alg.propagate(self.states[u], alg.transform_weight(weight))
+    if not alg.is_better(candidate, self.states[v]):
+        return False
+    self.states[v] = candidate
+    self.parents[v] = u
+    ops.state_writes += 1
+    ops.activations += 1
+    if activated is not None:
+        activated.add(v)
+    self.propagate([v], ops, prune=prune, activated=activated)
+    return True
+
+
+def _seed_process_deletion(
+    self, u, v, ops, prune=None, activated=None, policy="supplier"
+):
+    if policy not in ("supplier", "reachable"):
+        raise ValueError(f"unknown deletion policy {policy!r}")
+    ops.tag_ops += 1  # the did-this-edge-supply-its-target check
+    if policy == "supplier" and self.parents[v] != u:
+        return False
+
+    alg = self.algorithm
+    states = self.states
+    parents = self.parents
+    identity = alg.identity()
+
+    follow_all = policy == "reachable"
+    subtree = {v}
+    frontier = deque([v])
+    while frontier:
+        x = frontier.popleft()
+        for y in self.graph.out_adj(x):
+            ops.tag_ops += 1
+            if y in subtree:
+                continue
+            if follow_all:
+                ops.state_reads += 1
+                tagged = alg.is_reached(states[y])
+            else:
+                tagged = parents[y] == x
+            if tagged:
+                subtree.add(y)
+                frontier.append(y)
+
+    for x in subtree:
+        states[x] = identity
+        parents[x] = -1
+        ops.state_writes += 1
+    if self.source in subtree:
+        states[self.source] = alg.source_state()
+        parents[self.source] = -1
+
+    better = alg.is_better
+    propagate_op = alg.propagate
+    transform = alg.transform_weight
+    seeds = []
+    for x in subtree:
+        if x == self.source:
+            seeds.append(x)
+            continue
+        best = identity
+        parent = -1
+        for y, w in self.graph.in_adj(x).items():
+            ops.edges_scanned += 1
+            ops.relaxations += 1
+            ops.state_reads += 1
+            candidate = propagate_op(states[y], transform(w))
+            if better(candidate, best):
+                best = candidate
+                parent = y
+        if better(best, identity):
+            states[x] = best
+            parents[x] = parent
+            ops.state_writes += 1
+            ops.activations += 1
+            if activated is not None:
+                activated.add(x)
+            seeds.append(x)
+
+    self.propagate(seeds, ops, prune=prune, activated=activated)
+    return True
+
+
+class _SeedState(IncrementalState):
+    """``IncrementalState`` on the seed kernels; ``process_reweight`` and
+    ``flush_suppressed`` reach them through ``self``."""
+
+    propagate = _seed_propagate
+    process_addition = _seed_process_addition
+    process_deletion = _seed_process_deletion
+
+
+#: every registered algorithm, the hop-count extension included
+KERNEL_ALGORITHMS = list_algorithms() + ["hops"]
+#: int and float weights (ties such as 2 vs 2.0 included) and a weight past
+#: Viterbi's ``max_weight``, which its transform clamps
+_kernel_weight = st.sampled_from([1, 2, 2.0, 2.5, 3.0, 7, 100])
+_kernel_graph = st.dictionaries(
+    st.tuples(
+        st.integers(0, N_VERTICES - 1), st.integers(0, N_VERTICES - 1)
+    ).filter(lambda e: e[0] != e[1]),
+    _kernel_weight,
+    max_size=40,
+)
+_kernel_stream = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.integers(0, N_VERTICES - 1),
+        st.integers(0, N_VERTICES - 1),
+        _kernel_weight,
+    ).filter(lambda u: u[1] != u[2]),
+    max_size=30,
+)
+
+
+def _observed(state, ops, activated):
+    return (
+        [repr(x) for x in state.states],
+        list(state.parents),
+        set(state.suppressed),
+        activated,
+        ops.as_dict(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    edges=_kernel_graph,
+    stream=_kernel_stream,
+    name=st.sampled_from(KERNEL_ALGORITHMS),
+    source=st.integers(0, N_VERTICES - 1),
+    dest=st.integers(0, N_VERTICES - 1),
+    policy=st.sampled_from(["supplier", "reachable"]),
+    pruned=st.booleans(),
+    track=st.booleans(),
+)
+def test_kernels_match_the_seed_kernels(
+    edges, stream, name, source, dest, policy, pruned, track
+):
+    """Step by step, the rewritten kernels leave the same states (same
+    ``repr``), parents, suppressed set and activated set as the seed's,
+    and charge every ``OpCounts`` field the same amount."""
+    algorithm = get_algorithm(name)
+    graph = DynamicGraph.from_edges(
+        N_VERTICES, [(u, v, w) for (u, v), w in edges.items()]
+    )
+    sides = []
+    for cls in (_SeedState, IncrementalState):
+        state = cls(graph.copy(), algorithm, source)
+        state.full_compute()
+        prune = None
+        if pruned:
+            # SGraph's generic rule: no broadcast that cannot beat the answer
+            def prune(vertex, value, state=state):
+                return not algorithm.is_better(value, state.states[dest])
+        sides.append((state, prune, OpCounts(), set() if track else None))
+
+    for step, (is_addition, u, v, weight) in enumerate(stream):
+        for state, prune, ops, activated in sides:
+            graph_ = state.graph
+            if is_addition:
+                old_weight = graph_.out_adj(u).get(v)
+                graph_.add_edge(u, v, weight)
+                if old_weight is None:
+                    state.process_addition(
+                        u, v, weight, ops, prune=prune, activated=activated
+                    )
+                elif old_weight != weight:
+                    state.process_reweight(
+                        u, v, weight, ops, prune=prune, activated=activated
+                    )
+            elif graph_.remove_edge(u, v, missing_ok=True):
+                state.process_deletion(
+                    u, v, ops, prune=prune, activated=activated, policy=policy
+                )
+            if step % 3 == 2:
+                state.flush_suppressed(ops, activated=activated)
+        seed, new = (_observed(s, ops, a) for s, _, ops, a in sides)
+        assert new == seed, f"step {step} drifted from the seed kernels"
+    for state, _, ops, activated in sides:
+        state.flush_suppressed(ops, activated=activated)
+        state.check_converged()
+    seed, new = (_observed(s, ops, a) for s, _, ops, a in sides)
+    assert new == seed
+
+
+def _same(got, want):
+    return (type(got), repr(got)) == (type(want), repr(want))
+
+
+@pytest.mark.parametrize("name", KERNEL_ALGORITHMS)
+def test_kernel_operators_are_exact(name):
+    """``kernel()`` returns what the methods return, in value and type:
+    the answer digests hash ``repr``, so ``5`` for ``5.0`` is a change."""
+    algorithm = get_algorithm(name)
+    plus, better, transform = algorithm.kernel()
+    assert (transform is None) == (name != "viterbi")
+    states = [0, 0.0, 1, 1.0, 2.5, 5, 5.0, 0.5, math.inf, -math.inf,
+              algorithm.identity(), algorithm.source_state()]
+    # 64 / 65 straddle Viterbi's clamp at the default max_weight
+    raw_weights = [0.0, 1, 1.0, 2.5, 5, 5.0, 64, 65, 1000, math.inf]
+    for raw in raw_weights:
+        want_weight = algorithm.transform_weight(raw)
+        weight = raw if transform is None else transform(raw)
+        assert _same(weight, want_weight), (raw, weight, want_weight)
+        for state in states:
+            got, want = plus(state, weight), algorithm.propagate(state, weight)
+            assert _same(got, want), (state, raw, got, want)
+    weights = [algorithm.transform_weight(raw) for raw in raw_weights]
+    for a in states + weights:
+        for b in states + weights:
+            assert _same(better(a, b), algorithm.is_better(a, b)), (a, b)
+
+
+def test_kernel_falls_back_to_an_overriding_method():
+    """A subclass that overrides (+) without declaring an operator keeps
+    its own method in the hot loops."""
+    from repro.algorithms.ppsp import PPSP
+
+    class Doubled(PPSP):
+        def propagate(self, u_state, weight):
+            return u_state + 2 * weight
+
+    plus, better, transform = Doubled().kernel()
+    assert plus(1.0, 1.0) == 3.0
+    assert better is operator.lt and transform is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,9 +6,12 @@ shard epoch body were each collapsed to one implementation — and is
 compared here value for value: answers, ``OpCounts``, stats and
 activation-wave sizes, per batch, for every algorithm under both key-path
 rules, on the single-query engine, the multi-query engine and a sharded
-serve harness (both backends).  A hot-path change that keeps this file
-green did not change what the engines compute or how much work they
-count for it.
+serve harness (both backends).  Its ``baselines`` entries were added at
+commit ``fe13e11``, before the incremental kernels were rewritten: the
+same stream through the plain incremental engine (both deletion
+policies), SGraph, the coalescing engine and SGraph's hub index, per
+algorithm.  A hot-path change that keeps this file green did not change
+what the engines compute or how much work they count for it.
 
 Regenerate (only when an answer or a counter is *meant* to change)::
 
@@ -24,6 +27,12 @@ from dataclasses import fields
 import pytest
 
 from repro.algorithms.registry import get_algorithm, list_algorithms
+from repro.baselines import (
+    CoalescingEngine,
+    HubIndex,
+    PlainIncrementalEngine,
+    SGraphEngine,
+)
 from repro.core.classification import KeyPathRule
 from repro.core.engine import CISGraphEngine
 from repro.core.multiquery import MultiQueryEngine
@@ -49,6 +58,24 @@ QUERIES = [
 OP_FIELDS = [f.name for f in fields(OpCounts)]
 CASES = [
     (name, rule) for name in list_algorithms() for rule in KeyPathRule
+]
+#: the baseline engines, which reach ``IncrementalState`` by other routes
+#: than the workflow: per-update repair under both deletion policies,
+#: prune hooks plus ``flush_suppressed``, and the coalesced multi-root repair
+BASELINES = {
+    "incremental/supplier": lambda graph, alg: PlainIncrementalEngine(
+        graph, alg, SINGLE, record_updates=True
+    ),
+    "incremental/reachable": lambda graph, alg: PlainIncrementalEngine(
+        graph, alg, SINGLE, record_updates=True, deletion_policy="reachable"
+    ),
+    "sgraph": lambda graph, alg: SGraphEngine(graph, alg, SINGLE),
+    "coalescing": lambda graph, alg: CoalescingEngine(graph, alg, SINGLE),
+}
+#: the engines plus SGraph's hub index on its own
+BASELINE_NAMES = (*BASELINES, "hubs")
+BASELINE_CASES = [
+    (name, baseline) for name in list_algorithms() for baseline in BASELINE_NAMES
 ]
 
 
@@ -139,9 +166,49 @@ def run_serve(graph, batches, algorithm, rule, directory, backend) -> list:
     return rows
 
 
+def run_baseline(graph, batches, algorithm, baseline) -> list:
+    if baseline == "hubs":
+        return run_hubs(graph, batches, algorithm)
+    engine = BASELINES[baseline](graph.copy(), algorithm)
+    engine.initialize()
+    rows = []
+    for batch in batches:
+        result = engine.on_batch(batch)
+        rows.append({
+            "answer": result.answer,
+            "response_ops": _ops(result.response_ops),
+            "post_ops": _ops(result.post_ops),
+            "stats": dict(result.stats),
+        })
+    return rows
+
+
+def run_hubs(graph, batches, algorithm) -> list:
+    """SGraph's hub index on its own: every hub is an ``IncrementalState``
+    fed every update, so per-batch upkeep and each hub's view of the
+    destination are pinned."""
+    index = HubIndex(graph.copy(), algorithm)
+    return [
+        {
+            "ops": _ops(index.process_batch(number, batch)),
+            "states": [
+                index.hub_state(hub, SINGLE.destination) for hub in index.hubs
+            ],
+        }
+        for number, batch in enumerate(batches, start=1)
+    ]
+
+
 def build_golden(directory: str) -> dict:
     """Everything the fixture pins, computed by the code under test."""
     graph, batches = _stream()
+    baselines = {
+        name: {
+            baseline: run_baseline(graph, batches, get_algorithm(name), baseline)
+            for baseline in BASELINE_NAMES
+        }
+        for name in list_algorithms()
+    }
     cases = {}
     for name, rule in CASES:
         algorithm = get_algorithm(name)
@@ -157,15 +224,20 @@ def build_golden(directory: str) -> dict:
                 for backend in ("thread", "process")
             },
         }
-    return {"op_fields": OP_FIELDS, "cases": cases}
+    return {"op_fields": OP_FIELDS, "cases": cases, "baselines": baselines}
 
 
 @pytest.fixture(scope="module")
-def golden() -> dict:
+def pinned() -> dict:
     with open(GOLDEN_PATH) as handle:
         data = json.load(handle)
     assert data["op_fields"] == OP_FIELDS
-    return data["cases"]
+    return data
+
+
+@pytest.fixture(scope="module")
+def golden(pinned) -> dict:
+    return pinned["cases"]
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +292,12 @@ def test_process_harness_matches_the_pin(golden, stream, tmp_path, name, rule):
         assert (have["epoch"], have["answer"], have["answers"]) == (
             thread["epoch"], thread["answer"], thread["answers"]
         )
+
+
+@pytest.mark.parametrize("name,baseline", BASELINE_CASES)
+def test_baseline_matches_the_pin(pinned, stream, name, baseline):
+    rows = run_baseline(*stream, get_algorithm(name), baseline)
+    _assert_rows(rows, pinned["baselines"][name][baseline], baseline)
 
 
 def test_the_stream_exercises_every_class(golden):
