@@ -448,12 +448,24 @@ def reproduce_run(
 
     ``ok`` is False when any exact key differs, any relative key lands
     outside the stated factor, or either summary is missing a key the
-    manifest names.
+    manifest names — and, with nothing replayed, when the manifest's
+    ``schema_version`` is missing or is not :data:`RUN_SCHEMA_VERSION`.
     """
     import tempfile
 
     with open(os.path.join(run_dir, MANIFEST_NAME)) as handle:
         manifest = json.load(handle)
+    version = manifest.get("schema_version")
+    if version != RUN_SCHEMA_VERSION:
+        return {
+            "ok": False,
+            "checked": 0,
+            "failures": [
+                f"run bundle schema_version {version!r} is not the "
+                f"supported {RUN_SCHEMA_VERSION}"
+            ],
+            "run_id": manifest.get("run_id"),
+        }
     with open(os.path.join(run_dir, SUMMARY_NAME)) as handle:
         committed = json.load(handle)
     config = RunConfig.from_dict(manifest["config"])

@@ -93,7 +93,8 @@ KINDS = (
 #: state that must not cross the process boundary)
 HOOK_KINDS = ("kill_shard", "hang_source", "slow_shard")
 
-#: kinds that poke thread-only internals from the driver side
+#: kinds whose command carries an in-process gate (the ``barrier`` that
+#: parks the worker), which cannot cross to a process child
 THREAD_ONLY_KINDS = ("saturate_inbox",)
 
 
@@ -498,11 +499,11 @@ class ChaosController:
         shard = harness.engine.shards[event.target]
         barrier = threading.Event()
         self._barriers.append(barrier)
-        shard.inbox.put(("barrier", barrier))  # parks the worker
+        shard.submit(("barrier", barrier))  # parks the worker
         try:
             while True:
-                shard.inbox.put_nowait(("noop",))
-        except queue.Full:  # the inbox is at its bound
+                shard.submit(("noop",), block=False)
+        except queue.Full:  # the in-flight ledger is at its bound
             pass
         self.fired.append(event)
         return True

@@ -120,19 +120,16 @@ class HealthMonitor:
         """Health verdict for one shard worker (either backend).
 
         Dead workers are refined through the worker's own
-        ``failure_mode()`` sentinel when it offers one — the process
-        backend reads the child's exit code there, distinguishing a
-        SIGKILLed worker (``KILLED``) from one that crashed on its own.
-        ``getattr`` keeps the probe working against minimal worker
-        doubles that only expose the liveness surface.
+        ``failure_mode()`` sentinel — read off its exit code, which
+        distinguishes a killed worker (``KILLED``) from one that crashed
+        on its own.
         """
         if not worker.started:
             return ShardHealth.STOPPED
         if not worker.alive:
             if worker.stop_requested:
                 return ShardHealth.STOPPED
-            mode = getattr(worker, "failure_mode", None)
-            if callable(mode) and mode() == "killed":
+            if worker.failure_mode() == "killed":
                 return ShardHealth.KILLED
             return ShardHealth.CRASHED
         if worker.heartbeat.busy_seconds > self.hang_timeout:

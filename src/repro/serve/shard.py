@@ -1,4 +1,4 @@
-"""Sharded worker pool: the shard core and its thread transport.
+"""Sharded worker pool: the shard core, its command loop and its worker.
 
 Sessions are partitioned by *source* (``shard = source % num_shards``),
 because everything shareable in pairwise streaming analytics is shared
@@ -7,8 +7,8 @@ along the source (see :mod:`repro.core.multiquery`): one shard owns the
 per-destination key paths — of every source assigned to it.
 
 What a shard owns and does is :class:`ShardCore`, whichever backend runs
-it.  The thread backend's :class:`ShardWorker` wraps one in a daemon
-thread consuming a **bounded** inbox of commands in FIFO order:
+it, and :func:`serve_commands` is the one loop that feeds it commands in
+FIFO order:
 
 * ``register`` / ``deregister`` — attach or detach a standing query;
   brand-new sources are bootstrapped with a full computation *on the
@@ -18,25 +18,29 @@ thread consuming a **bounded** inbox of commands in FIFO order:
   drive every owned group through contribution-aware processing, then
   publish a :class:`ShardBatchOutcome` for the epoch.
 
-Reads do not queue: :meth:`ShardWorker.lookup` loads the converged value
+:class:`ShardWorker` is the engine's handle on one shard: the in-flight
+ledger, the session lifecycle and the outcome barrier, over a *carrier*.
+Its own carrier is a daemon thread holding a private
+:class:`~repro.graph.dynamic.DynamicGraph` copy that it alone mutates —
+no cross-thread topology sharing, hence no locks on the hot path — and
+reads do not queue: :meth:`ShardWorker.lookup` loads the converged value
 straight from the core on the caller's thread, and the core's epoch seal
-(:attr:`ShardCore.sealed_epoch`) is what makes that safe.
+(:attr:`ShardCore.sealed_epoch`) is what makes that safe.  The process
+carrier is :class:`repro.serve.executor.ProcessShardWorker`.
 
-Every shard holds a private :class:`~repro.graph.dynamic.DynamicGraph`
-copy that it alone mutates — no cross-thread topology sharing, hence no
-locks on the hot path.  A failure inside one group's processing (or an
-injected fault) degrades only that source: the group is dropped, the
-failure is reported in the outcome, and all other groups' answers for the
-same epoch stay exact.
+A failure inside one group's processing (or an injected fault) degrades
+only that source: the group is dropped, the failure is reported in the
+outcome, and all other groups' answers for the same epoch stay exact.
 """
 
 from __future__ import annotations
 
 import queue
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.classification import KeyPathRule
@@ -49,12 +53,27 @@ from repro.obs.provenance import GroupObservation, ProvenanceRecorder
 from repro.obs.telemetry import Telemetry
 from repro.obs.tracing import TraceContext
 from repro.serve.health import Heartbeat
+from repro.serve.ipc import (
+    CMD_BATCH,
+    CMD_DEREGISTER,
+    CMD_DIE,
+    CMD_READ,
+    CMD_REGISTER,
+    CMD_STOP,
+    CMD_WEDGE,
+    OUT_ACK,
+    OUT_FATAL,
+    OUT_HEARTBEAT,
+    OUT_OUTCOME,
+    OUT_SESSION,
+    encode_read_reply,
+)
 from repro.serve.session import QuerySession, SessionState
 
 #: fault-injection hook signature: (kind, source, epoch) -> None; raising
 #: inside ``"batch"`` degrades that source, inside ``"register"`` degrades
 #: the registering session; blocking inside either stalls the shard (used
-#: by tests to fill the bounded inbox deterministically); raising
+#: by tests to hold commands in flight deterministically); raising
 #: :class:`~repro.errors.ShardKilledError` escapes the per-source isolation
 #: and kills the whole worker thread (the chaos harness's shard-kill fault)
 FaultHook = Callable[[str, int, int], None]
@@ -102,16 +121,14 @@ def process_group(
 
 
 class ShardCore:
-    """What a shard *is*, whichever transport feeds it.
+    """What a shard *is*, whichever carrier feeds it.
 
     Owns the shard-private topology and the source groups hashed to the
     shard, and is the only implementation of their lifecycle
     (:meth:`register` / :meth:`deregister`), of a shard's epoch
     (:meth:`run_epoch`) and of a read of shard-held state
-    (:meth:`lookup`).  The thread worker below and the process
-    backend's child loop (:mod:`repro.serve.executor`) each hold one and
-    add only transport: queues, session-lifecycle delivery, heartbeats,
-    acks, kill/wedge/stop.
+    (:meth:`lookup`).  :func:`serve_commands` drives it, in a worker
+    thread or in a process backend child (:mod:`repro.serve.executor`).
     """
 
     def __init__(
@@ -141,7 +158,7 @@ class ShardCore:
         """Attach a standing query; a brand-new source is bootstrapped
         with a full computation on the shard's own topology.  Raises
         whatever the bootstrap (or an injected fault) raises — mapping
-        that onto the session lifecycle is the transport's job."""
+        that onto the session lifecycle is the command loop's job."""
         if self.fault_hook is not None:
             self.fault_hook("register", source, -1)
         group = self.groups.get(source)
@@ -167,7 +184,7 @@ class ShardCore:
         The read path's one door into shard-held state, open only while
         the source has a group here and the core is sealed at ``epoch``.
         A drained group is converged for *every* vertex, so any
-        destination is answerable.  The thread transport calls this from
+        destination is answerable.  The thread carrier calls this from
         the reader's thread, so the seal is checked on both sides of the
         load (a seqlock): a zombie waking into an epoch mid-read unseals
         first and the value is discarded.
@@ -247,18 +264,103 @@ class ShardCore:
         return outcome
 
 
-class ShardWorker:
-    """The thread transport: one worker thread driving a :class:`ShardCore`.
+def serve_commands(
+    core: ShardCore,
+    next_command: Callable[[], tuple],
+    emit: Callable[[tuple], None],
+    telemetry: Callable[[], Optional[Telemetry]] = lambda: None,
+    flush: Callable[[], None] = lambda: None,
+    killed: Callable[[], bool] = lambda: False,
+) -> None:
+    """The one command loop of a shard, whichever carrier runs it.
 
-    ``queue_bound`` caps the inbox; the harness checks headroom *before*
-    enqueueing (admission control), while committed batches use a blocking
-    put — a WAL-durable batch must never be shed.  The put may still be
-    *bounded in time* (``submit_batch(timeout=...)``): when a wedged
-    worker's inbox stays full past the epoch deadline, the engine fails
-    the shard for the epoch instead of blocking ingest forever.
+    Takes commands from ``next_command`` in FIFO order until ``stop`` and
+    reports everything through ``emit`` as ``OUT_*`` messages: heartbeat
+    stamps around each command, a registration's session events
+    (``warming``, then ``live`` or ``degraded``), epoch outcomes, read
+    replies, and one ack per command, always last (``flush`` runs just
+    before it).  ``telemetry`` is asked once per batch.  ``killed`` is
+    polled at every command boundary and inside the wedge spin; once it
+    holds, the loop raises :class:`~repro.errors.ShardKilledError`.
+    """
+    while True:
+        command = next_command()
+        kind = command[0]
+        emit((OUT_HEARTBEAT, "begin", kind))
+        try:
+            if killed():
+                raise ShardKilledError(
+                    f"shard {core.index} killed by injected SIGKILL"
+                )
+            if kind == CMD_STOP:
+                return
+            if kind == CMD_REGISTER:
+                _, session_id, source, destination = command
+                emit((OUT_SESSION, session_id, "warming", None))
+                try:
+                    core.register(source, destination)
+                except Exception as exc:  # noqa: BLE001 - degrade only
+                    emit((OUT_SESSION, session_id, "degraded", str(exc)))
+                    if isinstance(exc, ShardKilledError):
+                        raise  # the kill signal escapes session isolation
+                else:
+                    emit((OUT_SESSION, session_id, "live", None))
+            elif kind == CMD_DEREGISTER:
+                core.deregister(command[1], command[2])
+            elif kind == CMD_BATCH:
+                _, epoch, effective, context = command
+                emit((OUT_OUTCOME, core.run_epoch(
+                    epoch, effective, telemetry(), context
+                )))
+            elif kind == CMD_READ:
+                emit(encode_read_reply(
+                    core.lookup(*command[1:]), core.sealed_epoch
+                ))
+            elif kind == CMD_WEDGE:
+                # the wedge fault: a genuine busy loop — no heartbeat end,
+                # no outcome for anything queued behind it; a kill is the
+                # only thing that breaks it early
+                deadline = time.monotonic() + command[1] / 1000.0
+                while time.monotonic() < deadline:
+                    if killed():
+                        raise ShardKilledError(
+                            f"shard {core.index} killed mid-wedge"
+                        )
+                    time.sleep(0.001)
+            elif kind == "barrier":
+                # chaos/test primitive: park until released (bounded)
+                command[1].wait(timeout=30.0)
+        finally:
+            flush()
+            emit((OUT_HEARTBEAT, "end", None))
+            emit((OUT_ACK,))
+
+
+class ShardWorker:
+    """One shard as the engine sees it: a :class:`ShardCore` behind a carrier.
+
+    The carrier is how commands reach the core and how its reports come
+    back.  This class is the thread carrier — a daemon ``serve-shard-{i}``
+    thread running :func:`serve_commands` on a core in this process,
+    emitting straight into :meth:`_dispatch` — and everything both
+    carriers share: the in-flight ledger, the session lifecycle, the
+    outcome barrier and the failure taxonomy.
+    :class:`~repro.serve.executor.ProcessShardWorker` replaces only the
+    carrier.
+
+    ``queue_bound`` caps the commands in flight (submitted, not yet
+    retired; the one running counts).  The harness checks ``depth``
+    before submitting (admission control); :meth:`submit` with
+    ``block=False`` raises ``queue.Full`` at the bound, and committed
+    batches wait for headroom — a WAL-durable batch is never shed — up
+    to the epoch deadline, after which the engine fails the shard for
+    the epoch instead of blocking ingest forever.
     """
 
     backend = "thread"
+    #: how the worker ended, as a process exit code would say it: None
+    #: while it runs, 0 after a stop, negative after a kill, 1 otherwise
+    exitcode: Optional[int] = None
 
     def __init__(
         self,
@@ -267,52 +369,63 @@ class ShardWorker:
         clock: Callable[[], float] = time.monotonic,
         telemetry_source: Optional[Callable[[], Optional[Telemetry]]] = None,
     ) -> None:
-        self.index = core.index
+        self._setup(core.index, queue_bound, clock, telemetry_source)
         self.core = core
+        self._inbox: "queue.Queue" = queue.Queue()
+        self._runner = threading.Thread(
+            target=self._run, name=f"serve-shard-{self.index}", daemon=True
+        )
+
+    def _setup(
+        self,
+        index: int,
+        queue_bound: int,
+        clock: Callable[[], float],
+        telemetry_source: Optional[Callable[[], Optional[Telemetry]]],
+    ) -> None:
+        """The carrier-independent state; each carrier's ``__init__``
+        calls this, then builds its ``_runner``."""
+        self.index = index
+        self.queue_bound = queue_bound
         #: deferred lookup, not a captured instance: the engine's telemetry
         #: may be attached after workers are built (pipeline wrap order)
         self.telemetry_source = telemetry_source
-        self.inbox: "queue.Queue" = queue.Queue(maxsize=queue_bound)
         self.heartbeat = Heartbeat(clock)
+        #: source -> destinations live on this shard, as the core reports
+        self.groups: Dict[int, Set[int]] = {}
+        #: last ``fatal`` report from the carrier (a process child's
+        #: last gasp), if any
+        self.last_error: Optional[str] = None
+        #: registrations in flight: session id -> handle, held only until
+        #: the core reports the bootstrap's outcome (or a deregister)
+        self._sessions: Dict[str, QuerySession] = {}
         self._results: Dict[int, ShardBatchOutcome] = {}
-        self._results_cv = threading.Condition()
-        self._thread = threading.Thread(
-            target=self._run, name=f"serve-shard-{self.index}", daemon=True
-        )
+        self._state_cv = threading.Condition()
+        self._pending = 0
+        #: acks seen so far: command number ``_acks + _pending`` at submit
+        #: time is retired once ``_acks`` reaches it (FIFO carrier)
+        self._acks = 0
         self._started = False
         self._stop_requested = False
-        #: set by the worker itself on the way out (is_alive() lags: the
-        #: thread is still "alive" while running its own cleanup)
-        self._dead = False
-        #: :meth:`kill` was requested — the thread analogue of a pending
-        #: SIGKILL, honoured at the next command boundary
-        self._die_requested = False
-        #: the worker actually died from a kill (vs crash/stop)
+        #: :meth:`kill` was called
         self._killed = False
+        #: the carrier has ended and everything it sent was dispatched
+        self._dead = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the worker thread (idempotent)."""
+        """Start the carrier (idempotent)."""
         if not self._started:
             self._started = True
-            self._thread.start()
+            self._runner.start()
 
     def request_stop(self) -> None:
-        """Ask the worker to drain and exit, without joining (idempotent).
-
-        Used by the supervisor when retiring a hung or replaced worker:
-        the stop flag makes the thread exit at its next command boundary,
-        and the sentinel wakes it if it is idle in ``inbox.get()``.  When
-        the inbox is full (a wedged worker with backlog) the sentinel is
-        skipped — the flag alone suffices once the worker resumes.
-        """
+        """Ask the worker to exit at its next command boundary, without
+        joining (idempotent); the sentinel bypasses the bound."""
         self._stop_requested = True
-        try:
-            self.inbox.put_nowait(("stop",))
-        except queue.Full:
-            pass  # flag is set; the worker checks it between commands
+        self._put((CMD_STOP,))
 
     def stop(self, timeout: float = 5.0) -> bool:
         """Stop the worker and join it; True iff the thread exited.
@@ -321,16 +434,24 @@ class ShardWorker:
         (:meth:`~repro.serve.engine.ShardedServeEngine.close`) aggregates
         survivors into one typed :class:`~repro.errors.ShardShutdownError`.
         """
-        if not self._started:
-            return True
-        if self._thread.is_alive():
+        if self._started and self._runner.is_alive():
             self.request_stop()
-            self._thread.join(timeout)
-        return not self._thread.is_alive()
+            self._runner.join(timeout)
+        return not self._runner.is_alive()
+
+    def kill(self) -> None:
+        """Best-effort immediate kill — the thread analogue of SIGKILL.
+
+        Honoured at the next command boundary or inside a wedge: the
+        worker raises :class:`~repro.errors.ShardKilledError` and dies
+        without draining what is queued or publishing pending outcomes.
+        """
+        self._killed = True
+        self._put((CMD_DIE,))  # wakes an idle worker
 
     @property
     def alive(self) -> bool:
-        return self._thread.is_alive() and not self._dead
+        return self._started and not self._dead and self._runner.is_alive()
 
     @property
     def started(self) -> bool:
@@ -342,24 +463,76 @@ class ShardWorker:
 
     @property
     def depth(self) -> int:
-        """Current inbox depth (the admission-control probe)."""
-        return self.inbox.qsize()
-
-    @property
-    def groups(self) -> Dict[int, SourceGroup]:
-        """Source groups this shard owns (keyed by source)."""
-        return self.core.groups
+        """Commands in flight (the admission-control probe)."""
+        with self._state_cv:
+            return self._pending
 
     # ------------------------------------------------------------------
     # commands (called from the harness / engine thread)
     # ------------------------------------------------------------------
-    def submit_register(self, session: QuerySession, block: bool,
-                        timeout: Optional[float] = None) -> None:
-        """Enqueue a registration; ``block=False`` raises ``queue.Full``."""
-        self.inbox.put(("register", session), block=block, timeout=timeout)
+    def submit(
+        self, command: tuple, block: bool = True,
+        timeout: Optional[float] = None,
+    ) -> int:
+        """Put ``command`` in flight under ``queue_bound``; its ticket.
+
+        ``block=False`` raises ``queue.Full`` at the bound; a blocking
+        submit waits for an ack, up to ``timeout``, then raises it.  The
+        ticket is the ack count at which the command has retired.
+        """
+        with self._state_cv:
+            if block:
+                if timeout is not None:
+                    deadline = time.monotonic() + timeout
+                while self._pending >= self.queue_bound and not self._dead:
+                    remaining = (
+                        0.1 if timeout is None else deadline - time.monotonic()
+                    )
+                    if remaining <= 0:
+                        raise queue.Full()
+                    self._state_cv.wait(min(remaining, 0.1))
+            elif self._pending >= self.queue_bound:
+                raise queue.Full()
+            self._pending += 1
+            ticket = self._acks + self._pending
+        self._put(command)
+        return ticket
+
+    def submit_register(
+        self,
+        session: QuerySession,
+        block: bool,
+        timeout: Optional[float] = None,
+    ) -> None:
+        """Submit a registration; ``block=False`` raises ``queue.Full``.
+
+        Only the session *id* travels with the command — the worker keeps
+        the handle and applies the lifecycle events the core reports.
+        """
+        self._sessions[session.id] = session
+        try:
+            self.submit(
+                (CMD_REGISTER, session.id, session.query.source,
+                 session.query.destination),
+                block, timeout,
+            )
+        except queue.Full:
+            self._sessions.pop(session.id, None)
+            raise
 
     def submit_deregister(self, source: int, destination: int) -> None:
-        self.inbox.put(("deregister", source, destination))
+        # a registration still in flight must not re-add the pair to the
+        # mirror when its ``live`` event lands after this deregister
+        for session_id, session in list(self._sessions.items()):
+            query = session.query
+            if (query.source, query.destination) == (source, destination):
+                self._sessions.pop(session_id, None)
+        destinations = self.groups.get(source)
+        if destinations is not None:
+            destinations.discard(destination)
+            if not destinations:
+                del self.groups[source]
+        self.submit((CMD_DEREGISTER, source, destination))
 
     def submit_batch(
         self,
@@ -368,53 +541,30 @@ class ShardWorker:
         context: Optional[TraceContext] = None,
         timeout: Optional[float] = None,
     ) -> None:
-        """Enqueue a committed batch (blocking: durable batches never shed).
+        """Submit one epoch's net-effect delta (blocking: never shed).
 
-        ``context`` is the ingest thread's trace context: the worker
-        re-activates it around the epoch's processing so the shard-side
-        spans parent onto the engine's batch span (one causal tree
-        instead of per-thread silos).
-
-        ``timeout`` bounds the wait for inbox headroom.  A worker wedged
-        mid-command never drains its inbox, so an unbounded put here
-        would block the ingest thread forever — exactly the hang the
-        epoch barrier exists to prevent.  On expiry ``queue.Full``
-        propagates and the engine converts it into a ``failed_shards``
-        entry for the epoch.
+        ``context`` is the ingest thread's trace context: the core
+        re-activates it around the epoch, so the shard-side spans parent
+        onto the engine's batch span.  ``timeout`` bounds the wait for
+        headroom — a wedged worker never retires anything, and waiting
+        forever here is exactly the hang the epoch barrier exists to
+        prevent — and on expiry ``queue.Full`` is the engine's cue to
+        fail the shard for the epoch.
         """
-        self.inbox.put(("batch", epoch, effective, context), timeout=timeout)
+        self.submit((CMD_BATCH, epoch, effective, context), timeout=timeout)
 
     def submit_wedge(self, millis: int) -> None:
-        """Wedge the worker in a busy loop for ``millis`` (chaos fault).
-
-        Unlike the ``fault_hook``-based hang (which parks on an event the
-        driver controls), the wedge burns real wall-clock inside one
-        command: heartbeats stop, ``busy_seconds`` grows, the inbox backs
-        up — the observable signature of a worker stuck in a hot loop.
-        """
-        self.inbox.put(("wedge", int(millis)))
-
-    def kill(self) -> None:
-        """Best-effort immediate kill — the thread analogue of SIGKILL.
-
-        Threads cannot be killed from outside, so this is honoured at the
-        next command boundary: the worker raises
-        :class:`~repro.errors.ShardKilledError` and dies without draining
-        its inbox or publishing pending outcomes.  The process backend
-        overrides this with a real ``os.kill``.
-        """
-        self._die_requested = True
-        try:
-            self.inbox.put_nowait(("die",))
-        except queue.Full:
-            pass  # flag is set; the worker checks it between commands
+        """Wedge the worker in a heartbeat-free busy loop (chaos fault):
+        the observable signature of a worker stuck in a hot loop."""
+        self.submit((CMD_WEDGE, int(millis)))
 
     def lookup(
         self, source: int, destination: int, epoch: int
     ) -> Optional[float]:
-        """The core's converged value at ``epoch``, read from the caller's
-        thread; None from a worker that is dead, retired or told to die."""
-        if self._stop_requested or self._die_requested or not self.alive:
+        """The core's converged value at ``epoch``, read on the caller's
+        thread (the core's seal makes that safe); None from a worker
+        that is dead, retired or told to die."""
+        if self._stop_requested or self._killed or not self.alive:
             return None
         return self.core.lookup(source, destination, epoch)
 
@@ -422,16 +572,17 @@ class ShardWorker:
         """Block until this shard publishes its outcome for ``epoch``.
 
         The deadline is *overall*, stamped once — unrelated wake-ups
-        (other epochs' outcomes being published) never restart the
-        clock, so a silent worker costs exactly ``timeout`` before the
-        barrier converts it into a failed shard.
+        (acks, other epochs' outcomes) never restart the clock, so a
+        silent worker costs exactly ``timeout`` before the barrier
+        converts it into a failed shard.
         """
         deadline = time.monotonic() + timeout
-        with self._results_cv:
+        with self._state_cv:
             while epoch not in self._results:
-                if self._dead or not self._thread.is_alive():
+                if self._dead or not self._started:
                     raise ShardCrashedError(
-                        f"shard {self.index} died before epoch {epoch}"
+                        f"shard {self.index} {self.exit_description()} "
+                        f"before epoch {epoch}"
                     )
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -439,23 +590,30 @@ class ShardWorker:
                         f"shard {self.index} produced no outcome for epoch "
                         f"{epoch} within {timeout:g}s"
                     )
-                self._results_cv.wait(remaining)
+                self._state_cv.wait(remaining)
             return self._results.pop(epoch)
 
     # ------------------------------------------------------------------
     # failure taxonomy / post-mortem
     # ------------------------------------------------------------------
+    def exit_description(self) -> str:
+        """How the worker ended, for the barrier's error text."""
+        return "died"
+
     def failure_mode(self) -> Optional[str]:
-        """``killed`` / ``crashed`` / ``stopped`` — or None while alive."""
+        """``killed`` / ``crashed`` / ``stopped`` — or None while running.
+
+        Read off :attr:`exitcode`: negative is a kill, zero a clean
+        stop, positive an abnormal exit.  A hung-but-running worker stays
+        None here; *hung* is the health monitor's verdict (heartbeat
+        silence), not an exit state.
+        """
         if not self._started:
             return "stopped"
-        if self._thread.is_alive() and not self._dead:
+        code = self.exitcode
+        if code is None:
             return None
-        if self._killed:
-            return "killed"
-        if self._stop_requested:
-            return "stopped"
-        return "crashed"
+        return "killed" if code < 0 else "stopped" if code == 0 else "crashed"
 
     def post_mortem(self) -> Dict[str, object]:
         """Flight-recorder context fragment for this worker's death."""
@@ -473,96 +631,90 @@ class ShardWorker:
                 "busy_seconds": self.heartbeat.busy_seconds,
             },
             "sources": sorted(self.groups),
+            "last_error": self.last_error,
         }
 
     # ------------------------------------------------------------------
-    # worker thread body
+    # what the core reports
     # ------------------------------------------------------------------
+    def _dispatch(self, message: tuple) -> None:
+        tag = message[0]
+        if tag == OUT_HEARTBEAT:
+            if message[1] == "begin":
+                self.heartbeat.begin(message[2])
+            else:
+                self.heartbeat.end()
+        elif tag == OUT_ACK:
+            with self._state_cv:
+                self._pending = max(0, self._pending - 1)
+                self._acks += 1
+                self._state_cv.notify_all()
+        elif tag == OUT_SESSION:
+            self._session_event(*message[1:])
+        elif tag == OUT_OUTCOME:
+            outcome = message[1]
+            for source, _ in outcome.degraded:
+                self.groups.pop(source, None)
+            with self._state_cv:
+                self._results[outcome.epoch] = outcome
+                self._state_cv.notify_all()
+        elif tag == OUT_FATAL:
+            self.last_error = message[1]
+
+    def _session_event(
+        self, session_id: str, state: str, reason: Optional[str]
+    ) -> None:
+        # ``live`` / ``degraded`` end a registration: stop pinning it
+        if state == "warming":
+            session = self._sessions.get(session_id)
+        else:
+            session = self._sessions.pop(session_id, None)
+        if session is None or self._stop_requested:
+            return  # deregistered in flight, or retired: not ours to move
+        try:
+            if state == "warming":
+                session.transition(SessionState.WARMING)
+            elif state == "live":
+                # mirror first: a caller woken by LIVE may read at once
+                self.groups.setdefault(session.query.source, set()).add(
+                    session.query.destination
+                )
+                session.transition(SessionState.LIVE)
+            else:
+                session.transition(SessionState.DEGRADED, reason=reason)
+        except SessionStateError:
+            pass  # closed by the client meanwhile; nothing to report
+
+    # ------------------------------------------------------------------
+    # the thread carrier
+    # ------------------------------------------------------------------
+    def _put(self, command: tuple) -> None:
+        self._inbox.put(command)
+
+    def _next_command(self) -> tuple:
+        command = self._inbox.get()
+        # a retired worker leaves at its next boundary, backlog or not
+        return (CMD_STOP,) if self._stop_requested else command
+
+    def _telemetry(self) -> Optional[Telemetry]:
+        source = self.telemetry_source
+        return source() if source is not None else None
+
     def _run(self) -> None:
         try:
-            self._serve_loop()
+            serve_commands(
+                self.core, self._next_command, self._dispatch,
+                self._telemetry, killed=lambda: self._killed,
+            )
+            self.exitcode = 0
         except ShardKilledError:
-            self._killed = True  # injected thread death; no stderr noise
+            self.exitcode = -signal.SIGKILL  # injected death; no stderr noise
+        except BaseException:
+            self.exitcode = 1
+            raise
         finally:
-            self.heartbeat.end()
-            with self._results_cv:
+            with self._state_cv:
                 # wake any barrier waiting on an outcome this thread will
-                # never publish; it re-checks liveness and raises at once
+                # never publish; it re-checks and raises at once
                 self._dead = True
-                self._results_cv.notify_all()
-
-    def _serve_loop(self) -> None:
-        while True:
-            command = self.inbox.get()
-            kind = command[0]
-            self.heartbeat.begin(kind)
-            try:
-                if kind == "die" or self._die_requested:
-                    raise ShardKilledError(
-                        f"shard {self.index} killed by injected SIGKILL"
-                    )
-                if kind == "stop" or self._stop_requested:
-                    return
-                if kind == "register":
-                    self._handle_register(command[1])
-                elif kind == "deregister":
-                    self.core.deregister(command[1], command[2])
-                elif kind == "batch":
-                    self._handle_batch(*command[1:])
-                elif kind == "barrier":
-                    # chaos/test primitive: park until released (bounded)
-                    command[1].wait(timeout=30.0)
-                elif kind == "wedge":
-                    # chaos wedge fault: a genuine busy loop — no event to
-                    # release, no heartbeat end until the spin expires; a
-                    # pending kill is the only thing that breaks it early
-                    deadline = time.monotonic() + command[1] / 1000.0
-                    while time.monotonic() < deadline:
-                        if self._die_requested:
-                            raise ShardKilledError(
-                                f"shard {self.index} killed mid-wedge"
-                            )
-                        time.sleep(0.001)
-            finally:
-                self.heartbeat.end()
-                self.inbox.task_done()
-
-    def _handle_register(self, session: QuerySession) -> None:
-        if self._stop_requested:
-            return  # retired worker; the replacement owns this session now
-        query = session.query
-        try:
-            session.transition(SessionState.WARMING)
-        except SessionStateError:
-            return  # closed while still queued (or closing concurrently)
-        try:
-            self.core.register(query.source, query.destination)
-        except Exception as exc:  # noqa: BLE001 - degrade, never kill the shard
-            try:
-                session.transition(SessionState.DEGRADED, reason=str(exc))
-            except SessionStateError:
-                pass  # already closed by the client; nothing to report
-            if isinstance(exc, ShardKilledError):
-                # the kill signal escapes session isolation: the session
-                # is degraded (its bootstrap is lost) and the thread dies
-                raise
-            return
-        try:
-            session.transition(SessionState.LIVE)
-        except SessionStateError:
-            pass  # closed while warming: the group stays, harmlessly
-
-    def _handle_batch(
-        self,
-        epoch: int,
-        effective: UpdateBatch,
-        context: Optional[TraceContext] = None,
-    ) -> None:
-        telemetry = (
-            self.telemetry_source() if self.telemetry_source is not None
-            else None
-        )
-        outcome = self.core.run_epoch(epoch, effective, telemetry, context)
-        with self._results_cv:
-            self._results[epoch] = outcome
-            self._results_cv.notify_all()
+                self._state_cv.notify_all()

@@ -6,6 +6,7 @@ batches with additions and deletions, every per-batch answer checked
 against an offline single-query :class:`CISGraphEngine` replay.
 """
 
+import queue
 import threading
 
 import pytest
@@ -232,6 +233,15 @@ class TestRegistration:
         harness.close()
 
 
+def _fill(shard):
+    """Submit no-ops through the bounded path until it refuses one."""
+    try:
+        while True:
+            shard.submit(("noop",), block=False)
+    except queue.Full:
+        pass
+
+
 class TestBackpressure:
     def test_queue_saturation_rejects_registration(self, tmp_path):
         """Under a shrunken queue bound a stalled shard sheds registrations."""
@@ -248,9 +258,9 @@ class TestBackpressure:
             registration_rate=0.0, registration_burst=8.0,
         )
         try:
-            first = harness.register(1, 7)  # dequeued, stalls inside the hook
-            # occupy the single inbox slot so the next probe sees saturation
-            harness.engine.shards[0].inbox.put(("noop",))
+            first = harness.register(1, 7)  # stalls inside the hook
+            # fill the in-flight ledger so the next probe sees saturation
+            _fill(harness.engine.shards[0])
             with pytest.raises(QueueSaturatedError):
                 harness.register(2, 8)
             assert (
@@ -276,7 +286,7 @@ class TestBackpressure:
         )
         try:
             harness.register(1, 7)  # stalls the worker
-            harness.engine.shards[0].inbox.put(("noop",))
+            _fill(harness.engine.shards[0])
             snapshot_before = harness.snapshot_id
             with pytest.raises(QueueSaturatedError):
                 harness.submit([add(0, 5, 1.0)])

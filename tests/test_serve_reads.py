@@ -97,9 +97,6 @@ def _settle(harness):
     deadline = time.monotonic() + 10.0
     while harness.engine.max_depth() and time.monotonic() < deadline:
         time.sleep(0.005)
-    for shard in harness.engine.shards:
-        if shard.backend == "thread":
-            shard.inbox.join()  # depth reads 0 once a command is *taken*
     assert harness.engine.max_depth() == 0
 
 
@@ -294,7 +291,7 @@ class TestOwnerLifecycle:
                     # second pass: the zombie has woken and sealed epoch 2
                     # on its own copy, and is still unreachable (retired)
                     release.set()
-                    zombie._thread.join(10.0)
+                    zombie._runner.join(10.0)
                 assert zombie.core.sealed_epoch == harness.engine.epoch
                 assert zombie.lookup(1, 20, harness.engine.epoch) is None
             finally:
@@ -361,6 +358,25 @@ class TestOwnerLifecycle:
                 _exact(harness, *pair)
             assert _deltas(harness, before) == (4, 4, 0, 4)
             assert shard.depth == 0
+
+
+@pytest.mark.parametrize("backend", BOTH)
+def test_a_running_command_counts_in_depth_until_it_retires(tmp_path, backend):
+    """``depth`` is "submitted, not yet retired" on both backends: the
+    command a worker is busy with still holds its slot."""
+    with _open(tmp_path, backend) as harness:
+        _register_all(harness)
+        _settle(harness)
+        shard = harness.engine.shards[0]
+        shard.submit_wedge(400)
+        deadline = time.monotonic() + 10.0
+        while shard.heartbeat.busy_kind != "wedge":
+            assert time.monotonic() < deadline, "worker never parked"
+            time.sleep(0.005)
+        assert shard.depth == 1
+        assert harness.engine.max_depth() == 1
+        _settle(harness)
+        assert shard.depth == 0
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,9 @@ class _FakeWorker:
         self.stop_requested = stop_requested
         self.heartbeat = Heartbeat(clock)
 
+    def failure_mode(self):
+        return None if self.alive else "crashed"
+
 
 class TestHealthMonitor:
     def test_hang_timeout_must_be_positive(self):
@@ -364,7 +367,7 @@ def _park_worker(worker):
     import time
 
     gate = threading.Event()
-    worker.inbox.put(("barrier", gate))
+    worker.submit(("barrier", gate))
     deadline = time.monotonic() + 5.0
     while worker.heartbeat.busy_kind != "barrier":
         assert time.monotonic() < deadline, "worker never parked"

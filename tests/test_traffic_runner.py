@@ -20,6 +20,7 @@ import pytest
 from repro.bench.runner import (
     EXACT_KEYS,
     RELATIVE_KEYS,
+    RUN_SCHEMA_VERSION,
     RunConfig,
     reproduce_run,
     run_traffic,
@@ -137,6 +138,30 @@ class TestReproduce:
         assert any(
             "updates_per_sec" in failure for failure in outcome["failures"]
         )
+
+    @pytest.mark.parametrize("version", [1, None])
+    def test_reproduce_refuses_another_schema_version(self, tmp_path, version):
+        report = run_traffic(
+            small_config(), results_root=str(tmp_path), run_id="r6"
+        )
+        manifest_path = os.path.join(report.run_dir, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        if version is None:
+            del manifest["schema_version"]
+        else:
+            manifest["schema_version"] = version
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        outcome = reproduce_run(
+            report.run_dir, scratch_dir=str(tmp_path / "scratch")
+        )
+        assert not outcome["ok"]
+        assert outcome["checked"] == 0
+        assert not (tmp_path / "scratch").exists()  # nothing was replayed
+        (failure,) = outcome["failures"]
+        assert repr(version) in failure
+        assert str(RUN_SCHEMA_VERSION) in failure
 
 
 class TestStaticVersusAdaptive:
