@@ -8,7 +8,8 @@ keeps streaming.  This package is that serving layer:
   pending/warming/live/degraded/closed lifecycle and a registry enforcing
   one session per query;
 * :mod:`repro.serve.shard` — worker threads partitioning sessions by
-  source group, each owning a private topology copy and bounded inbox;
+  source group, each with a bounded inbox, all reading the one canonical
+  graph the engine moves between epochs;
 * :mod:`repro.serve.executor` — the pluggable backend layer:
   :class:`ProcessShardWorker` runs the same worker surface as a real OS
   process over a shared-memory CSR snapshot, with exit-code failure

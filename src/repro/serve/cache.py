@@ -49,7 +49,7 @@ class CacheStats:
     owned_hits: int = 0
     #: always 0: families are dropped whole, there are no per-destination
     #: entries to invalidate.  Kept because ``perfbench/drive.py`` reads it;
-    #: goes with ``cache.dropped_entries`` (ROADMAP item 5(c))
+    #: goes with ``cache.dropped_entries`` (ROADMAP item 6(c))
     invalidated_entries: int = 0
     invalidated_families: int = 0
     evicted_families: int = 0

@@ -12,17 +12,21 @@ Topology and work are split as follows:
   checkpoints) and an **anchor** source group processed inline on the
   ingest thread — the anchor is the durability surface: its states/parents
   are what checkpoints capture and what the guard cross-checks;
-* every shard worker owns a private copy of the topology plus the source
-  groups of the standing sessions hashed to it (``source % num_shards``);
-* :meth:`on_batch` reduces the batch to net effects once, applies it to
-  the canonical graph, fans the same effective batch to every shard inbox,
-  processes the anchor, then barriers on all shard outcomes for the epoch
-  and merges their answers, op counts and degradations into one
-  :class:`ServeBatchResult`.
+* every shard worker owns the source groups of the standing sessions
+  hashed to it (``source % num_shards``); a thread shard reads the
+  canonical graph itself, a process child a replica of it;
+* :meth:`on_batch` reduces the batch to net effects once, then runs
+  **drain → apply once → fan out → anchor → barrier**: it waits until
+  every shard has retired what was submitted before the epoch, applies
+  the batch to the canonical graph, fans the same effective batch to
+  every shard, processes the anchor, and merges the shard outcomes for
+  the epoch into one :class:`ServeBatchResult`.
 
-Because shard inboxes are FIFO and registrations travel through the same
-inbox as batches, a session registered before batch *k* is bootstrapped on
-the pre-*k* topology and answers from *k* on — no locks, no torn reads.
+The drain is the topology contract: a registration submitted ahead of
+batch *k* has retired — bootstrapped on the pre-*k* topology — before
+*k*'s delta is applied, and answers from *k* on.  The only reader that can
+race a later apply is a worker already retired past ``epoch_deadline``,
+whose outcome is never merged and whose reads answer None.
 
 Converged state has one owner on the read path too: :meth:`lookup`
 returns ``Q(s -> d)`` from whoever maintains ``s`` — the anchor group, or
@@ -33,7 +37,6 @@ otherwise, which is the result cache's cue to solve.
 from __future__ import annotations
 
 import os
-import queue
 import shutil
 import tempfile
 import time
@@ -205,7 +208,7 @@ class ShardedServeEngine:
             )
         return ShardWorker(
             ShardCore(
-                index, self.graph.copy(), self.algorithm, self.rule,
+                index, self.graph, self.algorithm, self.rule,
                 self.fault_hook, self.provenance, epoch=self.epoch,
             ),
             queue_bound=self.queue_bound,
@@ -292,25 +295,27 @@ class ShardedServeEngine:
                 trace_id=context.trace_id if context is not None else None,
                 updates=len(effective),
             )
-        # fan out first so shards overlap with the anchor's inline work;
-        # the put is bounded by the epoch deadline — a wedged worker whose
-        # inbox stays full becomes a failed shard, not a hung ingest thread
+        # drain: nothing submitted before this epoch (a bootstrap above
+        # all) may still be reading the graph when it moves; a shard that
+        # stays busy past the deadline fails for the epoch instead of
+        # hanging the ingest thread
         failed_shards: List[Tuple[int, str]] = []
+        drained: List[ShardWorker] = []
         for shard in self.shards:
-            try:
-                shard.submit_batch(
-                    self.epoch, effective, context,
-                    timeout=self.epoch_deadline,
-                )
-            except queue.Full:
-                reason = (
-                    f"shard {shard.index} inbox stayed full past the "
-                    f"{self.epoch_deadline:g}s epoch deadline"
-                )
-                if not self.tolerate_shard_failures:
-                    raise ShardCrashedError(reason) from None
-                failed_shards.append((shard.index, reason))
+            if shard.wait_idle(self.epoch_deadline):
+                drained.append(shard)
+                continue
+            reason = (
+                f"shard {shard.index} stayed busy past the "
+                f"{self.epoch_deadline:g}s epoch deadline"
+            )
+            if not self.tolerate_shard_failures:
+                raise ShardCrashedError(reason)
+            failed_shards.append((shard.index, reason))
+        # apply once, then fan out so shards overlap with the anchor
         self.graph.apply_batch(effective, missing_ok=True)
+        for shard in drained:
+            shard.submit_batch(self.epoch, effective, context)
         # the anchor is the durability surface, not an isolated source:
         # a failure here propagates out of on_batch
         with (
@@ -326,10 +331,7 @@ class ShardedServeEngine:
         answers: Dict[Tuple[int, int], float] = {}
         degraded: List[Tuple[int, str]] = []
         totals: Dict[str, int] = dict(anchor_stats)
-        skip = {index for index, _ in failed_shards}
-        for shard in self.shards:
-            if shard.index in skip:
-                continue  # never received the batch; already failed above
+        for shard in drained:
             try:
                 with (
                     telemetry.span("engine.barrier", shard=shard.index,
@@ -409,15 +411,14 @@ class ShardedServeEngine:
     def replace_shard(self, index: int) -> ShardWorker:
         """Retire the worker at ``index`` and swap in a fresh one.
 
-        The replacement starts from a copy of the **canonical graph** —
-        which is exactly what the anchor checkpoint plus the WAL tail
-        reconstruct — so resurrected source groups re-derive their
-        converged state on the current topology instead of replaying the
-        stream from batch 0.  The retired worker is asked to drain (it may
-        be a zombie stuck in a hung command; its private graph copy and
-        outcome map are unreachable from the new worker, so even a late
-        wake-up cannot corrupt serving state) and is joined at
-        :meth:`close`.
+        The replacement reads the current **canonical graph** — exactly
+        what the anchor checkpoint plus the WAL tail reconstruct — so
+        resurrected source groups re-derive their converged state on the
+        current topology instead of replaying the stream from batch 0.
+        The retired worker is asked to stop (it may be a zombie stuck in a
+        hung command; if it wakes while a later epoch moves the graph, its
+        outcome is never merged and its reads answer None) and is joined
+        at :meth:`close`.
         """
         old = self.shards[index]
         old.request_stop()
@@ -435,10 +436,10 @@ class ShardedServeEngine:
     def rescale(self, num_shards: int) -> None:
         """Repartition to ``num_shards`` fresh workers (the scaling knob).
 
-        Every current worker is retired (same drain-and-join contract as
-        :meth:`replace_shard`) and a new pool is built from copies of the
-        canonical graph, so the replacement workers carry the exact
-        topology of the current epoch.  Routing is ``source % num_shards``
+        Every current worker is retired (same stop-and-join contract as
+        :meth:`replace_shard`) and a new pool is built on the canonical
+        graph, so the replacement workers see the exact topology of the
+        current epoch.  Routing is ``source % num_shards``
         against the *new* pool — the caller (the harness) must re-register
         every active session on its new owning shard, which re-enters the
         normal warm-up path and answers again from the next batch.  Must

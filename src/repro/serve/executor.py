@@ -12,8 +12,10 @@ runs the same :func:`~repro.serve.shard.serve_commands` loop, taking
 commands from one ``multiprocessing`` queue and putting its reports on
 another (wire format: :mod:`repro.serve.ipc`).  The topology crosses
 once, as a shared-memory CSR snapshot
-(:class:`~repro.graph.csr.SharedCSR`) that every child attaches, and
-per-epoch deltas ride the command queue as net-effect batches.
+(:class:`~repro.graph.csr.SharedCSR`) that every child attaches and
+copies into a replica, and per-epoch deltas ride the command queue as
+net-effect batches that the child applies to that replica as it decodes
+them — the one carrier that keeps a second copy is the one that applies.
 
 What stays per carrier here: spawn and a reader thread that drains the
 child's reports; the stop → SIGTERM → SIGKILL ladder; a real SIGKILL;
@@ -142,8 +144,11 @@ def _shard_child_main(
             command = commands.get()
             if command[0] == CMD_BATCH:
                 _, at, rows, context = command
-                return (CMD_BATCH, at, decode_batch(rows),
-                        decode_context(context))
+                effective = decode_batch(rows)
+                # the replica takes the delta the parent applied to the
+                # canonical graph; the core only reads it
+                graph.apply_batch(effective, missing_ok=True)
+                return (CMD_BATCH, at, effective, decode_context(context))
             if command[0] == CMD_DIE:
                 # abrupt nonzero exit (no unwinding, no final beats):
                 # the parent's sentinel sees exitcode > 0 -> crashed

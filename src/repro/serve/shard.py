@@ -11,22 +11,25 @@ it, and :func:`serve_commands` is the one loop that feeds it commands in
 FIFO order:
 
 * ``register`` / ``deregister`` — attach or detach a standing query;
-  brand-new sources are bootstrapped with a full computation *on the
-  shard's own graph copy*, so warming one session never stalls batches on
-  other shards;
-* ``batch`` — apply one net-effect batch to the shard-local topology and
-  drive every owned group through contribution-aware processing, then
-  publish a :class:`ShardBatchOutcome` for the epoch.
+  brand-new sources are bootstrapped with a full computation on the
+  shard's thread, so warming one session never stalls batches on other
+  shards;
+* ``batch`` — drive every owned group through one net-effect batch,
+  already applied to the topology the core reads, then publish a
+  :class:`ShardBatchOutcome` for the epoch.
 
-:class:`ShardWorker` is the engine's handle on one shard: the in-flight
-ledger, the session lifecycle and the outcome barrier, over a *carrier*.
-Its own carrier is a daemon thread holding a private
-:class:`~repro.graph.dynamic.DynamicGraph` copy that it alone mutates —
-no cross-thread topology sharing, hence no locks on the hot path — and
-reads do not queue: :meth:`ShardWorker.lookup` loads the converged value
-straight from the core on the caller's thread, and the core's epoch seal
-(:attr:`ShardCore.sealed_epoch`) is what makes that safe.  The process
-carrier is :class:`repro.serve.executor.ProcessShardWorker`.
+A core never writes its topology.  :class:`ShardWorker` is the engine's
+handle on one shard: the in-flight ledger, the session lifecycle, the
+drain and the outcome barrier, over a *carrier*.  Its own carrier is a
+daemon thread whose core reads the engine's canonical
+:class:`~repro.graph.dynamic.DynamicGraph` by reference — no locks on the
+hot path, because the engine moves the graph only once every shard has
+drained — and reads do not queue: :meth:`ShardWorker.lookup` loads the
+converged value straight from the core on the caller's thread, and the
+core's epoch seal (:attr:`ShardCore.sealed_epoch`) is what makes that
+safe.  The process carrier is
+:class:`repro.serve.executor.ProcessShardWorker`, whose child keeps a
+replica of the graph and applies each batch to it.
 
 A failure inside one group's processing (or an injected fault) degrades
 only that source: the group is dropped, the failure is reported in the
@@ -123,8 +126,9 @@ def process_group(
 class ShardCore:
     """What a shard *is*, whichever carrier feeds it.
 
-    Owns the shard-private topology and the source groups hashed to the
-    shard, and is the only implementation of their lifecycle
+    Owns the source groups hashed to the shard, over a topology it reads
+    but never writes — whoever feeds it a batch has applied the batch to
+    ``graph`` first — and is the only implementation of their lifecycle
     (:meth:`register` / :meth:`deregister`), of a shard's epoch
     (:meth:`run_epoch`) and of a read of shard-held state
     (:meth:`lookup`).  :func:`serve_commands` drives it, in a worker
@@ -149,14 +153,14 @@ class ShardCore:
         self.provenance = provenance
         self.groups: Dict[int, SourceGroup] = {}
         #: the engine epoch this core has fully absorbed — ``epoch`` is the
-        #: one ``graph`` was copied at; None from the start of an epoch to
-        #: its end, and for good once an epoch was skipped or died half-way
-        #: (the topology then lacks a delta no later epoch brings back)
+        #: one ``graph`` holds at construction; None from the start of an
+        #: epoch to its end, and for good once an epoch was skipped or died
+        #: half-way (the groups then lack a delta no later epoch brings back)
         self.sealed_epoch: Optional[int] = epoch
 
     def register(self, source: int, destination: int) -> None:
         """Attach a standing query; a brand-new source is bootstrapped
-        with a full computation on the shard's own topology.  Raises
+        with a full computation on the current topology.  Raises
         whatever the bootstrap (or an injected fault) raises — mapping
         that onto the session lifecycle is the command loop's job."""
         if self.fault_hook is not None:
@@ -202,7 +206,8 @@ class ShardCore:
         telemetry: Optional[Telemetry] = None,
         context: Optional[TraceContext] = None,
     ) -> ShardBatchOutcome:
-        """Apply one epoch's delta and drive every owned group through it.
+        """Drive every owned group through one epoch's delta, which the
+        caller has already applied to ``graph``.
 
         With telemetry the ingest thread's ``context`` is re-activated
         around a ``shard.batch`` span, so this shard's spans join the
@@ -232,7 +237,6 @@ class ShardCore:
         outcome = ShardBatchOutcome(epoch=epoch, shard=self.index)
         contiguous = self.sealed_epoch == epoch - 1
         self.sealed_epoch = None
-        self.graph.apply_batch(effective, missing_ok=True)
         totals: Dict[str, int] = {}
         for source in list(self.groups):
             group = self.groups[source]
@@ -344,17 +348,17 @@ class ShardWorker:
     thread running :func:`serve_commands` on a core in this process,
     emitting straight into :meth:`_dispatch` — and everything both
     carriers share: the in-flight ledger, the session lifecycle, the
-    outcome barrier and the failure taxonomy.
+    drain, the outcome barrier and the failure taxonomy.
     :class:`~repro.serve.executor.ProcessShardWorker` replaces only the
     carrier.
 
     ``queue_bound`` caps the commands in flight (submitted, not yet
     retired; the one running counts).  The harness checks ``depth``
     before submitting (admission control); :meth:`submit` with
-    ``block=False`` raises ``queue.Full`` at the bound, and committed
-    batches wait for headroom — a WAL-durable batch is never shed — up
-    to the epoch deadline, after which the engine fails the shard for
-    the epoch instead of blocking ingest forever.
+    ``block=False`` raises ``queue.Full`` at the bound.  A committed
+    batch never waits for headroom: the engine drains the ledger
+    (:meth:`wait_idle`, bounded by the epoch deadline) before it fans
+    the batch out, and fails a shard that stays busy for the epoch.
     """
 
     backend = "thread"
@@ -470,27 +474,18 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # commands (called from the harness / engine thread)
     # ------------------------------------------------------------------
-    def submit(
-        self, command: tuple, block: bool = True,
-        timeout: Optional[float] = None,
-    ) -> int:
+    def submit(self, command: tuple, block: bool = True) -> int:
         """Put ``command`` in flight under ``queue_bound``; its ticket.
 
         ``block=False`` raises ``queue.Full`` at the bound; a blocking
-        submit waits for an ack, up to ``timeout``, then raises it.  The
-        ticket is the ack count at which the command has retired.
+        submit waits for an ack.  The ticket is the ack count at which the
+        command has retired.
         """
         with self._state_cv:
             if block:
-                if timeout is not None:
-                    deadline = time.monotonic() + timeout
-                while self._pending >= self.queue_bound and not self._dead:
-                    remaining = (
-                        0.1 if timeout is None else deadline - time.monotonic()
-                    )
-                    if remaining <= 0:
-                        raise queue.Full()
-                    self._state_cv.wait(min(remaining, 0.1))
+                self._state_cv.wait_for(
+                    lambda: self._pending < self.queue_bound or self._dead
+                )
             elif self._pending >= self.queue_bound:
                 raise queue.Full()
             self._pending += 1
@@ -498,12 +493,16 @@ class ShardWorker:
         self._put(command)
         return ticket
 
-    def submit_register(
-        self,
-        session: QuerySession,
-        block: bool,
-        timeout: Optional[float] = None,
-    ) -> None:
+    def wait_idle(self, timeout: float) -> bool:
+        """The drain: block until every command submitted so far has
+        retired (or the carrier has ended); False if ``timeout`` ran out
+        first — the engine then fails the shard for the epoch."""
+        with self._state_cv:
+            return self._state_cv.wait_for(
+                lambda: not self._pending or self._dead, timeout
+            )
+
+    def submit_register(self, session: QuerySession, block: bool) -> None:
         """Submit a registration; ``block=False`` raises ``queue.Full``.
 
         Only the session *id* travels with the command — the worker keeps
@@ -514,7 +513,7 @@ class ShardWorker:
             self.submit(
                 (CMD_REGISTER, session.id, session.query.source,
                  session.query.destination),
-                block, timeout,
+                block,
             )
         except queue.Full:
             self._sessions.pop(session.id, None)
@@ -539,19 +538,15 @@ class ShardWorker:
         epoch: int,
         effective: UpdateBatch,
         context: Optional[TraceContext] = None,
-        timeout: Optional[float] = None,
     ) -> None:
-        """Submit one epoch's net-effect delta (blocking: never shed).
+        """Submit one epoch's net-effect delta (never shed; after the
+        drain the ledger is empty, so this never waits).
 
         ``context`` is the ingest thread's trace context: the core
         re-activates it around the epoch, so the shard-side spans parent
-        onto the engine's batch span.  ``timeout`` bounds the wait for
-        headroom — a wedged worker never retires anything, and waiting
-        forever here is exactly the hang the epoch barrier exists to
-        prevent — and on expiry ``queue.Full`` is the engine's cue to
-        fail the shard for the epoch.
+        onto the engine's batch span.
         """
-        self.submit((CMD_BATCH, epoch, effective, context), timeout=timeout)
+        self.submit((CMD_BATCH, epoch, effective, context))
 
     def submit_wedge(self, millis: int) -> None:
         """Wedge the worker in a heartbeat-free busy loop (chaos fault):

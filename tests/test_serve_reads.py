@@ -249,6 +249,7 @@ class TestOwnerLifecycle:
         core = ShardCore(0, graph, PPSP(), KeyPathRule.PRECISE, fault_hook=peek)
         core.register(1, 20)
         assert core.lookup(1, 20, 0) == dijkstra(graph, PPSP(), 1).states[20]
+        graph.apply_batch(batch)  # the caller owns the apply, not the core
         core.run_epoch(1, batch)
         assert mid_epoch == [None, None]
         assert core.lookup(1, 20, 1) == dijkstra(graph, PPSP(), 1).states[20]
@@ -289,7 +290,8 @@ class TestOwnerLifecycle:
                             and read.epoch == harness.engine.epoch
                         )
                     # second pass: the zombie has woken and sealed epoch 2
-                    # on its own copy, and is still unreachable (retired)
+                    # on the canonical graph, and is still unreachable
+                    # (retired)
                     release.set()
                     zombie._runner.join(10.0)
                 assert zombie.core.sealed_epoch == harness.engine.epoch
