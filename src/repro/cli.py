@@ -923,7 +923,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dataset", default="OR", help="OR, LJ or UK")
     serve.add_argument("--algorithm", default="ppsp", choices=list_algorithms())
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--shards", type=int, default=2, help="worker threads")
+    serve.add_argument("--shards", type=int, default=2, help="shard workers")
     serve.add_argument(
         "--queue-bound", type=int, default=64, help="per-shard inbox bound"
     )
@@ -967,8 +967,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--schedule",
         default="all",
-        help="builtin schedule name, 'all' builtins, or 'random' for a "
-             "seeded random one (unknown names list what is available)",
+        help="builtin schedule name, 'all' builtins (those the backend "
+             "can fire), or 'random' for a seeded random one (unknown "
+             "names list what is available)",
     )
     chaos.add_argument(
         "--adaptive", action="store_true",
@@ -976,11 +977,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=7, help="workload/fault seed")
     chaos.add_argument("--batches", type=int, default=8, help="stream length")
-    chaos.add_argument("--shards", type=int, default=2, help="worker threads")
+    chaos.add_argument("--shards", type=int, default=2, help="shard workers")
     chaos.add_argument(
         "--backend", default="thread", choices=["thread", "process"],
-        help="shard executor backend; 'all' skips schedules whose faults "
-             "only exist on the thread backend",
+        help="shard executor backend",
     )
     chaos.add_argument("--algorithm", default="ppsp", choices=list_algorithms())
     chaos.add_argument(
@@ -1088,7 +1088,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--adaptive", action="store_true",
         help="traffic: attach the SLO-guarded runtime controller",
     )
-    bench.add_argument("--shards", type=int, default=2, help="worker threads")
+    bench.add_argument("--shards", type=int, default=2, help="shard workers")
     bench.add_argument(
         "--backend", default="thread", choices=["thread", "process"],
         help="traffic: shard executor backend (recorded in the manifest)",

@@ -6,23 +6,11 @@ a whole edge list with a single base-address + length memory request.
 :class:`CSRGraph` is the immutable snapshot format consumed by the hardware
 simulator and the cold-start solver; it also knows the byte layout of its
 arrays so the memory model can translate accesses to addresses.
-
-CSR is also the **cross-process epoch snapshot** of the serve layer's
-process backend (see ``docs/process_shards.md``): :class:`SharedCSR`
-publishes the three arrays into one POSIX shared-memory segment so every
-shard process attaches the same bytes instead of receiving a private
-pickled copy of the topology, and :meth:`CSRGraph.to_dynamic` rebuilds a
-mutable :class:`~repro.graph.dynamic.DynamicGraph` on the far side for
-per-epoch delta application.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -185,10 +173,8 @@ class CSRGraph:
     def to_dynamic(self):
         """Rebuild a mutable :class:`~repro.graph.dynamic.DynamicGraph`.
 
-        This is how a shard process turns the attached shared-memory
-        snapshot back into the adjacency structure the source groups
-        mutate — the arrays are read once and copied, so the caller may
-        close the shared segment immediately afterwards.
+        The arrays are read once and copied, in CSR (out-edge) order; the
+        copy shares nothing with this snapshot.
         """
         from repro.graph.dynamic import DynamicGraph
 
@@ -207,197 +193,3 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(num_vertices={self.num_vertices}, num_edges={self.num_edges})"
-
-
-# ----------------------------------------------------------------------
-# shared-memory publication (the process backend's epoch snapshot)
-# ----------------------------------------------------------------------
-
-#: every segment this module creates carries the prefix so leak checks
-#: (tests/conftest.py) can sweep ``/dev/shm`` for strays
-SHM_PREFIX = "repro-csr-"
-
-#: names published by this process and not yet unlinked (leak tracking)
-_LIVE_SEGMENTS: Set[str] = set()
-_SEGMENT_LOCK = threading.Lock()
-_SEGMENT_SEQ = itertools.count(1)
-
-
-def live_shared_segments() -> List[str]:
-    """Segment names this process published but has not unlinked yet."""
-    with _SEGMENT_LOCK:
-        return sorted(_LIVE_SEGMENTS)
-
-
-@dataclass(frozen=True)
-class SharedCSRMeta:
-    """Everything a peer process needs to attach a published snapshot.
-
-    Kept to primitives (name + two lengths) so it crosses an IPC channel
-    as a plain tuple; dtypes and the intra-segment layout are fixed by
-    :class:`SharedCSR` (8-byte items first, so every array view is
-    naturally aligned).
-    """
-
-    name: str
-    num_vertices: int
-    num_edges: int
-
-    def as_tuple(self) -> Tuple[str, int, int]:
-        return (self.name, self.num_vertices, self.num_edges)
-
-    @classmethod
-    def from_tuple(cls, data: Tuple[str, int, int]) -> "SharedCSRMeta":
-        return cls(*data)
-
-
-class SharedCSR:
-    """One CSR snapshot in one POSIX shared-memory segment.
-
-    Layout (offsets in bytes, everything contiguous)::
-
-        [ indptr  int64   (V+1) ]   8-byte items first so the float64
-        [ weights float64  E    ]   weights stay 8-byte aligned; the
-        [ indices int32    E    ]   int32 ids close the segment
-
-    The **publisher** (:meth:`publish`) owns the segment: its
-    :meth:`close` unlinks the name.  **Attachers** (:meth:`attach`) map
-    an existing name; their :meth:`close` only drops the mapping.  Both
-    sides can hand out a zero-copy :attr:`graph` view while the mapping
-    is open.
-    """
-
-    def __init__(self, shm, meta: SharedCSRMeta, owner: bool) -> None:
-        self._shm = shm
-        self.meta = meta
-        self.owner = owner
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _layout(num_vertices: int, num_edges: int) -> Tuple[int, int, int]:
-        """(weights offset, indices offset, total bytes) of the layout."""
-        indptr_bytes = 8 * (num_vertices + 1)
-        weights_off = indptr_bytes
-        indices_off = weights_off + 8 * num_edges
-        total = indices_off + 4 * num_edges
-        return weights_off, indices_off, max(total, 1)
-
-    @classmethod
-    def publish(cls, csr: CSRGraph, name: Optional[str] = None) -> "SharedCSR":
-        """Copy ``csr`` into a fresh shared segment (this side owns it)."""
-        from multiprocessing import shared_memory
-
-        if name is None:
-            name = f"{SHM_PREFIX}{os.getpid()}-{next(_SEGMENT_SEQ)}"
-        meta = SharedCSRMeta(name, csr.num_vertices, csr.num_edges)
-        weights_off, indices_off, total = cls._layout(
-            meta.num_vertices, meta.num_edges
-        )
-        shm = shared_memory.SharedMemory(name=name, create=True, size=total)
-        buf = shm.buf
-        np.frombuffer(
-            buf, dtype=np.int64, count=meta.num_vertices + 1
-        )[:] = csr.indptr
-        if meta.num_edges:
-            np.frombuffer(
-                buf, dtype=np.float64, count=meta.num_edges,
-                offset=weights_off,
-            )[:] = csr.weights
-            np.frombuffer(
-                buf, dtype=np.int32, count=meta.num_edges,
-                offset=indices_off,
-            )[:] = csr.indices
-        with _SEGMENT_LOCK:
-            _LIVE_SEGMENTS.add(name)
-        return cls(shm, meta, owner=True)
-
-    @classmethod
-    def attach(cls, meta: SharedCSRMeta) -> "SharedCSR":
-        """Map a published segment by name (does not own the name).
-
-        The attach must not register with the ``multiprocessing``
-        resource tracker: the publisher owns the segment's lifetime, and
-        forked children *share* the publisher's tracker — an attach-side
-        register/unregister pair would strip the publisher's own
-        registration, so its legitimate unlink later faults inside the
-        tracker.  Python 3.13 exposes ``track=False`` for exactly this;
-        on earlier runtimes registration is suppressed around the
-        constructor (single-threaded bootstrap context, so the brief
-        swap is safe).
-        """
-        from multiprocessing import shared_memory
-
-        try:  # pragma: no cover - 3.13+ fast path
-            shm = shared_memory.SharedMemory(name=meta.name, track=False)
-        except TypeError:
-            from multiprocessing import resource_tracker
-
-            original = resource_tracker.register
-            resource_tracker.register = lambda *args, **kwargs: None
-            try:
-                shm = shared_memory.SharedMemory(name=meta.name)
-            finally:
-                resource_tracker.register = original
-        return cls(shm, meta, owner=False)
-
-    # ------------------------------------------------------------------
-    @property
-    def graph(self) -> CSRGraph:
-        """Zero-copy :class:`CSRGraph` over the shared buffer.
-
-        Valid only while this handle is open; call
-        :meth:`CSRGraph.to_dynamic` (which copies) before :meth:`close`
-        if the topology must outlive the mapping.
-        """
-        if self._closed:
-            raise ValueError(f"shared CSR {self.meta.name} is closed")
-        weights_off, indices_off, _ = self._layout(
-            self.meta.num_vertices, self.meta.num_edges
-        )
-        buf = self._shm.buf
-        indptr = np.frombuffer(
-            buf, dtype=np.int64, count=self.meta.num_vertices + 1
-        )
-        weights = np.frombuffer(
-            buf, dtype=np.float64, count=self.meta.num_edges,
-            offset=weights_off,
-        )
-        indices = np.frombuffer(
-            buf, dtype=np.int32, count=self.meta.num_edges,
-            offset=indices_off,
-        )
-        return CSRGraph(indptr, indices, weights)
-
-    def unlink(self) -> None:
-        """Remove the segment name (idempotent; attached maps survive)."""
-        with _SEGMENT_LOCK:
-            if self.meta.name not in _LIVE_SEGMENTS:
-                return
-            _LIVE_SEGMENTS.discard(self.meta.name)
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - torn down elsewhere
-            pass
-
-    def close(self) -> None:
-        """Drop this mapping; the owner also unlinks the name (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self.owner:
-            self.unlink()
-        self._shm.close()
-
-    def __enter__(self) -> "SharedCSR":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        role = "owner" if self.owner else "attached"
-        return (
-            f"SharedCSR({self.meta.name}, {role}, "
-            f"V={self.meta.num_vertices}, E={self.meta.num_edges})"
-        )

@@ -68,12 +68,11 @@ __all__ = [
 #: fault kinds a schedule may contain.  ``flash_crowd``/``hot_keys``/
 #: ``slow_shard`` are *overload* faults (no component dies — the system
 #: is pushed past its static configuration, which is what the adaptive
-#: controller is graded on).  The last three are *real* faults: they act
+#: controller is graded on).  The last two are *real* faults: they act
 #: on the worker from outside rather than raising an exception inside it
 #: — ``sigkill_shard`` delivers an actual SIGKILL on the process backend
 #: (an injected kill on threads), ``wedge_shard`` busy-loops the worker
-#: without heartbeats, ``teardown_shm`` unlinks every live shared-memory
-#: topology segment mid-run — so they run identically on both executor
+#: without heartbeats — so they run identically on both executor
 #: backends (see ``docs/process_shards.md``).
 KINDS = (
     "kill_shard",
@@ -85,7 +84,6 @@ KINDS = (
     "slow_shard",
     "sigkill_shard",
     "wedge_shard",
-    "teardown_shm",
 )
 
 #: kinds delivered through the worker-side ``fault_hook`` — they cannot
@@ -136,11 +134,10 @@ class FaultEvent:
     The *real* kinds fire from the driver immediately before ``epoch``'s
     submit and act on the worker from outside: ``sigkill_shard``
     SIGKILLs shard ``target`` (``os.kill`` on the process backend, the
-    injected-kill analogue on threads), ``wedge_shard`` spins shard
+    injected-kill analogue on threads), and ``wedge_shard`` spins shard
     ``target`` in a heartbeat-free busy loop for ``payload``
     milliseconds (size it past the epoch deadline so the barrier fails
-    the shard), and ``teardown_shm`` unlinks every live shared-memory
-    topology segment (``target``/``payload`` unused).
+    the shard).
     """
 
     epoch: int
@@ -323,17 +320,10 @@ def builtin_schedule(name: str) -> ChaosSchedule:
         # default 0.5s epoch deadline, so the barrier times the worker
         # out and fails the shard while it is still technically alive;
         # threshold 2 keeps the breaker closed so the rescue lands on
-        # the respawned worker immediately, and a mid-run shared-memory
-        # teardown proves respawns republish rather than depend on the
-        # original segment
+        # the respawned worker immediately
         return ChaosSchedule(
             "wedge-shard",
-            [
-                FaultEvent(
-                    epoch=3, kind="wedge_shard", target=0, payload=1500
-                ),
-                FaultEvent(epoch=3, kind="teardown_shm"),
-            ],
+            [FaultEvent(epoch=3, kind="wedge_shard", target=0, payload=1500)],
             failure_threshold=2,
             breaker_cooldown=2.0,
         )
@@ -411,7 +401,6 @@ class ChaosController:
         self._tears: Dict[int, FaultEvent] = {}
         self._sigkills: Dict[int, FaultEvent] = {}
         self._wedges: Dict[int, FaultEvent] = {}
-        self._teardowns: Dict[int, FaultEvent] = {}
         self._barriers: List[threading.Event] = []
         self._crowds: Dict[int, List[FaultEvent]] = {}   # wave epoch -> events
         self._hot: Dict[int, List[FaultEvent]] = {}
@@ -438,8 +427,6 @@ class ChaosController:
                 self._sigkills[event.epoch] = event
             elif event.kind == "wedge_shard":
                 self._wedges[event.epoch] = event
-            elif event.kind == "teardown_shm":
-                self._teardowns[event.epoch] = event
             elif event.kind == "flash_crowd":
                 for wave in range(event.epoch, event.epoch + event.duration):
                     self._crowds.setdefault(wave, []).append(event)
@@ -519,9 +506,8 @@ class ChaosController:
         These act on the worker from outside instead of raising inside
         it, so they are delivered from the driver thread and work on
         both executor backends: ``sigkill_shard`` via ``worker.kill()``
-        (a genuine ``os.kill`` on processes), ``wedge_shard`` via a
-        wedge command the worker spins on without heartbeating, and
-        ``teardown_shm`` via the engine's shared-segment teardown.
+        (a genuine ``os.kill`` on processes) and ``wedge_shard`` via a
+        wedge command the worker spins on without heartbeating.
         """
         event = self._sigkills.pop(epoch, None)
         if event is not None:
@@ -530,10 +516,6 @@ class ChaosController:
         event = self._wedges.pop(epoch, None)
         if event is not None:
             harness.engine.shards[event.target].submit_wedge(event.payload)
-            self.fired.append(event)
-        event = self._teardowns.pop(epoch, None)
-        if event is not None:
-            harness.engine.teardown_shared()
             self.fired.append(event)
 
     def wave_before(
@@ -763,7 +745,7 @@ def run_chaos(
             raise ValueError(
                 f"schedule {schedule.name!r} uses in-worker fault kinds "
                 f"{unsupported} that cannot fire on the {backend!r} "
-                f"backend; use sigkill_shard/wedge_shard/teardown_shm"
+                f"backend; use sigkill_shard/wedge_shard"
             )
     policy = slo or schedule.slo
     graph, batches = _workload(seed, num_vertices, num_edges, num_batches)

@@ -12,8 +12,8 @@ keeps streaming.  This package is that serving layer:
   graph the engine moves between epochs;
 * :mod:`repro.serve.executor` — the pluggable backend layer:
   :class:`ProcessShardWorker` runs the same worker surface as a real OS
-  process over a shared-memory CSR snapshot, with exit-code failure
-  taxonomy (crashed/hung/killed);
+  process over an inherited replica of the canonical graph, with
+  exit-code failure taxonomy (crashed/hung/killed);
 * :mod:`repro.serve.ipc` — the primitive-only command/outcome codec the
   process backend speaks;
 * :mod:`repro.serve.engine` — the sharded engine speaking the common

@@ -50,7 +50,6 @@ from repro.core.keypath import KeyPathTracker
 from repro.core.multiquery import SourceGroup
 from repro.errors import ShardCrashedError, ShardShutdownError
 from repro.graph.batch import UpdateBatch, net_effects
-from repro.graph.csr import CSRGraph, SharedCSR
 from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import BatchResult, OpCounts
@@ -140,20 +139,12 @@ class ShardedServeEngine:
             graph, algorithm, anchor.source, [anchor.destination], rule
         )
         #: which executor runs the workers ("thread" default, "process"
-        #: for real OS processes over a shared-memory topology snapshot)
+        #: for real OS processes, each inheriting the canonical graph)
         self.backend = resolve_backend(backend)
-        #: every shared-memory snapshot published so far; all unlinked at
-        #: close() (children copy the topology at bootstrap and drop their
-        #: mappings, so holding these is cheap — one segment per pool
-        #: generation, not per worker)
-        self._publications: List[SharedCSR] = []
-        self._generation_pub: Optional[SharedCSR] = None
         #: per-worker flight-ring spill files land here (process backend
         #: with telemetry); an engine-created tempdir is removed at close
         self._spill_root: Optional[str] = None
         self._spill_root_owned = False
-        if self.backend == "process":
-            self._generation_pub = self._publish_snapshot()
         self.shards = [
             self._make_worker(index) for index in range(num_shards)
         ]
@@ -161,18 +152,6 @@ class ShardedServeEngine:
         self.retired: List[ShardWorker] = []
         self._initialized = False
         self._batches_seen = 0
-
-    def _publish_snapshot(self) -> SharedCSR:
-        """Publish the canonical topology as one shared-memory segment.
-
-        Called once per pool generation: at construction, and again on
-        every :meth:`replace_shard` / :meth:`rescale` so replacements
-        bootstrap from the *current* canonical graph — exactly what the
-        anchor checkpoint plus the WAL tail reconstruct.
-        """
-        publication = SharedCSR.publish(CSRGraph.from_dynamic(self.graph))
-        self._publications.append(publication)
-        return publication
 
     def _spill_dir(self) -> Optional[str]:
         """Where process children spill their flight rings (lazy).
@@ -197,7 +176,7 @@ class ShardedServeEngine:
         if self.backend == "process":
             return ProcessShardWorker(
                 index,
-                self._generation_pub,
+                self.graph,
                 self.algorithm,
                 rule=self.rule,
                 queue_bound=self.queue_bound,
@@ -423,11 +402,6 @@ class ShardedServeEngine:
         old = self.shards[index]
         old.request_stop()
         self.retired.append(old)
-        if self.backend == "process":
-            # fresh snapshot of the current canonical topology — the dead
-            # child's segment may predate many epochs of deltas (or have
-            # been torn down by chaos mid-run)
-            self._generation_pub = self._publish_snapshot()
         replacement = self._make_worker(index)
         replacement.start()
         self.shards[index] = replacement
@@ -452,28 +426,9 @@ class ShardedServeEngine:
         for old in self.shards:
             old.request_stop()
             self.retired.append(old)
-        if self.backend == "process":
-            self._generation_pub = self._publish_snapshot()
         self.shards = [self._make_worker(index) for index in range(num_shards)]
         if self._initialized:
             self._start_shards()
-
-    def teardown_shared(self) -> int:
-        """Unlink every live shared-memory publication (chaos fault).
-
-        Simulates an operator (or a cleanup daemon) tearing ``/dev/shm``
-        out from under a running pool.  Running children are unaffected —
-        they copied the topology at bootstrap and closed their mappings —
-        but the next :meth:`replace_shard` must republish, which is
-        exactly the robustness property the fault exercises.  Returns the
-        number of segments torn down.
-        """
-        torn = len(self._publications)
-        for publication in self._publications:
-            publication.close()
-        self._publications.clear()
-        self._generation_pub = None
-        return torn
 
     def close(self, timeout: float = 5.0, strict: bool = True) -> None:
         """Stop and join every worker, including retired ones (idempotent).
@@ -489,10 +444,6 @@ class ShardedServeEngine:
         for shard in self.shards + self.retired:
             if not shard.stop(timeout=timeout):
                 stragglers.append(shard.index)
-        for publication in self._publications:
-            publication.close()
-        self._publications.clear()
-        self._generation_pub = None
         if self._spill_root_owned and self._spill_root is not None:
             shutil.rmtree(self._spill_root, ignore_errors=True)
             self._spill_root = None

@@ -11,11 +11,12 @@ failure taxonomy, all inherited — and swaps the carrier: a child process
 runs the same :func:`~repro.serve.shard.serve_commands` loop, taking
 commands from one ``multiprocessing`` queue and putting its reports on
 another (wire format: :mod:`repro.serve.ipc`).  The topology crosses
-once, as a shared-memory CSR snapshot
-(:class:`~repro.graph.csr.SharedCSR`) that every child attaches and
-copies into a replica, and per-epoch deltas ride the command queue as
-net-effect batches that the child applies to that replica as it decodes
-them — the one carrier that keeps a second copy is the one that applies.
+once, as the canonical :class:`~repro.graph.dynamic.DynamicGraph` handed
+to the child at :meth:`~ProcessShardWorker.start` — a copy-on-write image
+under ``fork``, pickled with the process arguments under ``spawn`` —
+and per-epoch deltas ride the command queue as net-effect batches that
+the child applies to that replica as it decodes them: the one carrier
+that keeps a second copy is the one that applies.
 
 What stays per carrier here: spawn and a reader thread that drains the
 child's reports; the stop → SIGTERM → SIGKILL ladder; a real SIGKILL;
@@ -45,7 +46,7 @@ from typing import Callable, Dict, Optional
 
 from repro.algorithms.registry import get_algorithm
 from repro.core.classification import KeyPathRule
-from repro.graph.csr import SharedCSR, SharedCSRMeta
+from repro.graph.dynamic import DynamicGraph
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS
 from repro.obs.telemetry import Telemetry
 from repro.serve.ipc import (
@@ -89,8 +90,9 @@ def _context():
     """The multiprocessing context for shard children.
 
     ``fork`` when the platform offers it (fast spawn, no re-import; the
-    child immediately enters :func:`_shard_child_main` and touches only
-    its own queues and the shared segment), ``spawn`` otherwise.
+    child inherits the canonical graph as a copy-on-write image and
+    touches only that and its own queues), ``spawn`` otherwise (the graph
+    is pickled, its adjacency dicts in insertion order).
     """
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
@@ -103,7 +105,7 @@ def _context():
 # ----------------------------------------------------------------------
 def _shard_child_main(
     index: int,
-    meta_tuple,
+    graph: DynamicGraph,
     algorithm_name: str,
     rule_value: str,
     commands,
@@ -114,8 +116,8 @@ def _shard_child_main(
 ) -> None:
     """Body of one shard child process.
 
-    Attaches the published topology, builds a
-    :class:`~repro.serve.shard.ShardCore` and runs
+    Builds a :class:`~repro.serve.shard.ShardCore` on ``graph`` (the
+    child's own replica of the canonical graph) and runs
     :func:`~repro.serve.shard.serve_commands` on it, decoding commands
     off ``commands`` and encoding reports onto ``outcomes`` through the
     IPC codec.  With ``telemetry_on`` the child installs a
@@ -127,9 +129,6 @@ def _shard_child_main(
     start method can import it.
     """
     try:
-        shared = SharedCSR.attach(SharedCSRMeta.from_tuple(meta_tuple))
-        graph = shared.graph.to_dynamic()
-        shared.close()  # topology copied; drop the mapping immediately
         core = ShardCore(
             index, graph, get_algorithm(algorithm_name),
             KeyPathRule(rule_value), fault_hook=None, provenance=None,
@@ -182,6 +181,12 @@ class ProcessShardWorker(ShardWorker):
     heartbeat, in-flight ledger, owned-source mirror, session handles —
     updated by a small reader thread that drains the child's reports
     into the inherited dispatch.
+
+    ``graph`` is the engine's canonical graph; the child's replica is
+    that graph as of :meth:`start`, not as of construction.  ``epoch``
+    must be the epoch the graph is at then, which holds because every
+    caller starts a worker before the engine applies its next batch
+    (``initialize`` / ``adopt_state``, ``replace_shard``, ``rescale``).
     """
 
     backend = "process"
@@ -192,7 +197,7 @@ class ProcessShardWorker(ShardWorker):
     def __init__(
         self,
         index: int,
-        publication: SharedCSR,
+        graph: DynamicGraph,
         algorithm,
         rule: KeyPathRule = KeyPathRule.PRECISE,
         queue_bound: int = 64,
@@ -204,7 +209,6 @@ class ProcessShardWorker(ShardWorker):
         epoch: int = 0,
     ) -> None:
         self._setup(index, queue_bound, clock, telemetry_source)
-        self.publication = publication
         self.algorithm = algorithm
         self.rule = rule
         # the child's agent is armed at *spawn*: telemetry attached after
@@ -225,14 +229,14 @@ class ProcessShardWorker(ShardWorker):
             target=_shard_child_main,
             args=(
                 index,
-                publication.meta.as_tuple(),
+                graph,
                 algorithm.name,
                 rule.value,
                 self.commands,
                 self.outcomes,
                 telemetry_on,
                 self.spill_path,
-                epoch,  # the one ``publication`` was taken at
+                epoch,
             ),
             name=f"serve-shard-{index}-proc",
             daemon=True,

@@ -168,8 +168,8 @@ class ServeHarness:
         ``provenance`` overrides the default
         :class:`~repro.obs.provenance.ProvenanceRecorder` backing
         :meth:`explain`; ``backend`` picks the shard executor
-        (``"thread"`` default, ``"process"`` for real OS processes over
-        a shared-memory topology snapshot — see
+        (``"thread"`` default, ``"process"`` for real OS processes, each
+        inheriting the canonical graph — see
         ``docs/process_shards.md``); ``pipeline_kwargs`` pass through to
         :class:`~repro.resilience.pipeline.ResilientPipeline` (e.g.
         ``checkpoint_every``, ``guard_every``, ``wal_sync``,

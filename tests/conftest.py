@@ -39,27 +39,6 @@ def no_thread_leaks():
     )
 
 
-@pytest.fixture(autouse=True)
-def no_shared_memory_leaks():
-    """Every test must unlink the shared-memory CSR segments it published.
-
-    A leaked segment outlives the interpreter (it is a kernel object, not
-    process memory), so a forgotten close() silently fills /dev/shm across
-    CI runs.  Checks both the in-process owner registry and the kernel's
-    view of segments carrying our name prefix.
-    """
-    import glob
-
-    from repro.graph.csr import SHM_PREFIX, live_shared_segments
-
-    before = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
-    yield
-    live = live_shared_segments()
-    assert not live, f"test leaked shared-memory segment(s): {live}"
-    strays = set(glob.glob(f"/dev/shm/{SHM_PREFIX}*")) - before
-    assert not strays, f"test left stray /dev/shm segment(s): {strays}"
-
-
 @pytest.fixture(params=ALL_ALGORITHMS)
 def algorithm(request):
     """Every registered monotonic algorithm, one at a time."""

@@ -4,8 +4,7 @@ The original chaos suite injects *simulated* failures through the
 thread backend's fault hook.  These schedules injure the deployment for
 real — ``sigkill_shard`` delivers an actual SIGKILL to a worker process,
 ``wedge_shard`` spins a worker past the epoch deadline without
-heartbeats, ``teardown_shm`` rips the shared topology segments out from
-under the pool — and the acceptance bar is unchanged: bit-identical
+heartbeats — and the acceptance bar is unchanged: bit-identical
 convergence with the offline replay, on the process backend *and* on the
 thread backend playing the same schedule through its in-thread
 analogues.
@@ -87,7 +86,7 @@ class TestSigkillConvergence:
 
 class TestWedgeConvergence:
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_wedge_plus_shm_teardown_converges(self, tmp_path, backend):
+    def test_wedge_converges(self, tmp_path, backend):
         report = run_chaos(
             builtin_schedule("wedge-shard"),
             str(tmp_path / backend),
@@ -95,7 +94,7 @@ class TestWedgeConvergence:
             backend=backend,
         )
         assert report.converged, report.mismatches
-        assert report.faults_fired == ["wedge_shard@3", "teardown_shm@3"]
+        assert report.faults_fired == ["wedge_shard@3"]
         # the barrier deadline retired the wedged worker instead of
         # hanging ingest, and the supervisor respawned it
         assert report.supervisor["shard_restarts"] == 1

@@ -2,17 +2,22 @@
 
 Three layers, one file: the primitive-only IPC codec round-trips; a
 process-backed :class:`ServeHarness` serves the same workload as the
-thread backend bit-identically; and real failure injection — SIGKILL,
-nonzero-exit ``die``, wedged spins — is detected with the right taxonomy
-(killed / crashed / hung), survives through the supervisor, and leaves a
-useful post-mortem behind.
+thread backend bit-identically, respawned and rescaled children included,
+and leaves no process behind once closed; and real failure injection —
+SIGKILL, nonzero-exit ``die``, wedged spins — is detected with the right
+taxonomy (killed / crashed / hung), survives through the supervisor, and
+leaves a useful post-mortem behind.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
-from repro.algorithms import PPSP
+from repro.algorithms import PPSP, get_algorithm
 from repro.graph.batch import UpdateBatch, add
 from repro.metrics import OpCounts
 from repro.query import PairwiseQuery
@@ -34,7 +39,10 @@ from repro.serve.ipc import (
     encode_telemetry_frame,
 )
 from repro.serve.shard import ShardBatchOutcome
-from tests.conftest import random_batch, random_graph
+from tests.conftest import ALL_ALGORITHMS, random_batch, random_graph
+from tests.test_workflow_golden import QUERIES as GOLDEN_QUERIES
+from tests.test_workflow_golden import SINGLE as GOLDEN_ANCHOR
+from tests.test_workflow_golden import _stream as golden_stream
 
 pytestmark = [pytest.mark.procserve, pytest.mark.serve]
 
@@ -347,43 +355,88 @@ class TestEpochBarrier:
             assert result.failed_shards == []
 
 
-class TestSharedSnapshotLifecycle:
-    def test_children_survive_a_mid_run_shm_teardown(self, tmp_path):
-        """Workers copy the snapshot at bootstrap, so tearing down the
-        parent's segments mid-run must not disturb a running epoch."""
-        graph = random_graph(60, 300, seed=18)
-        batches = _stream(graph, num_batches=2, seed=18)
-        with _open(tmp_path, "process", graph) as harness:
-            for pair in PAIRS:
-                harness.register(*pair)
-            assert harness.wait_all_live(timeout=30.0)
-            result = harness.submit(batches[0])
-            assert result.failed_shards == []
-            assert harness.engine.teardown_shared() >= 1
-            result = harness.submit(batches[1])
-            assert result.failed_shards == []
+class TestInheritedTopology:
+    @pytest.mark.parametrize("name", ALL_ALGORITHMS)
+    def test_respawn_and_rescale_match_the_thread_backend(
+        self, tmp_path, name
+    ):
+        """A respawned or rescaled child inherits the canonical graph as
+        it stands, adjacency order included, so its epochs count the same
+        work as the thread shards': shard 1 is killed before commit 4 and
+        respawned by the supervisor, the pool grows to 3 before commit 8."""
+        graph, batches = golden_stream()
+        rows = {}
+        for backend in BACKENDS:
+            rows[backend] = []
+            with ServeHarness.open(
+                str(tmp_path / backend), graph.copy(), get_algorithm(name),
+                GOLDEN_ANCHOR, num_shards=2, backend=backend,
+            ) as harness:
+                for query in GOLDEN_QUERIES:
+                    harness.register(query.source, query.destination)
+                assert harness.wait_all_live(timeout=30.0)
+                for commit, batch in enumerate(batches[:12], start=1):
+                    if commit == 4:
+                        harness.engine.shards[1].kill()
+                        _wait_dead(harness.engine.shards[1])
+                    if commit == 8:
+                        harness.rescale_shards(3)
+                    result = harness.submit(batch)
+                    rows[backend].append((
+                        result.epoch,
+                        result.answers,
+                        result.response_ops,
+                        result.post_ops,
+                        result.stats,
+                        [index for index, _ in result.failed_shards],
+                    ))
+                assert harness.supervisor.shard_restarts == 1
+        assert rows["process"][3][5] == [1]
+        assert rows["process"] == rows["thread"]
 
-    def test_teardown_is_a_noop_on_the_thread_backend(self, tmp_path):
-        graph = random_graph(60, 300, seed=19)
-        with _open(tmp_path, "thread", graph) as harness:
-            assert harness.engine.teardown_shared() == 0
 
-    def test_respawn_republishes_for_the_new_child(self, tmp_path):
-        """replace_shard after a teardown must give the fresh process a
-        snapshot of the *current* canonical graph to bootstrap from."""
-        graph = random_graph(60, 300, seed=20)
-        batches = _stream(graph, num_batches=3, seed=20)
-        with _open(tmp_path, "process", graph) as harness:
-            for pair in PAIRS:
-                harness.register(*pair)
-            assert harness.wait_all_live(timeout=30.0)
-            assert harness.submit(batches[0]).failed_shards == []
-            harness.engine.teardown_shared()
-            harness.engine.shards[1].kill()
-            _wait_dead(harness.engine.shards[1])
-            result = harness.submit(batches[1])
-            assert [index for index, _ in result.failed_shards] == [1]
-            # the respawned child bootstrapped from a republished segment
-            # carrying batch 1's edits and answers epoch 3 correctly
-            result = harness.submit(batches[2])
-            assert result.failed_shards == []
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="scans /proc for children"
+)
+def test_a_closed_process_harness_leaves_no_child_process(tmp_path):
+    """Opening, using and closing a process harness must not leave a
+    helper process behind (checked in a fresh interpreter, whose only
+    children are the ones the harness made)."""
+    script = textwrap.dedent(f"""
+        import os
+        from repro.algorithms import PPSP
+        from repro.query import PairwiseQuery
+        from repro.serve import ServeHarness
+        from tests.conftest import random_graph
+
+        harness = ServeHarness.open(
+            {str(tmp_path / "state")!r}, random_graph(60, 300, seed=21),
+            PPSP(), PairwiseQuery(7, 23), num_shards=2, backend="process",
+        )
+        harness.register(1, 20)
+        assert harness.wait_all_live(timeout=30.0)
+        harness.close()
+        me = str(os.getpid())
+        children = []
+        for entry in os.listdir("/proc"):
+            if entry.isdigit():
+                try:
+                    with open(f"/proc/{{entry}}/stat") as handle:
+                        stat = handle.read()
+                except OSError:
+                    continue
+                if stat.rsplit(")", 1)[1].split()[1] == me:
+                    children.append(entry)
+        print(len(children))
+    """)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=root,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"], done.stdout

@@ -6,11 +6,11 @@ shard epoch body were each collapsed to one implementation — and is
 compared here value for value: answers, ``OpCounts``, stats and
 activation-wave sizes, per batch, for every algorithm under both key-path
 rules, on the single-query engine, the multi-query engine and a sharded
-serve harness (both backends).  Its ``baselines`` entries were added at
-commit ``fe13e11``, before the incremental kernels were rewritten: the
-same stream through the plain incremental engine (both deletion
-policies), SGraph, the coalescing engine and SGraph's hub index, per
-algorithm.  A hot-path change that keeps this file green did not change
+serve harness (one pin for both backends).  Its ``baselines`` entries
+were added at commit ``fe13e11``, before the incremental kernels were
+rewritten: the same stream through the plain incremental engine (both
+deletion policies), SGraph, the coalescing engine and SGraph's hub
+index, per algorithm.  A hot-path change that keeps this file green did not change
 what the engines compute or how much work they count for it.
 
 Regenerate (only when an answer or a counter is *meant* to change)::
@@ -215,14 +215,10 @@ def build_golden(directory: str) -> dict:
         cases[f"{name}/{rule.value}"] = {
             "single": run_single(graph, batches, algorithm, rule),
             "multi": run_multi(graph, batches, algorithm, rule),
-            **{
-                f"serve/{backend}": run_serve(
-                    graph, batches, algorithm, rule,
-                    os.path.join(directory, f"{name}-{rule.value}-{backend}"),
-                    backend,
-                )
-                for backend in ("thread", "process")
-            },
+            "serve/thread": run_serve(
+                graph, batches, algorithm, rule,
+                os.path.join(directory, f"{name}-{rule.value}"), "thread",
+            ),
         }
     return {"op_fields": OP_FIELDS, "cases": cases, "baselines": baselines}
 
@@ -278,20 +274,15 @@ def test_thread_harness_matches_the_pin(golden, stream, tmp_path, name, rule):
 @pytest.mark.procserve
 @pytest.mark.parametrize("name,rule", CASES)
 def test_process_harness_matches_the_pin(golden, stream, tmp_path, name, rule):
-    """The process backend is pinned on its own run: its children rebuild
-    the topology from a CSR snapshot, whose neighbour order breaks
-    equal-state ties differently from the thread workers' dict copies —
-    same answers, different parents, hence different repair ``OpCounts``
-    (already so at ``7cd8e6b``).  Answers must agree across backends."""
+    """A process child inherits the canonical graph, adjacency order and
+    all, so it breaks equal-state ties as a thread shard does: the
+    ``serve/thread`` rows pin answers, ``OpCounts`` and stats for both."""
     rows = run_serve(
         *stream, get_algorithm(name), rule, str(tmp_path / "state"), "process"
     )
-    pinned = golden[f"{name}/{rule.value}"]
-    _assert_rows(rows, pinned["serve/process"], "serve/process")
-    for have, thread in zip(rows, pinned["serve/thread"]):
-        assert (have["epoch"], have["answer"], have["answers"]) == (
-            thread["epoch"], thread["answer"], thread["answers"]
-        )
+    _assert_rows(
+        rows, golden[f"{name}/{rule.value}"]["serve/thread"], "serve/process"
+    )
 
 
 @pytest.mark.parametrize("name,baseline", BASELINE_CASES)
