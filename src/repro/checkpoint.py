@@ -17,6 +17,12 @@ topology.  It names the base checkpoint it continues (``base_snapshot_id``)
 and is exact for *that base's topology plus the WAL records in
 (``base_snapshot_id``, ``snapshot_id``]* — a pipeline writes one per cadence
 tick instead of re-serialising edges the WAL beside it already holds.
+
+A base is deflated (``np.savez_compressed``): it holds the edges and is
+written rarely.  A state record is stored (``np.savez``): it is written on
+every tick, and deflating its 16 bytes per vertex took most of the tick's
+time for a few tens of kilobytes saved.  ``np.load`` reads either encoding,
+so records written deflated still load.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ def save_checkpoint(
     With ``base_snapshot_id`` the archive is a v3 *state record* instead:
     no ``edges_*`` arrays, only the edge count and the snapshot id of the
     base checkpoint whose topology (plus the WAL since) the state is for.
+    A base is written deflated, a record stored (see the module docstring).
 
     The write is atomic: the archive goes to a temporary file in the same
     directory, is fsynced, then renamed over ``path`` — a crash mid-write
@@ -88,7 +95,7 @@ def save_checkpoint(
         path = path + ".npz"  # np.savez appends it; keep the path identical
     graph = engine.graph
     if base_snapshot_id is None:
-        version = _FORMAT_VERSION
+        version, write = _FORMAT_VERSION, np.savez_compressed
         edges = list(graph.edges())
         topology = dict(
             edges_src=np.array([e[0] for e in edges], dtype=np.int64),
@@ -96,7 +103,7 @@ def save_checkpoint(
             edges_wgt=np.array([e[2] for e in edges], dtype=np.float64),
         )
     else:  # a state record names its topology instead of holding it
-        version = _RECORD_VERSION
+        version, write = _RECORD_VERSION, np.savez
         topology = dict(
             num_edges=np.int64(graph.num_edges),
             base_snapshot_id=np.int64(base_snapshot_id),
@@ -104,7 +111,7 @@ def save_checkpoint(
     tmp_path = path + ".tmp"
     try:
         with open(tmp_path, "wb") as handle:
-            np.savez_compressed(
+            write(
                 handle,
                 version=np.int64(version),
                 algorithm=np.str_(engine.algorithm.name),
@@ -150,7 +157,10 @@ def _archive(path: str):
         raise CheckpointError(f"checkpoint {path!r} does not exist") from exc
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path!r} is missing field {exc}") from exc
-    except (zipfile.BadZipFile, zlib.error, OSError, ValueError, EOFError) as exc:
+    # zipfile raises NotImplementedError (a RuntimeError) for a damaged
+    # method, version or flag field, and RuntimeError for an "encrypted" bit
+    except (zipfile.BadZipFile, zlib.error, OSError, ValueError, EOFError,
+            RuntimeError) as exc:
         raise CheckpointError(f"checkpoint {path!r} is corrupt: {exc}") from exc
 
 
@@ -212,6 +222,12 @@ def restore_checkpoint(
     wrong answers.
     """
     with _archive(path) as data:
+        if int(data["version"]) == _RECORD_VERSION:
+            raise CheckpointError(
+                f"{path!r} is a v3 state record for base snapshot "
+                f"{int(data['base_snapshot_id'])}, not a checkpoint: "
+                "RecoveryManager adopts it on top of its base"
+            )
         src = data["edges_src"].tolist()
         info = _info(path, data, num_edges=len(src))
         algorithm = algorithm or get_algorithm(info.algorithm)

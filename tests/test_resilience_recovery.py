@@ -484,7 +484,7 @@ class TestStateRecord:
             handle.write(b"PK\x03\x04 half a zip archive")
             raise faults.SimulatedCrash("killed mid-record")
 
-        monkeypatch.setattr("repro.checkpoint.np.savez_compressed", torn_write)
+        monkeypatch.setattr("repro.checkpoint.np.savez", torn_write)  # records are stored
         with pytest.raises(faults.SimulatedCrash):
             pipeline.run_batch(batches[3])  # tick at 4 dies inside the write
         pipeline.wal.close()
@@ -765,5 +765,125 @@ class TestStateRecord:
         graph, batches = make_scenario()
         directory = str(tmp_path / "state")
         run_then_crash(directory, graph, batches[:2])
-        with pytest.raises(CheckpointError, match="edges_src"):
+        with pytest.raises(CheckpointError,
+                           match="v3 state record for base snapshot 0"):
             load_checkpoint(record_path(directory))
+
+
+# ----------------------------------------------------------------------
+# archive encodings: the base is deflated, a state record stored; both
+# load, and no damaged byte of either escapes as anything but a
+# CheckpointError.
+# ----------------------------------------------------------------------
+def member_encodings(path):
+    import zipfile
+
+    with zipfile.ZipFile(path) as archive:
+        return {info.filename: info.compress_type for info in archive.infolist()}
+
+
+def small_state_directory(tmp_path):
+    """A 30-vertex directory holding a base at 0 and a record at 2."""
+    graph = random_graph(30, 120, seed=11)
+    batches = [random_batch(graph, 4, 3, seed=12 + i) for i in range(2)]
+    directory = str(tmp_path / "small")
+    run_then_crash(directory, graph, batches)
+    return directory
+
+
+class TestArchiveEncoding:
+    def test_record_is_stored_and_base_is_deflated(self, tmp_path):
+        import zipfile
+
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:4])
+        record = member_encodings(record_path(directory))
+        base = member_encodings(state_paths(directory)[0])
+        assert "states.npy" in record and "edges_src.npy" in base
+        assert set(record.values()) == {zipfile.ZIP_STORED}
+        assert set(base.values()) == {zipfile.ZIP_DEFLATED}
+
+    def test_deflated_record_still_loads(self, tmp_path):
+        """Every record written before records were stored was deflated."""
+        import zipfile
+
+        import numpy as np
+
+        from repro.checkpoint import load_state_record, restore_checkpoint
+
+        graph, batches = make_scenario()
+        directory = str(tmp_path / "state")
+        run_then_crash(directory, graph, batches[:5])
+        stored = RecoveryManager(directory).recover()
+        with np.load(record_path(directory)) as data:
+            fields = {name: data[name] for name in data.files}
+        np.savez_compressed(record_path(directory), **fields)
+        assert set(member_encodings(record_path(directory)).values()) == {
+            zipfile.ZIP_DEFLATED
+        }
+
+        engine, base = restore_checkpoint(state_paths(directory)[0])
+        info, states, parents = load_state_record(record_path(directory), engine, base)
+        assert info == stored.record
+        assert (states, parents) == (
+            fields["states"].tolist(), fields["parents"].tolist(),
+        )
+        deflated = RecoveryManager(directory).recover()
+        assert deflated.record == stored.record
+        assert (deflated.skipped, deflated.replayed) == (
+            stored.skipped, stored.replayed,
+        ) == ([1, 2, 3, 4], [5])
+        assert deflated.engine.state.states == stored.engine.state.states
+        assert_equals_straight_through(deflated, graph, batches[:5])
+
+    @pytest.mark.parametrize("mask", [0xFF, 0x01])
+    @pytest.mark.parametrize("kind", ["record", "base"])
+    def test_every_byte_flip_loads_or_is_rejected(self, tmp_path, kind, mask):
+        """zipfile meets a flipped header byte with BadZipFile, zlib.error,
+        NotImplementedError, RuntimeError, ...; each must come out as the
+        CheckpointError recovery falls back on (record) or refuses (base)."""
+        from repro.checkpoint import (
+            CheckpointError,
+            load_state_record,
+            restore_checkpoint,
+        )
+
+        directory = small_state_directory(tmp_path)
+        base_path = state_paths(directory)[0]
+        engine, base = restore_checkpoint(base_path)
+        if kind == "record":
+            path, load = record_path(directory), lambda p: load_state_record(p, engine, base)
+        else:
+            path, load = base_path, restore_checkpoint
+
+        with open(path, "rb") as handle:
+            pristine = handle.read()
+        rejected = 0
+        for position in range(len(pristine)):
+            damaged = bytearray(pristine)
+            damaged[position] ^= mask
+            with open(path, "wb") as handle:
+                handle.write(bytes(damaged))
+            try:
+                load(path)
+            except CheckpointError:
+                rejected += 1
+        assert rejected > len(pristine) // 2  # most bytes matter
+
+    def test_restore_checkpoint_names_a_state_record(self, tmp_path):
+        from repro.checkpoint import CheckpointError, restore_checkpoint
+
+        graph, _ = make_scenario()
+        engine = CISGraphEngine(graph.copy(), ALG, QUERY)
+        engine.initialize()
+        path = str(tmp_path / "state.npz")
+        save_checkpoint(path, engine, snapshot_id=7, wal_sequence=7,
+                        base_snapshot_id=3)
+        with pytest.raises(
+            CheckpointError,
+            match="is a v3 state record for base snapshot 3, not a checkpoint: "
+                  "RecoveryManager adopts it on top of its base",
+        ):
+            restore_checkpoint(path)
+        assert checkpoint_info(path).base_snapshot_id == 3  # still readable
