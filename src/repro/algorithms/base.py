@@ -18,7 +18,7 @@ behind this interface.
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 
 class MonotonicAlgorithm(abc.ABC):
@@ -104,33 +104,17 @@ class MonotonicAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # the hot-loop form of the semiring
     # ------------------------------------------------------------------
-    #: C-level stand-ins for :meth:`propagate` / :meth:`is_better`
-    #: (``operator.add``, ``operator.lt``, ...).  Only an operator that
-    #: returns what the method returns, in value *and* type, qualifies:
-    #: answer digests hash ``repr``.  Honoured only when declared by the
-    #: class that defines the method, so overriding the method drops it.
-    plus_op: Optional[Callable[[float, float], float]] = None
-    better_op: Optional[Callable[[float, float], bool]] = None
-
-    def kernel(self) -> Tuple[Callable, Callable, Optional[Callable]]:
-        """``(plus, better, transform)`` for the per-edge loops.
-
-        :class:`~repro.incremental.IncrementalState` and
-        :func:`~repro.core.classification.classify_batch` apply ``plus``
-        / ``better`` in place of :meth:`propagate` / :meth:`is_better`,
-        and ``transform`` in place of :meth:`transform_weight` — ``None``
-        when it is the identity, so the loop skips the call.  The methods
-        stay the reference: the solvers and the oracle call them.
-        """
-        cls = type(self)
-        identity_transform = (
-            cls.transform_weight is MonotonicAlgorithm.transform_weight
-        )
-        return (
-            _declared_beside(cls, "propagate", "plus_op") or self.propagate,
-            _declared_beside(cls, "is_better", "better_op") or self.is_better,
-            None if identity_transform else self.transform_weight,
-        )
+    #: :meth:`propagate`, :meth:`is_better` and :meth:`transform_weight` as
+    #: expression templates over ``{a}`` / ``{b}`` (``{w}`` for the raw
+    #: weight; ``self`` is the instance), spliced into the per-edge loops
+    #: by :mod:`repro.kernels`.  An expression must return what the method
+    #: returns, in value *and* type: answer digests hash ``repr``.  It is
+    #: honoured only when declared by the class that defines the method,
+    #: so overriding the method falls back to calling it.  The methods
+    #: stay the reference: the solvers and the oracle call them.
+    plus_expr: Optional[str] = None
+    better_expr: Optional[str] = None
+    transform_expr: Optional[str] = "{w}"
 
     def is_reached(self, state: float) -> bool:
         """``True`` when a state is better than the identity (vertex reached)."""
@@ -153,8 +137,3 @@ class MonotonicAlgorithm(abc.ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
-
-def _declared_beside(cls: type, method: str, attribute: str):
-    """``attribute`` of the class that defines ``method``, else ``None``."""
-    owner = next(klass for klass in cls.__mro__ if method in vars(klass))
-    return vars(owner).get(attribute)

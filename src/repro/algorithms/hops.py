@@ -10,7 +10,6 @@ see :func:`repro.algorithms.register_algorithm`.
 from __future__ import annotations
 
 import math
-import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -26,7 +25,8 @@ class HopCount(MonotonicAlgorithm):
     minimizing = True
     plus_formula = "T = u.state + 1"
     times_formula = "MIN(T, v.state)"
-    better_op = operator.lt
+    plus_expr = "{a} + 1.0"
+    better_expr = "{a} < {b}"
 
     def identity(self) -> float:
         return math.inf

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -21,8 +20,10 @@ class PPNP(MonotonicAlgorithm):
     minimizing = True
     plus_formula = "T = max(u.state, w)"
     times_formula = "MIN(T, v.state)"
-    # no plus_op: ``max`` returns the other operand on a tie (5 vs 5.0)
-    better_op = operator.lt
+    # the method's own body: ``max`` returns the other operand on a tie
+    # (5 vs 5.0), and digests hash ``repr``
+    plus_expr = "({a} if {a} > {b} else {b})"
+    better_expr = "{a} < {b}"
 
     def identity(self) -> float:
         return math.inf

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -20,8 +19,8 @@ class PPSP(MonotonicAlgorithm):
     minimizing = True
     plus_formula = "T = u.state + w"
     times_formula = "MIN(T, v.state)"
-    plus_op = operator.add
-    better_op = operator.lt
+    plus_expr = "{a} + {b}"
+    better_expr = "{a} < {b}"
 
     def identity(self) -> float:
         return math.inf

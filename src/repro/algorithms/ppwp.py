@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 
 from repro.algorithms.base import MonotonicAlgorithm
 
@@ -22,8 +21,10 @@ class PPWP(MonotonicAlgorithm):
     minimizing = False
     plus_formula = "T = min(u.state, w)"
     times_formula = "MAX(T, v.state)"
-    # no plus_op: ``min`` returns the other operand on a tie (5 vs 5.0)
-    better_op = operator.gt
+    # the method's own body: ``min`` returns the other operand on a tie
+    # (5 vs 5.0), and digests hash ``repr``
+    plus_expr = "({a} if {a} < {b} else {b})"
+    better_expr = "{a} > {b}"
 
     def identity(self) -> float:
         return 0.0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import operator
-
 from repro.algorithms.base import MonotonicAlgorithm
 
 
@@ -20,7 +18,8 @@ class Reach(MonotonicAlgorithm):
     minimizing = False
     plus_formula = "T = u.state"
     times_formula = "MAX(T, v.state)"
-    better_op = operator.gt
+    plus_expr = "{a}"
+    better_expr = "{a} > {b}"
 
     def identity(self) -> float:
         return 0.0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import operator
-
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.graph.generators import DEFAULT_MAX_WEIGHT
 
@@ -28,8 +26,9 @@ class Viterbi(MonotonicAlgorithm):
     minimizing = False
     plus_formula = "T = u.state * p(w)"
     times_formula = "MAX(T, v.state)"
-    plus_op = operator.mul
-    better_op = operator.gt
+    plus_expr = "{a} * {b}"
+    better_expr = "{a} > {b}"
+    transform_expr = "(_p if (_p := {w} * self._scale) < 1.0 else 1.0)"
 
     def __init__(self, max_weight: int = DEFAULT_MAX_WEIGHT) -> None:
         if max_weight <= 0:

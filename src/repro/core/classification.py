@@ -28,9 +28,10 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple, Union
 
+from repro import kernels
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.keypath import KeyPathTracker
-from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind
+from repro.graph.batch import EdgeUpdate, UpdateBatch
 from repro.metrics import OpCounts
 
 
@@ -172,33 +173,14 @@ def classify_batch(
     This is the only loop that runs the triangle-inequality tests over a
     batch (:func:`classify_addition` / :func:`classify_deletion` are its
     single-update specification), so it is written for the useless
-    majority: the algorithm's :meth:`~MonotonicAlgorithm.kernel` inlined
-    (one ``(+)`` per update), no per-update enum, counters added in bulk.
+    majority: compiled by :mod:`repro.kernels` with the algorithm's
+    ``(+)`` and ``(x)`` inline, no per-update enum, counters added in bulk.
     """
-    trackers = _trackers(keypath)
-    plus, better, transform = algorithm.kernel()
-    addition = UpdateKind.ADD
     result = ClassifiedBatch()
-    valuable = result.valuable_additions.append
-    nondelayed = result.nondelayed_deletions.append
-    delayed = result.delayed_deletions.append
-    useless = result.useless.append
-    for update in batch:
-        weight = update.weight
-        candidate = plus(
-            states[update.u], weight if transform is None else transform(weight)
-        )
-        if update.kind is addition:
-            if better(candidate, states[update.v]):
-                valuable(update)
-            else:
-                useless(update)
-        elif candidate != states[update.v]:
-            useless(update)
-        elif carries_answer(rule, trackers, parents, update):
-            nondelayed(update)
-        else:
-            delayed(update)
+    kernels.compiled(algorithm).classify(
+        algorithm, states, parents, batch, result,
+        carries_answer, rule, _trackers(keypath),
+    )
     result.ops.classification_checks = len(batch)
     result.ops.state_reads = 2 * len(batch)
     return result

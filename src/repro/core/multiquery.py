@@ -245,11 +245,12 @@ class SourceGroup:
 
         # valuable additions (the paper finishes all of them first)
         with _phase_span(observer, "engine.propagate", phase="additions"):
-            for upd in classified.valuable_additions:
-                state.process_addition(
-                    upd.u, upd.v, upd.weight, response, activated=add_wave
-                )
-                response.updates_processed += 1
+            additions = classified.valuable_additions
+            state.process_additions(
+                [(upd.u, upd.v, upd.weight) for upd in additions],
+                response, add_wave,
+            )
+            response.updates_processed += len(additions)
             self._rebuild_keypaths()
 
         # deletion phase through the priority buffer
@@ -289,11 +290,9 @@ class SourceGroup:
         # drain delayed deletions in the background (post work), restoring
         # full convergence for the next batch's classification
         with _phase_span(observer, "engine.drain"):
-            for item in scheduler.drain():
-                state.process_deletion(
-                    item.update.u, item.update.v, post, activated=drain_wave
-                )
-                post.updates_processed += 1
+            pairs = [(item.update.u, item.update.v) for item in scheduler.drain()]
+            state.process_deletions(pairs, post, drain_wave)
+            post.updates_processed += len(pairs)
             self._rebuild_keypaths()
         return {
             "valuable_additions": len(classified.valuable_additions),

@@ -14,17 +14,17 @@ the three primitives of incremental monotonic computation:
 * :meth:`propagate` — monotone worklist propagation from seed vertices,
   with an optional pruning hook used by the bound-based baselines.
 
-All primitives are instrumented with :class:`~repro.metrics.OpCounts`.
-Per edge they pay only for the semiring (the algorithm's
-:meth:`~repro.algorithms.base.MonotonicAlgorithm.kernel`); the counters
-are charged per scanned adjacency and added once per call.
+:meth:`process_additions` / :meth:`process_deletions` run a whole list of
+additions or deletions in one call.  Every primitive runs the loops of
+:mod:`repro.kernels`, compiled for the algorithm's semiring, and is
+instrumented with :class:`~repro.metrics.OpCounts`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
+from repro import kernels
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.solvers import dijkstra
 from repro.graph.dynamic import DynamicGraph
@@ -51,8 +51,8 @@ class IncrementalState:
             graph.num_vertices, source
         )
         self.parents: List[int] = [-1] * graph.num_vertices
-        #: (+), (x) and the weight transform of the per-edge loops
-        self._kernel = algorithm.kernel()
+        #: the per-edge loops, compiled for the algorithm's semiring
+        self._loops = kernels.compiled(algorithm)
         #: vertices whose new state was written but not broadcast (pruned)
         self.suppressed: Set[int] = set()
 
@@ -86,53 +86,7 @@ class IncrementalState:
         in :attr:`suppressed` so a later :meth:`flush_suppressed` can finish
         convergence.
         """
-        plus, better, transform = self._kernel
-        states = self.states
-        parents = self.parents
-        out_adj = self.graph.out_adj
-        suppressed = self.suppressed
-
-        queue: Deque[int] = deque()
-        checks = 0
-        for seed in seeds:
-            if prune is not None:
-                checks += 1
-                if prune(seed, states[seed]):
-                    suppressed.add(seed)
-                    continue
-            queue.append(seed)
-
-        # per popped vertex: one state read, then one scan + relaxation +
-        # read per out-edge, charged for the whole adjacency at once
-        pops = scanned = changes = 0
-        while queue:
-            u = queue.popleft()
-            du = states[u]
-            adj = out_adj(u)
-            pops += 1
-            scanned += len(adj)
-            for v, w in adj.items():
-                candidate = plus(du, w if transform is None else transform(w))
-                if better(candidate, states[v]):
-                    states[v] = candidate
-                    parents[v] = u
-                    changes += 1
-                    if activated is not None:
-                        activated.add(v)
-                    suppressed.discard(v)
-                    if prune is not None:
-                        checks += 1
-                        if prune(v, candidate):
-                            suppressed.add(v)
-                            continue
-                    queue.append(v)
-        ops.edges_scanned += scanned
-        ops.relaxations += scanned
-        ops.state_reads += pops + scanned
-        ops.state_writes += changes
-        ops.activations += changes
-        ops.bound_checks += checks
-        return changes
+        return self._loops.propagate(self, seeds, ops, prune, activated)
 
     def flush_suppressed(
         self, ops: OpCounts, activated: Optional[Set[int]] = None
@@ -162,22 +116,19 @@ class IncrementalState:
         monotone-safe (Section II-A): they constrict results or leave them
         unchanged.
         """
-        plus, better, transform = self._kernel
-        ops.relaxations += 1
-        ops.state_reads += 2
-        candidate = plus(
-            self.states[u], weight if transform is None else transform(weight)
+        return bool(
+            self._loops.additions(self, ((u, v, weight),), ops, prune, activated)
         )
-        if not better(candidate, self.states[v]):
-            return False
-        self.states[v] = candidate
-        self.parents[v] = u
-        ops.state_writes += 1
-        ops.activations += 1
-        if activated is not None:
-            activated.add(v)
-        self.propagate([v], ops, prune=prune, activated=activated)
-        return True
+
+    def process_additions(
+        self,
+        updates: Iterable[Tuple[int, int, float]],
+        ops: OpCounts,
+        activated: Optional[Set[int]] = None,
+    ) -> int:
+        """:meth:`process_addition` for each ``(u, v, weight)`` in order, in
+        one call; returns how many improved their target."""
+        return self._loops.additions(self, updates, ops, None, activated)
 
     def process_reweight(
         self,
@@ -232,14 +183,19 @@ class IncrementalState:
         """
         if policy not in ("supplier", "reachable"):
             raise ValueError(f"unknown deletion policy {policy!r}")
-        ops.tag_ops += 1  # the did-this-edge-supply-its-target check
-        if policy == "supplier" and self.parents[v] != u:
-            return False
-        _, seeds = self.repair_subtrees(
-            [v], ops, follow_all=policy == "reachable", activated=activated
-        )
-        self.propagate(seeds, ops, prune=prune, activated=activated)
-        return True
+        return bool(self._loops.deletions(
+            self, ((u, v),), ops, prune, activated, policy == "reachable"
+        ))
+
+    def process_deletions(
+        self,
+        pairs: Iterable[Tuple[int, int]],
+        ops: OpCounts,
+        activated: Optional[Set[int]] = None,
+    ) -> int:
+        """:meth:`process_deletion` (supplier policy) for each ``(u, v)`` in
+        order, in one call; returns how many repairs ran."""
+        return self._loops.deletions(self, pairs, ops, None, activated, False)
 
     def repair_subtrees(
         self,
@@ -260,80 +216,7 @@ class IncrementalState:
         order is observable (a member re-derived earlier supplies later
         ones), so changing either moves ``parents`` and ``OpCounts``.
         """
-        alg = self.algorithm
-        plus, better, transform = self._kernel
-        states = self.states
-        parents = self.parents
-        identity = alg.identity()
-
-        # Tag the repair set.  Without ``follow_all`` (supplier policy) only
-        # dependence (parent) edges are followed; with it (reachable
-        # policy) every topology edge out of a currently-reached vertex is,
-        # as conservative prior systems do.
-        subtree: Set[int] = set()
-        frontier: Deque[int] = deque()
-        for root in roots:
-            if root not in subtree:
-                subtree.add(root)
-                frontier.append(root)
-        tags = reads = 0
-        while frontier:
-            x = frontier.popleft()
-            adj = self.graph.out_adj(x)
-            tags += len(adj)
-            for y in adj:
-                if follow_all:
-                    if y in subtree:
-                        continue
-                    reads += 1
-                    if not alg.is_reached(states[y]):
-                        continue
-                elif parents[y] != x or y in subtree:
-                    continue
-                subtree.add(y)
-                frontier.append(y)
-
-        # Reset, then re-derive each member from in-neighbors.  Reset states
-        # equal the identity, which can never supply (monotonicity), so
-        # in-subtree suppliers are naturally ignored.
-        for x in subtree:
-            states[x] = identity
-            parents[x] = -1
-        if self.source in subtree:
-            # the source never loses its own state
-            states[self.source] = alg.source_state()
-
-        seeds: List[int] = []
-        scanned = derived = 0
-        for x in subtree:
-            if x == self.source:
-                seeds.append(x)
-                continue
-            best = identity
-            parent = -1
-            adj = self.graph.in_adj(x)
-            scanned += len(adj)
-            for y, w in adj.items():
-                candidate = plus(
-                    states[y], w if transform is None else transform(w)
-                )
-                if better(candidate, best):
-                    best = candidate
-                    parent = y
-            if better(best, identity):
-                states[x] = best
-                parents[x] = parent
-                derived += 1
-                if activated is not None:
-                    activated.add(x)
-                seeds.append(x)
-        ops.tag_ops += tags
-        ops.edges_scanned += scanned
-        ops.relaxations += scanned
-        ops.state_reads += reads + scanned
-        ops.state_writes += len(subtree) + derived
-        ops.activations += derived
-        return len(subtree), seeds
+        return self._loops.repair(self, roots, ops, follow_all, activated)
 
     # ------------------------------------------------------------------
     # invariants (used by tests)

@@ -12,15 +12,24 @@ check the invariants the whole system rests on:
 """
 
 import math
-import operator
+import traceback
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import kernels
 from repro.algorithms import dijkstra, get_algorithm, list_algorithms
 from repro.algorithms.base import MonotonicAlgorithm
+from repro.core.classification import (
+    KeyPathRule,
+    UpdateClass,
+    classify_addition,
+    classify_batch,
+    classify_deletion,
+)
 from repro.core.engine import CISGraphEngine
+from repro.core.keypath import KeyPathTracker
 from repro.errors import VertexOutOfRangeError
 from repro.graph.batch import (
     EdgeUpdate,
@@ -469,15 +478,21 @@ def _observed(state, ops, activated):
 def test_kernels_match_the_seed_kernels(
     edges, stream, name, source, dest, policy, pruned, track
 ):
-    """Step by step, the rewritten kernels leave the same states (same
+    """Step by step, the generated kernels leave the same states (same
     ``repr``), parents, suppressed set and activated set as the seed's,
-    and charge every ``OpCounts`` field the same amount."""
+    and charge every ``OpCounts`` field the same amount — entered one
+    update at a time, and (supplier policy, no prune hook: what
+    ``SourceGroup`` runs) through the batch entry points
+    ``process_additions`` / ``process_deletions``."""
     algorithm = get_algorithm(name)
     graph = DynamicGraph.from_edges(
         N_VERTICES, [(u, v, w) for (u, v), w in edges.items()]
     )
+    batched = policy == "supplier" and not pruned
+    entries = ["seed", "single"] + (["batch"] if batched else [])
     sides = []
-    for cls in (_SeedState, IncrementalState):
+    for entry in entries:
+        cls = _SeedState if entry == "seed" else IncrementalState
         state = cls(graph.copy(), algorithm, source)
         state.full_compute()
         prune = None
@@ -485,12 +500,25 @@ def test_kernels_match_the_seed_kernels(
             # SGraph's generic rule: no broadcast that cannot beat the answer
             def prune(vertex, value, state=state):
                 return not algorithm.is_better(value, state.states[dest])
-        sides.append((state, prune, OpCounts(), set() if track else None))
+        sides.append(
+            (entry, state, prune, OpCounts(), set() if track else None)
+        )
 
     for step, (is_addition, u, v, weight) in enumerate(stream):
-        for state, prune, ops, activated in sides:
+        for entry, state, prune, ops, activated in sides:
             graph_ = state.graph
-            if is_addition:
+            if entry == "batch":
+                if is_addition:
+                    old_weight = graph_.out_adj(u).get(v)
+                    graph_.add_edge(u, v, weight)
+                    if old_weight is None or (
+                        old_weight != weight
+                        and not state.process_deletions([(u, v)], ops, activated)
+                    ):
+                        state.process_additions([(u, v, weight)], ops, activated)
+                elif graph_.remove_edge(u, v, missing_ok=True):
+                    state.process_deletions([(u, v)], ops, activated)
+            elif is_addition:
                 old_weight = graph_.out_adj(u).get(v)
                 graph_.add_edge(u, v, weight)
                 if old_weight is None:
@@ -507,13 +535,68 @@ def test_kernels_match_the_seed_kernels(
                 )
             if step % 3 == 2:
                 state.flush_suppressed(ops, activated=activated)
-        seed, new = (_observed(s, ops, a) for s, _, ops, a in sides)
-        assert new == seed, f"step {step} drifted from the seed kernels"
-    for state, _, ops, activated in sides:
+        seed, *others = (_observed(s, ops, a) for _, s, _, ops, a in sides)
+        for entry, new in zip(entries[1:], others):
+            assert new == seed, f"step {step}: {entry} drifted from the seed"
+    for _, state, _, ops, activated in sides:
         state.flush_suppressed(ops, activated=activated)
         state.check_converged()
-    seed, new = (_observed(s, ops, a) for s, _, ops, a in sides)
-    assert new == seed
+    seed, *others = (_observed(s, ops, a) for _, s, _, ops, a in sides)
+    assert all(new == seed for new in others)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edges=_kernel_graph,
+    stream=_kernel_stream,
+    name=st.sampled_from(KERNEL_ALGORITHMS),
+    source=st.integers(0, N_VERTICES - 1),
+    dests=st.lists(st.integers(0, N_VERTICES - 1), min_size=1, max_size=3),
+    rule=st.sampled_from(list(KeyPathRule)),
+)
+def test_classify_batch_matches_the_single_update_specification(
+    edges, stream, name, source, dests, rule
+):
+    """``classify_batch``'s generated loop puts every update in the bucket
+    ``classify_addition`` / ``classify_deletion`` (the algorithm's
+    methods) name, in arrival order."""
+    algorithm = get_algorithm(name)
+    graph = DynamicGraph.from_edges(
+        N_VERTICES, [(u, v, w) for (u, v), w in edges.items()]
+    )
+    converged = dijkstra(graph, algorithm, source)
+    states, parents = converged.states, converged.parents
+    trackers = [KeyPathTracker(source, d) for d in dests]
+    for tracker in trackers:
+        tracker.rebuild(parents)
+    batch = [
+        EdgeUpdate(UpdateKind.ADD if is_addition else UpdateKind.DELETE,
+                   u, v, weight)
+        for is_addition, u, v, weight in stream
+    ]
+    result = classify_batch(algorithm, states, parents, trackers, batch, rule)
+
+    bucket_of = {
+        UpdateClass.VALUABLE: "nondelayed_deletions",
+        UpdateClass.DELAYED: "delayed_deletions",
+        UpdateClass.USELESS: "useless",
+    }
+    want = {
+        bucket: [] for bucket in ("valuable_additions", *bucket_of.values())
+    }
+    for upd in batch:
+        if upd.is_addition:
+            verdict = classify_addition(algorithm, states, upd)
+            bucket = ("valuable_additions" if verdict is UpdateClass.VALUABLE
+                      else "useless")
+        else:
+            bucket = bucket_of[
+                classify_deletion(algorithm, states, parents, trackers, upd, rule)
+            ]
+        want[bucket].append(upd)
+    assert {bucket: getattr(result, bucket) for bucket in want} == want
+    assert result.ops.classification_checks == len(batch)
+    assert result.ops.state_reads == 2 * len(batch)
 
 
 def _same(got, want):
@@ -522,40 +605,112 @@ def _same(got, want):
 
 @pytest.mark.parametrize("name", KERNEL_ALGORITHMS)
 def test_kernel_operators_are_exact(name):
-    """``kernel()`` returns what the methods return, in value and type:
-    the answer digests hash ``repr``, so ``5`` for ``5.0`` is a change."""
+    """Every expression the generated loops evaluate is declared by the
+    algorithm and returns what its method returns, in value and type: the
+    answer digests hash ``repr``, so ``5`` for ``5.0`` is a change."""
     algorithm = get_algorithm(name)
-    plus, better, transform = algorithm.kernel()
-    assert (transform is None) == (name != "viterbi")
+    cls = type(algorithm)
+    expressions = kernels.expressions(cls)
+    assert expressions["plus"] == cls.plus_expr
+    assert expressions["better"] == cls.better_expr
+    assert expressions["weight"] == cls.transform_expr
+    assert (expressions["weight"] == "{w}") == (name != "viterbi")
+
+    def evaluate(kind, **operands):
+        text = expressions[kind].format(**{k: k for k in operands})
+        return eval(text, {"self": algorithm}, operands)
+
     states = [0, 0.0, 1, 1.0, 2.5, 5, 5.0, 0.5, math.inf, -math.inf,
               algorithm.identity(), algorithm.source_state()]
     # 64 / 65 straddle Viterbi's clamp at the default max_weight
     raw_weights = [0.0, 1, 1.0, 2.5, 5, 5.0, 64, 65, 1000, math.inf]
     for raw in raw_weights:
-        want_weight = algorithm.transform_weight(raw)
-        weight = raw if transform is None else transform(raw)
-        assert _same(weight, want_weight), (raw, weight, want_weight)
+        weight = algorithm.transform_weight(raw)
+        assert _same(evaluate("weight", w=raw), weight), raw
         for state in states:
-            got, want = plus(state, weight), algorithm.propagate(state, weight)
-            assert _same(got, want), (state, raw, got, want)
+            got = evaluate("plus", a=state, b=weight)
+            assert _same(got, algorithm.propagate(state, weight)), (state, raw)
     weights = [algorithm.transform_weight(raw) for raw in raw_weights]
     for a in states + weights:
         for b in states + weights:
-            assert _same(better(a, b), algorithm.is_better(a, b)), (a, b)
+            got = evaluate("better", a=a, b=b)
+            assert _same(got, algorithm.is_better(a, b)), (a, b)
 
 
 def test_kernel_falls_back_to_an_overriding_method():
-    """A subclass that overrides (+) without declaring an operator keeps
-    its own method in the hot loops."""
+    """A subclass that overrides ``propagate`` or ``transform_weight``
+    without declaring an expression has its own method called in the
+    loops; the expressions it does not override stay inline."""
     from repro.algorithms.ppsp import PPSP
 
     class Doubled(PPSP):
         def propagate(self, u_state, weight):
             return u_state + 2 * weight
 
-    plus, better, transform = Doubled().kernel()
-    assert plus(1.0, 1.0) == 3.0
-    assert better is operator.lt and transform is None
+    class Halved(PPSP):
+        def transform_weight(self, raw_weight):
+            return raw_weight / 2
+
+    assert kernels.expressions(Doubled) == {
+        "plus": "self.propagate({a}, {b})",
+        "better": "{a} < {b}",
+        "weight": "{w}",
+    }
+    assert kernels.expressions(Halved) == {
+        "plus": "{a} + {b}",
+        "better": "{a} < {b}",
+        "weight": "self.transform_weight({w})",
+    }
+    for algorithm, rederived in ((Doubled(), 10.0), (Halved(), 2.5)):
+        graph = DynamicGraph.from_edges(
+            3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)]
+        )
+        state = IncrementalState(graph, algorithm, 0)
+        state.full_compute()
+        graph.remove_edge(1, 2)
+        assert state.process_deletion(1, 2, OpCounts())
+        assert state.states[2] == rederived
+        state.check_converged()
+        graph.add_edge(1, 2, 1.0)
+        assert state.process_addition(1, 2, 1.0, OpCounts())
+        state.check_converged()
+        classified = classify_batch(
+            algorithm, state.states, state.parents, KeyPathTracker(0, 2),
+            [EdgeUpdate(UpdateKind.ADD, 0, 2, 0.5)],
+        )
+        assert len(classified.valuable_additions) == 1
+
+
+def test_a_raising_prune_hook_names_the_template_line():
+    """The generated source is registered with ``linecache``: a traceback
+    through a generated loop shows the loop's own line."""
+    graph = DynamicGraph.from_edges(
+        4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+    )
+    state = IncrementalState(graph, get_algorithm("ppsp"), 0)
+    state.full_compute()
+    calls = []
+
+    def prune(vertex, value):
+        # passes the seed, fails on the first vertex the scan improves
+        calls.append(vertex)
+        if len(calls) > 1:
+            raise RuntimeError("prune failed")
+        return False
+
+    graph.add_edge(0, 2, 0.5)
+    with pytest.raises(RuntimeError, match="prune failed") as raised:
+        state.process_addition(0, 2, 0.5, OpCounts(), prune=prune)
+    assert calls == [2, 3]
+    frames = [
+        frame for frame in traceback.extract_tb(raised.tb)
+        if frame.filename.startswith("<repro.kernels:")
+    ]
+    assert [frame.name for frame in frames] == ["additions"]
+    assert frames[0].line == "if prune(v, candidate):"
+    assert "if prune(v, candidate):" in "".join(
+        traceback.format_exception(raised.value)
+    )
 
 
 @settings(max_examples=60, deadline=None)
