@@ -198,7 +198,6 @@ def _drive(
     """
     from repro.algorithms import get_algorithm
     from repro.serve import ServeHarness
-    from repro.serve.control import ControlLimits, ControllerConfig
 
     anchor = PairwiseQuery(0, 13)
     clock = ManualClock()
@@ -217,10 +216,7 @@ def _drive(
         backend=config.backend,
     )
     if config.adaptive:
-        harness.attach_controller(ControllerConfig(
-            policy=config.slo(),
-            limits=ControlLimits(max_shards=max(4, config.num_shards * 2)),
-        ))
+        harness.attach_controller(config.slo())
 
     register_admitted = 0
     register_rejected = 0
@@ -253,7 +249,6 @@ def _drive(
                 latency = time.perf_counter() - batch_started
                 latencies.append(latency)
                 if metrics is not None:
-                    stats = harness.admission.stats()
                     record = {
                         "epoch": result.epoch,
                         "virtual_time": clock.now,
@@ -261,7 +256,7 @@ def _drive(
                         "registrations_admitted": register_admitted,
                         "registrations_rejected": register_rejected,
                         "reads": reads_total,
-                        "rejections": int(sum(stats["rejections"].values())),
+                        "rejections": harness.admission.tally()[0],
                         "cache_hit_rate": harness.cache.stats.as_dict()[
                             "hit_rate"
                         ],
@@ -275,11 +270,7 @@ def _drive(
         wall_elapsed = time.perf_counter() - started_wall
         harness.wait_all_live()
 
-        stats = harness.admission.stats()
-        rejected = int(sum(stats["rejections"].values()))
-        admitted = int(
-            stats["admitted_registrations"] + stats["admitted_batches"]
-        )
+        rejected, admitted = harness.admission.tally()
         attempts = rejected + admitted
         shed_rate = rejected / attempts if attempts else 0.0
         verdict = SLOVerdict.grade(

@@ -46,7 +46,7 @@ from repro.query import PairwiseQuery
 from repro.resilience.deadletter import retry_with_backoff
 from repro.resilience.faults import truncate_segment
 from repro.resilience.recovery import state_paths
-from repro.serve.control import ControllerConfig, ControlLimits, SLOPolicy, SLOVerdict
+from repro.serve.control import SLOPolicy, SLOVerdict
 from repro.serve.engine import ShardedServeEngine
 from repro.serve.harness import ServeHarness
 from repro.serve.session import SessionState
@@ -710,7 +710,6 @@ def run_chaos(
     epoch_deadline: float = 0.5,
     adaptive: bool = False,
     slo: Optional[SLOPolicy] = None,
-    control: Optional[ControllerConfig] = None,
     backend: str = "thread",
 ) -> ChaosReport:
     """Play ``schedule`` against a live harness; verify convergence.
@@ -723,7 +722,7 @@ def run_chaos(
     epochs) — which the builtin schedules all do.
 
     With ``adaptive=True`` the :class:`RuntimeController` is attached
-    (config from ``control``, SLO from ``slo`` or the schedule) and every
+    (chasing ``slo`` or the schedule's SLO) and every
     decision it applies lands in the report; either way the run is graded
     against the policy (``slo`` overrides ``schedule.slo``) when one is
     present — same schedule, same seed, same oracle, so a static run and
@@ -769,13 +768,8 @@ def run_chaos(
         supervision=schedule.supervision(), **serve_options,
     )
     controller.engine = harness.engine
-    control_config = None
     if adaptive:
-        control_config = control or ControllerConfig(
-            policy=policy or SLOPolicy(),
-            limits=ControlLimits(max_shards=max(4, num_shards * 2)),
-        )
-        harness.attach_controller(control_config)
+        harness.attach_controller(policy)
     for pair in pairs:
         harness.register(*pair)
     harness.wait_all_live()
@@ -810,7 +804,7 @@ def run_chaos(
                         "chaos-tear-wal",
                         {"epoch": target, "torn_bytes": tear.payload},
                     )
-                rejected, admitted = _admission_totals(harness)
+                rejected, admitted = harness.admission.tally()
                 prior_rejected += rejected
                 prior_admitted += admitted
                 harness.pipeline.wal.close()
@@ -826,7 +820,7 @@ def run_chaos(
                 resumes += 1
                 telemetry = harness.telemetry
                 if adaptive:
-                    harness.attach_controller(control_config)
+                    harness.attach_controller(policy)
                 for pair in pairs:
                     harness.register(*pair)
                 harness.wait_all_live()
@@ -915,7 +909,7 @@ def run_chaos(
             mismatches.append("no session survived to compare")
         supervisor_stats = harness.supervisor.stats()
         states = harness.sessions.by_state()
-        rejected, admitted = _admission_totals(harness)
+        rejected, admitted = harness.admission.tally()
         total_rejected = prior_rejected + rejected
         total_admitted = prior_admitted + admitted
         decisions: List[Dict[str, object]] = []
@@ -968,16 +962,6 @@ def run_chaos(
             },
         )
     return report
-
-
-def _admission_totals(harness: ServeHarness) -> Tuple[int, int]:
-    """(rejected, admitted) admission attempts tallied on ``harness``."""
-    stats = harness.admission.stats()
-    rejected = int(sum(stats["rejections"].values()))
-    admitted = int(
-        stats["admitted_registrations"] + stats["admitted_batches"]
-    )
-    return rejected, admitted
 
 
 class _EmptyResult:

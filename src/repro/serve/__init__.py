@@ -49,9 +49,7 @@ from repro.serve.cache import CacheStats, ResultCache
 from repro.serve.control import (
     Condition,
     ControlDecision,
-    ControlLimits,
     ControlSignals,
-    ControllerConfig,
     DecisionEngine,
     RuntimeController,
     SLOPolicy,
@@ -88,9 +86,7 @@ __all__ = [
     "CircuitBreaker",
     "Condition",
     "ControlDecision",
-    "ControlLimits",
     "ControlSignals",
-    "ControllerConfig",
     "DecisionEngine",
     "HealthMonitor",
     "Heartbeat",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ControlError, QueueSaturatedError, RateLimitedError
 
@@ -156,10 +156,13 @@ class AdmissionController:
         with self._lock:
             self.rejections[reason] = self.rejections.get(reason, 0) + 1
 
-    @property
-    def total_rejections(self) -> int:
+    def tally(self) -> Tuple[int, int]:
+        """Cumulative ``(rejected, admitted)`` admission attempts."""
         with self._lock:
-            return sum(self.rejections.values())
+            return (
+                sum(self.rejections.values()),
+                self.admitted_registrations + self.admitted_batches,
+            )
 
     def rejection_counts(self) -> Dict[str, int]:
         """Cumulative rejections keyed by machine-stable reason tag."""

@@ -8,22 +8,24 @@ observe → diagnose → remediate loop (RisGraph meets its per-update SLO by
 exactly this kind of runtime trading of admission against load; see
 PAPERS.md): it runs after every committed epoch, reads one
 :class:`ControlSignals` frame off the components it holds (queue depths,
-admission rejections, breaker states, answer p99, served staleness),
-diagnoses one :class:`Condition`, and applies bounded remediations live.
+admission rejections, breaker states, served staleness), diagnoses one
+:class:`Condition`, and applies bounded remediations live.  Its one input
+from the caller is the :class:`SLOPolicy`; every tuning value is a module
+constant.
 
 Safety properties, in order of importance:
 
 * **SLO-gated** — remediations exist to meet an explicit
   :class:`SLOPolicy` (answer p99, staleness bound, shed rate), not to
   chase throughput;
-* **clamped** — every knob move is clamped to :class:`ControlLimits`
-  floors/ceilings, so a bad diagnosis degrades gracefully instead of
-  cascading;
-* **hysteresis + cooldown** — scale-ups need the queue above the high
-  watermark (or actual shedding), scale-downs need ``idle_epochs``
-  consecutive quiet epochs, and each knob obeys a per-knob cooldown, so
-  the controller cannot flap (load oscillating inside the band produces
-  zero decisions — a regression test);
+* **clamped** — every knob move is clamped to :data:`LIMITS` (shards to
+  ``1 .. max(4, 2 x baseline)``), so a bad diagnosis degrades gracefully
+  instead of cascading;
+* **hysteresis** — scale-ups need the queue above :data:`HIGH_WATER` (or
+  actual shedding), and reclaim needs :data:`IDLE_EPOCHS` consecutive
+  epochs below :data:`LOW_WATER`, so the controller cannot flap (load
+  oscillating inside the band produces zero decisions — a regression
+  test); each review moves a knob at most once;
 * **auditable** — every decision is appended to a bounded audit log and
   emitted as a ``controller.decision`` trace point inside the epoch's
   causal tree, so ``trace``/``control-log`` answer *why capacity
@@ -33,8 +35,8 @@ Safety properties, in order of importance:
   decisions until :meth:`RuntimeController.thaw`.
 
 The decision core (:class:`DecisionEngine`) is a pure function of the
-signal stream plus its own counters — no wall clock, no randomness — so
-identical seeded metric streams produce identical decision sequences
+signal stream plus its quiet-epoch streak — no wall clock, no randomness —
+so identical seeded metric streams produce identical decision sequences
 (property-tested in ``tests/test_serve_control.py``).
 
 See docs/adaptive_control.md for the decision table and audit format.
@@ -46,7 +48,7 @@ import dataclasses
 import enum
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ControlError
@@ -166,51 +168,27 @@ def _p99(latencies: Sequence[float]) -> float:
     return ordered[min(len(ordered) - 1, int(0.99 * (len(ordered) - 1)))]
 
 
-@dataclass(frozen=True)
-class ControlLimits:
-    """Hard floors and ceilings no remediation may cross."""
-
-    min_shards: int = 1
-    max_shards: int = 8
-    min_rate: float = 0.5
-    max_rate: float = 1024.0
-    min_burst: float = 1.0
-    max_burst: float = 4096.0
-    min_staleness: int = 0
-    max_staleness: int = 64
-
-    def validate(self) -> None:
-        """Raise :class:`~repro.errors.ControlError` on inverted bounds."""
-        pairs = (
-            ("shards", self.min_shards, self.max_shards),
-            ("rate", self.min_rate, self.max_rate),
-            ("burst", self.min_burst, self.max_burst),
-            ("staleness", self.min_staleness, self.max_staleness),
-        )
-        for name, lo, hi in pairs:
-            if lo > hi:
-                raise ControlError(f"min_{name} {lo} exceeds max_{name} {hi}")
-        if self.min_shards < 1:
-            raise ControlError("min_shards must be at least 1")
-        if self.min_rate <= 0 or self.min_burst <= 0:
-            raise ControlError("rate/burst floors must be positive")
-        if self.min_staleness < 0:
-            raise ControlError("min_staleness must be non-negative")
-
-    #: knob name -> (floor attribute, ceiling attribute)
-    _BOUNDS = {
-        "shards": ("min_shards", "max_shards"),
-        "admission_rate": ("min_rate", "max_rate"),
-        "admission_burst": ("min_burst", "max_burst"),
-        "max_staleness": ("min_staleness", "max_staleness"),
-    }
-
-    def clamp(self, knob: str, value: float) -> Tuple[float, bool]:
-        """``(clamped value, True when the raw value crossed a bound)``."""
-        lo_attr, hi_attr = self._BOUNDS[knob]
-        lo, hi = getattr(self, lo_attr), getattr(self, hi_attr)
-        clamped = min(max(value, lo), hi)
-        return clamped, clamped != value
+#: consecutive quiet epochs required before reclaiming capacity
+IDLE_EPOCHS = 3
+#: queue-depth ratio above which the pool is under-provisioned
+HIGH_WATER = 0.75
+#: queue-depth ratio below which an epoch counts as quiet
+LOW_WATER = 0.25
+#: groups_max / mean-groups ratio that counts as hot-source skew
+SKEW_FACTOR = 1.5
+#: minimum groups on the hottest shard before skew is believed
+SKEW_MIN_GROUPS = 4
+#: multiplier applied to the token bucket when raising admission
+ADMISSION_GROWTH = 8.0
+#: bounded length of the in-memory decision audit log
+AUDIT_CAPACITY = 1024
+#: (floor, ceiling) no remediation may cross, per knob; the shard ceiling
+#: is derived from the baseline pool by :class:`DecisionEngine`
+LIMITS = {
+    "admission_rate": (0.5, 1024.0),
+    "admission_burst": (1.0, 4096.0),
+    "max_staleness": (0, 64),
+}
 
 
 @dataclass(frozen=True)
@@ -231,10 +209,8 @@ class ControlSignals:
     groups_total: int
     rejections_delta: int
     saturated_delta: int
-    admitted_delta: int
     breakers_open: int
     degraded_sessions: int
-    answer_p99: float
     staleness_served: int
     admission_rate: float
     admission_burst: float
@@ -248,49 +224,6 @@ class ControlSignals:
     def as_dict(self) -> Dict[str, object]:
         """Plain-JSON form (audit records, tests)."""
         return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Everything the controller needs besides the harness itself."""
-
-    policy: SLOPolicy = field(default_factory=SLOPolicy)
-    limits: ControlLimits = field(default_factory=ControlLimits)
-    #: minimum epochs between consecutive changes of the same knob
-    cooldown_epochs: int = 1
-    #: consecutive quiet epochs required before reclaiming capacity
-    idle_epochs: int = 3
-    #: queue-depth ratio above which the pool is under-provisioned
-    high_water: float = 0.75
-    #: queue-depth ratio below which an epoch counts as quiet
-    low_water: float = 0.25
-    #: groups_max / mean-groups ratio that counts as hot-source skew
-    skew_factor: float = 1.5
-    #: minimum groups on the hottest shard before skew is believed
-    skew_min_groups: int = 4
-    #: multiplier applied to the token bucket when raising admission
-    admission_growth: float = 8.0
-    #: bounded length of the in-memory decision audit log
-    audit_capacity: int = 1024
-
-    def validate(self) -> None:
-        """Raise :class:`~repro.errors.ControlError` on a bad config."""
-        self.policy.validate()
-        self.limits.validate()
-        if self.cooldown_epochs < 1:
-            raise ControlError("cooldown_epochs must be at least 1")
-        if self.idle_epochs < 1:
-            raise ControlError("idle_epochs must be at least 1")
-        if not 0.0 <= self.low_water < self.high_water <= 1.0:
-            raise ControlError(
-                "watermarks must satisfy 0 <= low_water < high_water <= 1"
-            )
-        if self.skew_factor <= 1.0:
-            raise ControlError("skew_factor must exceed 1")
-        if self.admission_growth <= 1.0:
-            raise ControlError("admission_growth must exceed 1")
-        if self.audit_capacity <= 0:
-            raise ControlError("audit_capacity must be positive")
 
 
 @dataclass(frozen=True)
@@ -322,63 +255,59 @@ KNOBS = (
 
 
 class DecisionEngine:
-    """The pure decision core: signals in, gated knob targets out.
+    """The pure decision core: signals in, clamped knob targets out.
 
-    Holds only deterministic state (per-knob last-change epochs, the
-    quiet-epoch streak) so that identical signal streams always produce
-    identical decision sequences; the side-effecting apply path lives in
-    :class:`RuntimeController`.
+    Holds only deterministic state (the quiet-epoch streak) so that
+    identical signal streams always produce identical decision sequences;
+    the side-effecting apply path lives in :class:`RuntimeController`.
     """
 
-    def __init__(
-        self, config: ControllerConfig, baseline: Dict[str, float]
-    ) -> None:
-        config.validate()
+    def __init__(self, policy: SLOPolicy, baseline: Dict[str, float]) -> None:
+        policy.validate()
         missing = [knob for knob in KNOBS if knob not in baseline]
         if missing:
             raise ControlError(f"baseline missing knobs: {missing}")
-        self.config = config
+        self.policy = policy
         self.baseline = {knob: float(baseline[knob]) for knob in KNOBS}
-        self._last_change: Dict[str, int] = {}
+        #: the pool may grow to twice its baseline, and to 4 shards at least
+        self.max_shards = max(4, 2 * int(self.baseline["shards"]))
         self._quiet_streak = 0
 
     # ------------------------------------------------------------------
     def step(
         self, signals: ControlSignals
     ) -> Tuple[Condition, List[ControlDecision]]:
-        """Diagnose one epoch and emit the gated decisions for it."""
+        """Diagnose one epoch and emit the clamped decisions for it."""
         condition = self.diagnose(signals)
         decisions: List[ControlDecision] = []
         for knob, target, reason in self._plan(condition, signals):
-            decision = self._gate(knob, target, reason, condition, signals)
+            decision = self._decide(knob, target, reason, condition, signals)
             if decision is not None:
                 decisions.append(decision)
-                self._last_change[knob] = signals.epoch
         return condition, decisions
 
     # ------------------------------------------------------------------
     def diagnose(self, s: ControlSignals) -> Condition:
         """Classify the epoch (the first matching condition wins)."""
-        c = self.config
         if (
             s.breakers_open > 0
-            or s.staleness_served > c.policy.staleness_bound
+            or s.staleness_served > self.policy.staleness_bound
         ):
             self._quiet_streak = 0
             return Condition.DEGRADED_READS
         if s.rejections_delta > 0:
             self._quiet_streak = 0
             return Condition.OVERLOAD
-        if s.depth_ratio >= c.high_water:
+        if s.depth_ratio >= HIGH_WATER:
             self._quiet_streak = 0
             return Condition.UNDER_PROVISIONED
         if self._skewed(s):
             self._quiet_streak = 0
             return Condition.HOT_SKEW
-        if s.depth_ratio <= c.low_water and s.degraded_sessions == 0:
+        if s.depth_ratio <= LOW_WATER and s.degraded_sessions == 0:
             self._quiet_streak += 1
             if (
-                self._quiet_streak >= c.idle_epochs
+                self._quiet_streak >= IDLE_EPOCHS
                 and self._above_baseline(s)
             ):
                 return Condition.IDLE
@@ -388,12 +317,12 @@ class DecisionEngine:
         return Condition.HEALTHY
 
     def _skewed(self, s: ControlSignals) -> bool:
-        if s.groups_total == 0 or s.num_shards >= self.config.limits.max_shards:
+        if s.groups_total == 0 or s.num_shards >= self.max_shards:
             return False
-        if s.groups_max < self.config.skew_min_groups:
+        if s.groups_max < SKEW_MIN_GROUPS:
             return False
         mean = s.groups_total / s.num_shards
-        return s.groups_max >= self.config.skew_factor * mean
+        return s.groups_max >= SKEW_FACTOR * mean
 
     def _above_baseline(self, s: ControlSignals) -> bool:
         return (
@@ -407,29 +336,28 @@ class DecisionEngine:
     def _plan(
         self, condition: Condition, s: ControlSignals
     ) -> List[Tuple[str, float, str]]:
-        """Raw (knob, target, reason) proposals before gating."""
-        c = self.config
+        """Raw (knob, target, reason) proposals, at most one per knob."""
         proposals: List[Tuple[str, float, str]] = []
         if condition is Condition.DEGRADED_READS:
-            if s.max_staleness > c.policy.staleness_bound:
+            if s.max_staleness > self.policy.staleness_bound:
                 proposals.append((
                     "max_staleness",
-                    float(c.policy.staleness_bound),
+                    float(self.policy.staleness_bound),
                     "narrow degraded reads to the staleness SLO while "
                     f"{s.breakers_open} breaker(s) are open",
                 ))
         elif condition is Condition.OVERLOAD:
-            if s.saturated_delta == 0 and s.depth_ratio < c.high_water:
+            if s.saturated_delta == 0 and s.depth_ratio < HIGH_WATER:
                 # rate-limited shedding with queue headroom: open the door
                 proposals.append((
                     "admission_rate",
-                    max(s.admission_rate, 1.0) * c.admission_growth,
+                    max(s.admission_rate, 1.0) * ADMISSION_GROWTH,
                     f"{s.rejections_delta} rejection(s) this epoch with "
                     "queue headroom: raise the token refill rate",
                 ))
                 proposals.append((
                     "admission_burst",
-                    max(s.admission_burst, 1.0) * c.admission_growth,
+                    max(s.admission_burst, 1.0) * ADMISSION_GROWTH,
                     "raise the burst capacity alongside the refill rate",
                 ))
             else:
@@ -455,7 +383,6 @@ class DecisionEngine:
 
     def _relax(self, s: ControlSignals) -> List[Tuple[str, float, str]]:
         """Step every grown knob back toward the static baseline."""
-        c = self.config
         reason = f"{self._quiet_streak} quiet epoch(s): reclaim capacity"
         out: List[Tuple[str, float, str]] = []
         if s.num_shards > self.baseline["shards"]:
@@ -464,14 +391,14 @@ class DecisionEngine:
             out.append((
                 "admission_rate",
                 max(self.baseline["admission_rate"],
-                    s.admission_rate / c.admission_growth),
+                    s.admission_rate / ADMISSION_GROWTH),
                 reason,
             ))
         if s.admission_burst > self.baseline["admission_burst"]:
             out.append((
                 "admission_burst",
                 max(self.baseline["admission_burst"],
-                    s.admission_burst / c.admission_growth),
+                    s.admission_burst / ADMISSION_GROWTH),
                 reason,
             ))
         if (
@@ -486,7 +413,7 @@ class DecisionEngine:
         return out
 
     # ------------------------------------------------------------------
-    def _gate(
+    def _decide(
         self,
         knob: str,
         target: float,
@@ -494,11 +421,8 @@ class DecisionEngine:
         condition: Condition,
         s: ControlSignals,
     ) -> Optional[ControlDecision]:
-        """Cooldown + clamp + no-op filter for one proposal."""
-        last = self._last_change.get(knob)
-        if last is not None and s.epoch - last < self.config.cooldown_epochs:
-            return None
-        value, clamped = self.config.limits.clamp(knob, target)
+        """Clamp + no-op filter for one proposal."""
+        value, clamped = self.clamp(knob, target)
         current = self._current(knob, s)
         if value == current:
             return None
@@ -512,6 +436,12 @@ class DecisionEngine:
             clamped=clamped,
         )
 
+    def clamp(self, knob: str, value: float) -> Tuple[float, bool]:
+        """``(clamped value, True when the raw value crossed a bound)``."""
+        lo, hi = (1, self.max_shards) if knob == "shards" else LIMITS[knob]
+        clamped = min(max(value, lo), hi)
+        return clamped, clamped != value
+
     @staticmethod
     def _current(knob: str, s: ControlSignals) -> float:
         return {
@@ -523,7 +453,7 @@ class DecisionEngine:
 
 
 class RuntimeController:
-    """The side-effecting half: collect signals, apply gated decisions.
+    """The side-effecting half: collect signals, apply clamped decisions.
 
     Attach one to a harness with
     :meth:`~repro.serve.harness.ServeHarness.attach_controller`; the
@@ -534,15 +464,12 @@ class RuntimeController:
     knobs themselves provide.
     """
 
-    def __init__(self, harness, config: Optional[ControllerConfig] = None):
+    def __init__(self, harness, policy: Optional[SLOPolicy] = None):
         self.harness = harness
-        self.config = config or ControllerConfig()
-        self.config.validate()
+        self.policy = policy or SLOPolicy()
         self.baseline = self._knobs()
-        self.engine = DecisionEngine(self.config, self.baseline)
-        self.audit: Deque[ControlDecision] = deque(
-            maxlen=self.config.audit_capacity
-        )
+        self.engine = DecisionEngine(self.policy, self.baseline)
+        self.audit: Deque[ControlDecision] = deque(maxlen=AUDIT_CAPACITY)
         self.frozen = False
         self.freeze_reason: Optional[str] = None
         self.decisions_total = 0
@@ -591,12 +518,12 @@ class RuntimeController:
         groups = [
             len(sources) for sources in h.engine.sources_owned().values()
         ]
-        admission = h.admission.stats()
+        rejected, _ = h.admission.tally()
         levels = {
-            "rejections": sum(admission["rejections"].values()),
-            "saturated": admission["rejections"].get("queue-saturated", 0),
-            "admitted": admission["admitted_registrations"]
-            + admission["admitted_batches"],
+            "rejections": rejected,
+            "saturated": h.admission.rejection_counts().get(
+                "queue-saturated", 0
+            ),
         }
         delta = {
             key: level - self._prev_levels.get(key, 0)
@@ -607,7 +534,7 @@ class RuntimeController:
         signals = ControlSignals(
             epoch=epoch,
             num_shards=h.engine.num_shards,
-            queue_bound=admission["queue_bound"],
+            queue_bound=h.admission.queue_bound,
             depth_max=max(
                 (shard.depth for shard in h.engine.shards), default=0
             ),
@@ -615,13 +542,11 @@ class RuntimeController:
             groups_total=sum(groups),
             rejections_delta=delta["rejections"],
             saturated_delta=delta["saturated"],
-            admitted_delta=delta["admitted"],
             breakers_open=sum(
                 1 for breaker in supervisor["breakers"].values()
                 if breaker["state"] != "closed"
             ),
             degraded_sessions=sessions.get("degraded", 0),
-            answer_p99=h.answer_p99(),
             staleness_served=h.staleness_high_water(),
             admission_rate=knobs["admission_rate"],
             admission_burst=knobs["admission_burst"],

@@ -26,9 +26,8 @@ from __future__ import annotations
 import contextlib
 import queue
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.classification import KeyPathRule
@@ -51,7 +50,7 @@ from repro.obs.bridge import (
     record_supervision,
 )
 from repro.obs.provenance import ProvenanceRecorder
-from repro.obs.telemetry import Telemetry, get_global_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.query import PairwiseQuery
 from repro.resilience.pipeline import ResilientPipeline
 from repro.resilience.recovery import RecoveryManager, RecoveryResult
@@ -127,8 +126,6 @@ class ServeHarness:
         self.query_ops = OpCounts()
         #: adaptive controller, attached via :meth:`attach_controller`
         self.controller = None
-        #: recent per-batch submit latencies (the answer-p99 window)
-        self._latencies: Deque[float] = deque(maxlen=256)
         #: stale reads served over the lifetime of this harness
         self.stale_reads_served = 0
         #: max staleness age served since the last controller review
@@ -150,7 +147,6 @@ class ServeHarness:
         policy: ShedPolicy = ShedPolicy.REJECT,
         registration_rate: float = 64.0,
         registration_burst: float = 32.0,
-        delay_timeout: float = 2.0,
         dedupe: bool = False,
         clock: Callable[[], float] = time.monotonic,
         fault_hook=None,
@@ -158,6 +154,7 @@ class ServeHarness:
         supervision: Optional[SupervisorConfig] = None,
         provenance: Optional[ProvenanceRecorder] = None,
         backend: str = "thread",
+        _recovered: Optional[RecoveryResult] = None,
         **pipeline_kwargs,
     ) -> "ServeHarness":
         """Start serving on a fresh state directory.
@@ -173,7 +170,10 @@ class ServeHarness:
         ``docs/process_shards.md``); ``pipeline_kwargs`` pass through to
         :class:`~repro.resilience.pipeline.ResilientPipeline` (e.g.
         ``checkpoint_every``, ``guard_every``, ``wal_sync``,
-        ``write_hook``, ``telemetry``).
+        ``write_hook``, ``telemetry``).  ``_recovered`` is internal to
+        :meth:`resume`: the engine adopts the recovered anchor state
+        instead of solving it, and the pipeline continues the recovered
+        snapshot sequence.
         """
         engine = ShardedServeEngine(
             graph,
@@ -189,92 +189,20 @@ class ServeHarness:
             else ProvenanceRecorder(),
             backend=backend,
         )
-        engine.initialize()
+        if _recovered is None:
+            engine.initialize()
+        else:
+            state = _recovered.engine.state
+            engine.adopt_state(state.states, state.parents)
+            pipeline_kwargs.update(
+                start_snapshot=_recovered.snapshot_id, checkpoint_now=False
+            )
         pipeline = ResilientPipeline.wrap(directory, engine, **pipeline_kwargs)
-        return cls._assemble(
-            pipeline, engine, policy, queue_bound, registration_rate,
-            registration_burst, delay_timeout, dedupe, clock,
-            supervision,
-        )
-
-    @classmethod
-    def resume(
-        cls,
-        directory: str,
-        algorithm: Optional[MonotonicAlgorithm] = None,
-        on_corrupt: str = "quarantine",
-        num_shards: int = 2,
-        rule: KeyPathRule = KeyPathRule.PRECISE,
-        queue_bound: int = 64,
-        policy: ShedPolicy = ShedPolicy.REJECT,
-        registration_rate: float = 64.0,
-        registration_burst: float = 32.0,
-        delay_timeout: float = 2.0,
-        dedupe: bool = False,
-        clock: Callable[[], float] = time.monotonic,
-        fault_hook=None,
-        epoch_deadline: float = 30.0,
-        supervision: Optional[SupervisorConfig] = None,
-        provenance: Optional[ProvenanceRecorder] = None,
-        backend: str = "thread",
-        **pipeline_kwargs,
-    ) -> "ServeHarness":
-        """Recover a crashed serving session from its state directory.
-
-        Checkpoint restore + WAL tail replay rebuild the canonical
-        topology and the anchor's converged state; shard workers start
-        from the recovered graph, so clients simply re-register their
-        standing queries (sessions are in-memory, not durable state).
-        """
-        counters = pipeline_kwargs.pop("counters", None) or ResilienceCounters()
-        manager = RecoveryManager(
-            directory, algorithm=algorithm, on_corrupt=on_corrupt,
-            counters=counters,
-        )
-        recovered = manager.recover()
-        base = recovered.engine
-        engine = ShardedServeEngine(
-            base.graph,
-            base.algorithm,
-            base.query,
-            num_shards=num_shards,
-            rule=rule,
-            queue_bound=queue_bound,
-            fault_hook=fault_hook,
-            epoch_deadline=epoch_deadline,
-            clock=clock,
-            provenance=provenance if provenance is not None
-            else ProvenanceRecorder(),
-            backend=backend,
-        )
-        engine.adopt_state(base.state.states, base.state.parents)
-        pipeline = ResilientPipeline.wrap(
-            directory,
-            engine,
-            start_snapshot=recovered.snapshot_id,
-            checkpoint_now=False,
-            counters=counters,
-            **pipeline_kwargs,
-        )
-        return cls._assemble(
-            pipeline, engine, policy, queue_bound, registration_rate,
-            registration_burst, delay_timeout, dedupe, clock,
-            supervision, recovered=recovered,
-        )
-
-    @classmethod
-    def _assemble(
-        cls, pipeline, engine, policy, queue_bound, registration_rate,
-        registration_burst, delay_timeout, dedupe, clock,
-        supervision=None, recovered=None,
-    ) -> "ServeHarness":
-        """Shared tail of :meth:`open` / :meth:`resume`."""
         admission = AdmissionController(
             policy=policy,
             queue_bound=queue_bound,
             registration_rate=registration_rate,
             registration_burst=registration_burst,
-            delay_timeout=delay_timeout,
             clock=clock,
         )
         registry = SessionRegistry(dedupe=dedupe)
@@ -284,7 +212,35 @@ class ServeHarness:
         supervisor = Supervisor(engine, registry, config=supervision,
                                 clock=clock)
         return cls(pipeline, engine, admission, registry, cache, supervisor,
-                   recovered=recovered, clock=clock)
+                   recovered=_recovered, clock=clock)
+
+    @classmethod
+    def resume(
+        cls,
+        directory: str,
+        algorithm: Optional[MonotonicAlgorithm] = None,
+        on_corrupt: str = "quarantine",
+        **options,
+    ) -> "ServeHarness":
+        """Recover a crashed serving session from its state directory.
+
+        Checkpoint restore + WAL tail replay rebuild the canonical
+        topology and the anchor's converged state; shard workers start
+        from the recovered graph, so clients simply re-register their
+        standing queries (sessions are in-memory, not durable state).
+        ``options`` are :meth:`open`'s serving options and pipeline
+        keyword arguments.
+        """
+        counters = options.pop("counters", None) or ResilienceCounters()
+        recovered = RecoveryManager(
+            directory, algorithm=algorithm, on_corrupt=on_corrupt,
+            counters=counters,
+        ).recover()
+        base = recovered.engine
+        return cls.open(
+            directory, base.graph, base.algorithm, base.query,
+            _recovered=recovered, counters=counters, **options,
+        )
 
     # ------------------------------------------------------------------
     # standing queries
@@ -378,7 +334,6 @@ class ServeHarness:
         result: ServeBatchResult = self.pipeline.run_batch(batch)
         latency = time.perf_counter() - started
         self.batches_served += 1
-        self._latencies.append(latency)
         telemetry = self.telemetry
         # re-enter the batch's causal tree: answer delivery, cache
         # invalidation and supervision all descend from the commit root
@@ -566,21 +521,19 @@ class ServeHarness:
     # ------------------------------------------------------------------
     # adaptive control
     # ------------------------------------------------------------------
-    def attach_controller(self, config=None):
+    def attach_controller(self, policy=None):
         """Attach (or return) the adaptive :class:`RuntimeController`.
 
-        ``config`` is a :class:`~repro.serve.control.ControllerConfig`
-        (default-constructed when omitted).  Idempotent: a second call
-        returns the existing controller unchanged.  From then on every
-        :meth:`submit` ends with a controller review — see
+        ``policy`` is the :class:`~repro.serve.control.SLOPolicy` the
+        controller chases (default-constructed when omitted).  Idempotent:
+        a second call returns the existing controller unchanged.  From
+        then on every :meth:`submit` ends with a controller review — see
         docs/adaptive_control.md.
         """
-        from repro.serve.control import ControllerConfig, RuntimeController
+        from repro.serve.control import RuntimeController
 
         if self.controller is None:
-            self.controller = RuntimeController(
-                self, config or ControllerConfig()
-            )
+            self.controller = RuntimeController(self, policy)
         return self.controller
 
     def rescale_shards(self, num_shards: int) -> None:
@@ -604,14 +557,6 @@ class ServeHarness:
             shard = self.engine.shard_of(session.query.source)
             shard.submit_register(session, block=True)
         self._record_telemetry()
-
-    def answer_p99(self) -> float:
-        """Nearest-rank p99 over the recent per-batch answer latencies."""
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        return ordered[min(len(ordered) - 1,
-                           int(0.99 * (len(ordered) - 1)))]
 
     def staleness_high_water(self) -> int:
         """Max staleness age served since the last controller review."""

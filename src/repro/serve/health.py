@@ -97,6 +97,12 @@ class Heartbeat:
             return self._busy_kind
 
 
+#: how long one inbox command may run before the probe reports ``HUNG``
+#: (diagnostic: the engine's ``epoch_deadline`` is what detects a hang at
+#: the barrier)
+HANG_TIMEOUT = 10.0
+
+
 class HealthMonitor:
     """Classify shard workers from thread state and heartbeat freshness.
 
@@ -108,7 +114,7 @@ class HealthMonitor:
 
     def __init__(
         self,
-        hang_timeout: float = 10.0,
+        hang_timeout: float = HANG_TIMEOUT,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if hang_timeout <= 0:

@@ -51,16 +51,13 @@ class SupervisorConfig:
 
     ``failure_threshold`` consecutive failures of one source trip its
     breaker; ``breaker_cooldown`` seconds later the breaker offers one
-    half-open trial resurrection.  ``hang_timeout`` is the health probe's
-    stuck-command bound (diagnostic; the engine's ``epoch_deadline`` is
-    what actually detects hangs at the barrier).  ``max_staleness`` is the
+    half-open trial resurrection.  ``max_staleness`` is the
     degraded-read contract: the oldest last-known answer, in epochs, the
     harness may serve while a breaker is open.
     """
 
     failure_threshold: int = 3
     breaker_cooldown: float = 30.0
-    hang_timeout: float = 10.0
     max_staleness: int = 8
 
     def validate(self) -> None:
@@ -68,8 +65,6 @@ class SupervisorConfig:
             raise ValueError("failure_threshold must be positive")
         if self.breaker_cooldown <= 0:
             raise ValueError("breaker_cooldown must be positive")
-        if self.hang_timeout <= 0:
-            raise ValueError("hang_timeout must be positive")
         if self.max_staleness < 0:
             raise ValueError("max_staleness must be non-negative")
 
@@ -89,7 +84,7 @@ class Supervisor:
         self.config = config or SupervisorConfig()
         self.config.validate()
         self.clock = clock
-        self.monitor = HealthMonitor(self.config.hang_timeout, clock)
+        self.monitor = HealthMonitor(clock=clock)
         #: one breaker per source that ever failed (lazily created)
         self.breakers: Dict[int, CircuitBreaker] = {}
         #: sources with a counted outage, awaiting a successful rescue

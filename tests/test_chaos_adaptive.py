@@ -111,6 +111,53 @@ class TestHotSkew:
         assert report.session_states.get("live", 0) >= 12
 
 
+#: every builtin schedule's adaptive audit, ``(epoch, condition, knob,
+#: old, new, clamped)``, for the seed-7 PPSP run on the thread backend
+PINNED_DECISIONS = {
+    "kill-shard": [
+        (2, "degraded-read-pressure", "max_staleness", 8.0, 1.0, False),
+        (6, "idle", "max_staleness", 1.0, 8.0, False),
+    ],
+    "hang-epoch": [],
+    "saturate-tear": [],
+    "flash-crowd": [
+        (2, "overload", "admission_rate", 2.0, 16.0, False),
+        (2, "overload", "admission_burst", 6.0, 48.0, False),
+        (5, "idle", "admission_rate", 16.0, 2.0, False),
+        (5, "idle", "admission_burst", 48.0, 6.0, False),
+    ],
+    "hot-skew": [
+        (2, "hot-skew", "shards", 2.0, 3.0, False),
+        (5, "idle", "shards", 3.0, 2.0, False),
+        (6, "hot-skew", "shards", 2.0, 3.0, False),
+    ],
+    "slow-shard": [],
+    "sigkill-shard": [
+        (2, "degraded-read-pressure", "max_staleness", 8.0, 2.0, False),
+        (6, "idle", "max_staleness", 2.0, 8.0, False),
+    ],
+    "wedge-shard": [],
+}
+
+
+class TestPinnedDecisions:
+    def test_every_builtin_schedule_is_pinned(self):
+        assert set(PINNED_DECISIONS) == set(BUILTIN_SCHEDULES)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DECISIONS))
+    def test_decision_audit_is_pinned(self, name, adaptive_chaos_report):
+        """The controller's decisions are a pure function of the seeded
+        run: any change to a threshold, a clamp or the signal path shows
+        up here as a different audit."""
+        report = adaptive_chaos_report(name)
+        assert report.converged
+        assert [
+            (d["epoch"], d["condition"], d["knob"], d["old"], d["new"],
+             d["clamped"])
+            for d in report.decisions
+        ] == PINNED_DECISIONS[name]
+
+
 class TestDecisionProvenance:
     def test_every_decision_resolves_to_a_trace_point(self, tmp_path):
         telemetry = Telemetry()

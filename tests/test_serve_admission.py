@@ -99,7 +99,7 @@ class TestRegistrationAdmission:
         with pytest.raises(RateLimitedError):
             controller.admit_registration(depth=0)
         assert controller.rejection_counts() == {"rate-limited": 1}
-        assert controller.total_rejections == 1
+        assert controller.tally() == (1, 1)
 
     def test_saturated_queue_raises_and_counts(self):
         controller = AdmissionController(

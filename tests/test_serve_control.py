@@ -4,7 +4,7 @@ Three layers under test: the retunable knobs themselves (token bucket
 rates, admission retune — all validated and thread-safe),
 the pure :class:`~repro.serve.control.DecisionEngine` (deterministic on
 identical signal streams, flap-proof inside the hysteresis band, clamped
-and cooled down), and the side-effecting
+to its derived shard ceiling), and the side-effecting
 :class:`~repro.serve.control.RuntimeController` driving a real
 :class:`~repro.serve.harness.ServeHarness` — live shard rescale with
 session migration, the freeze/thaw kill switch, and the audit trail.
@@ -20,9 +20,7 @@ from repro.errors import ControlError, SessionClosedError
 from repro.query import PairwiseQuery
 from repro.serve import (
     Condition,
-    ControlLimits,
     ControlSignals,
-    ControllerConfig,
     DecisionEngine,
     SLOPolicy,
     SLOVerdict,
@@ -71,10 +69,8 @@ def signals(**overrides) -> ControlSignals:
         groups_total=4,
         rejections_delta=0,
         saturated_delta=0,
-        admitted_delta=1,
         breakers_open=0,
         degraded_sessions=0,
-        answer_p99=0.01,
         staleness_served=0,
         admission_rate=64.0,
         admission_burst=32.0,
@@ -85,7 +81,7 @@ def signals(**overrides) -> ControlSignals:
 
 
 # ----------------------------------------------------------------------
-# policies, limits, configs
+# policies
 # ----------------------------------------------------------------------
 class TestSLOPolicy:
     def test_validation(self):
@@ -109,42 +105,6 @@ class TestSLOPolicy:
     def test_empty_latency_sample_grades_as_zero(self):
         verdict = SLOVerdict.grade(SLOPolicy(), [], 0, 0.0)
         assert verdict.answer_p99 == 0.0 and verdict.met
-
-
-class TestControlLimits:
-    def test_validation_rejects_inverted_and_nonpositive(self):
-        ControlLimits().validate()
-        with pytest.raises(ControlError):
-            ControlLimits(min_shards=4, max_shards=2).validate()
-        with pytest.raises(ControlError):
-            ControlLimits(min_shards=0).validate()
-        with pytest.raises(ControlError):
-            ControlLimits(min_rate=0.0).validate()
-
-    def test_clamp_reports_crossing(self):
-        limits = ControlLimits(min_shards=1, max_shards=4)
-        assert limits.clamp("shards", 3.0) == (3.0, False)
-        assert limits.clamp("shards", 9.0) == (4.0, True)
-        assert limits.clamp("shards", 0.0) == (1.0, True)
-
-
-class TestControllerConfig:
-    def test_validation(self):
-        ControllerConfig().validate()
-        with pytest.raises(ControlError):
-            ControllerConfig(cooldown_epochs=0).validate()
-        with pytest.raises(ControlError):
-            ControllerConfig(low_water=0.8, high_water=0.5).validate()
-        with pytest.raises(ControlError):
-            ControllerConfig(skew_factor=1.0).validate()
-        with pytest.raises(ControlError):
-            ControllerConfig(admission_growth=1.0).validate()
-        with pytest.raises(ControlError):
-            ControllerConfig(audit_capacity=0).validate()
-
-    def test_engine_requires_complete_baseline(self):
-        with pytest.raises(ControlError):
-            DecisionEngine(ControllerConfig(), {"shards": 2.0})
 
 
 # ----------------------------------------------------------------------
@@ -196,8 +156,18 @@ class TestTokenBucketRetune:
 # the pure decision engine
 # ----------------------------------------------------------------------
 class TestDecisionEngine:
+    def test_engine_requires_complete_baseline(self):
+        with pytest.raises(ControlError):
+            DecisionEngine(SLOPolicy(), {"shards": 2.0})
+
+    def test_clamp_reports_crossing(self):
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
+        assert engine.clamp("shards", 3.0) == (3.0, False)
+        assert engine.clamp("shards", 9.0) == (4.0, True)
+        assert engine.clamp("shards", 0.0) == (1.0, True)
+
     def test_overload_with_headroom_opens_admission(self):
-        engine = DecisionEngine(ControllerConfig(), dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
         condition, decisions = engine.step(
             signals(rejections_delta=5, admission_rate=2.0, admission_burst=6.0)
         )
@@ -207,7 +177,7 @@ class TestDecisionEngine:
         }
 
     def test_overload_when_saturated_adds_a_shard(self):
-        engine = DecisionEngine(ControllerConfig(), dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
         condition, decisions = engine.step(
             signals(rejections_delta=3, saturated_delta=3, depth_max=60)
         )
@@ -216,14 +186,13 @@ class TestDecisionEngine:
         assert decisions[0].new == 3.0
 
     def test_degraded_reads_narrow_staleness_to_the_slo(self):
-        config = ControllerConfig(policy=SLOPolicy(staleness_bound=1))
-        engine = DecisionEngine(config, dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(staleness_bound=1), dict(BASELINE))
         condition, decisions = engine.step(signals(epoch=2, breakers_open=2))
         assert condition is Condition.DEGRADED_READS
         assert [(d.knob, d.new) for d in decisions] == [("max_staleness", 1.0)]
 
     def test_hot_skew_adds_a_shard(self):
-        engine = DecisionEngine(ControllerConfig(), dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
         condition, decisions = engine.step(
             signals(groups_max=10, groups_total=12)
         )
@@ -231,8 +200,7 @@ class TestDecisionEngine:
         assert [d.knob for d in decisions] == ["shards"]
 
     def test_idle_relaxes_only_after_the_streak(self):
-        config = ControllerConfig(idle_epochs=3)
-        engine = DecisionEngine(config, dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
         grown = dict(admission_rate=512.0, admission_burst=256.0)
         for epoch in (1, 2):
             condition, decisions = engine.step(signals(epoch=epoch, **grown))
@@ -244,33 +212,23 @@ class TestDecisionEngine:
         }
 
     def test_scale_up_clamps_at_max_shards(self):
-        config = ControllerConfig(limits=ControlLimits(max_shards=2))
-        engine = DecisionEngine(config, dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
+        assert engine.max_shards == 4  # max(4, 2 x baseline 2)
+        wide = DecisionEngine(SLOPolicy(), dict(BASELINE, shards=3.0))
+        assert wide.max_shards == 6
         condition, decisions = engine.step(
-            signals(rejections_delta=1, saturated_delta=1)
+            signals(num_shards=4, rejections_delta=1, saturated_delta=1)
         )
-        # the clamp turns 3 shards back into 2 == current -> no-op gated
+        # the clamp turns 5 shards back into 4 == current -> no-op
         assert condition is Condition.OVERLOAD
         assert decisions == []
-
-    def test_cooldown_blocks_back_to_back_moves(self):
-        config = ControllerConfig(cooldown_epochs=3)
-        engine = DecisionEngine(config, dict(BASELINE))
-        overload = dict(rejections_delta=2, saturated_delta=2)
-        _, first = engine.step(signals(epoch=1, **overload))
-        assert [d.knob for d in first] == ["shards"]
-        _, second = engine.step(signals(epoch=2, num_shards=3, **overload))
-        assert second == []  # inside the cooldown window
-        _, third = engine.step(signals(epoch=4, num_shards=3, **overload))
-        assert [d.knob for d in third] == ["shards"]
 
 
 class TestFlapGuard:
     def test_oscillating_load_in_the_band_produces_zero_decisions(self):
         """The regression: depth bouncing 0.4 <-> 0.6 of bound must not
         move any knob — both sides sit inside the hysteresis band."""
-        config = ControllerConfig(low_water=0.25, high_water=0.75)
-        engine = DecisionEngine(config, dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
         for epoch in range(1, 41):
             depth = 26 if epoch % 2 else 38  # 0.41 / 0.59 of bound 64
             condition, decisions = engine.step(
@@ -317,7 +275,7 @@ class TestDeterminism:
 
     @staticmethod
     def _run(stream):
-        engine = DecisionEngine(ControllerConfig(), dict(BASELINE))
+        engine = DecisionEngine(SLOPolicy(), dict(BASELINE))
         out = []
         for frame in stream:
             condition, decisions = engine.step(frame)

@@ -23,7 +23,7 @@ from repro.obs.summary import format_worker_table, worker_rows
 from repro.obs.tracing import build_traces, render_waterfall
 from repro.query import PairwiseQuery
 from repro.serve import ServeHarness
-from repro.serve.control import ControllerConfig, RuntimeController
+from repro.serve.control import RuntimeController
 from repro.serve.ipc import OUT_TELEMETRY
 from repro.serve.telemetry_agent import ChildTelemetryAgent, read_spill
 from tests.conftest import random_batch, random_graph
@@ -221,7 +221,7 @@ class TestControllerBackendIdentity:
                 num_shards=2, backend=backend,
             )
             try:
-                controller = RuntimeController(harness, ControllerConfig())
+                controller = RuntimeController(harness)
                 for pair in PAIRS:
                     harness.register(*pair)
                 assert harness.wait_all_live(timeout=30.0)
@@ -235,10 +235,6 @@ class TestControllerBackendIdentity:
                     frames.append(controller.collect(epoch).as_dict())
             finally:
                 harness.close()
-        # answer latency is wall-clock, the one legitimately
-        # backend-dependent signal
-        for frame in frames:
-            frame.pop("answer_p99")
         return frames
 
     def test_signal_frames_are_backend_identical(self, tmp_path):

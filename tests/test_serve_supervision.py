@@ -201,7 +201,6 @@ class TestSupervisorConfig:
     @pytest.mark.parametrize("field, value", [
         ("failure_threshold", 0),
         ("breaker_cooldown", 0.0),
-        ("hang_timeout", -1.0),
         ("max_staleness", -1),
     ])
     def test_validation_rejects_bad_values(self, field, value):
