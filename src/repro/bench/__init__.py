@@ -3,8 +3,7 @@
 Besides the artifact regeneration helpers, this package hosts the
 production-traffic benchmark subsystem (:mod:`repro.bench.traffic` for
 seeded open-loop load generation, :mod:`repro.bench.runner` for isolated
-SLO-graded run bundles) and the shared ``BENCH_*.json`` schema-drift
-checker (:mod:`repro.bench.schema`).
+SLO-graded run bundles).
 """
 
 from repro.bench.datasets import (
@@ -42,12 +41,6 @@ from repro.bench.runner import (
     TrafficRunReport,
     reproduce_run,
     run_traffic,
-)
-from repro.bench.schema import (
-    check_baseline,
-    key_paths,
-    schema_drift,
-    write_baseline,
 )
 from repro.bench.traffic import (
     TRAFFIC_PROFILES,
@@ -104,10 +97,6 @@ __all__ = [
     "TrafficRunReport",
     "reproduce_run",
     "run_traffic",
-    "check_baseline",
-    "key_paths",
-    "schema_drift",
-    "write_baseline",
     "TRAFFIC_PROFILES",
     "TrafficEvent",
     "TrafficProfile",

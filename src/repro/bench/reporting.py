@@ -2,7 +2,7 @@
 
 Turns the harness's result objects into the paper-vs-measured markdown
 used in EXPERIMENTS.md, so reports can be regenerated mechanically after
-code changes (``python tools/generate_report.py``).
+code changes (``python -m repro report --output results/report.md``).
 """
 
 from __future__ import annotations

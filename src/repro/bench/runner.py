@@ -25,8 +25,8 @@ shed via the virtual-clock token bucket, never via thread-timing queue
 races, precisely so the exact half of the contract is checkable.
 
 ``repro bench traffic`` / ``repro bench reproduce`` are the CLI fronts;
-``tools/bench_traffic.py`` commits the static-vs-adaptive flash-crowd
-comparison as ``BENCH_traffic.json``.  See ``docs/traffic.md``.
+``BENCH_traffic.json`` pins the :data:`EXACT_KEYS` of the seed-0
+flash-crowd run, static and adaptive.  See ``docs/traffic.md``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class RunConfig:
     tuned against the ``flash-crowd`` profile: the bucket clears the
     20/s baseline comfortably, the 6x burst overwhelms it, so a static
     deployment violates the shed-rate SLO and an adaptive one does not —
-    the comparison ``BENCH_traffic.json`` commits.
+    the comparison ``BENCH_traffic.json`` pins.
     """
 
     profile: TrafficProfile

@@ -74,10 +74,6 @@ class Telemetry:
         """Adopt a cross-thread trace context (see ``SpanTracer.activate``)."""
         return self.tracer.activate(context)
 
-    def trace_context(self) -> Optional[TraceContext]:
-        """The context a cross-thread hop should carry right now."""
-        return self.tracer.current_context()
-
     def counter(self, name: str, labels=None):
         return self.registry.counter(name, labels)
 

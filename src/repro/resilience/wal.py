@@ -396,8 +396,8 @@ def verify(directory: str) -> WalStats:
     """Scan a WAL directory and report integrity statistics.
 
     Never raises on damaged records — corruption and torn tails are counted
-    in the returned :class:`WalStats` (``tools/check_wal.py`` and the CLI's
-    ``wal-verify`` wrap this).
+    in the returned :class:`WalStats` (the CLI's ``wal-verify`` wraps
+    this).
     """
     stats = WalStats()
     for _ in replay(directory, on_corrupt="quarantine", stats=stats):

@@ -183,6 +183,10 @@ class TestRecoverAndWalVerify:
         assert main(["wal-verify", os.path.join(directory, "wal")]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_wal_verify_missing_directory_fails(self, tmp_path, capsys):
+        assert main(["wal-verify", str(tmp_path / "missing")]) == 1
+        assert "is not a directory" in capsys.readouterr().err
+
     def test_wal_verify_damage(self, tmp_path, capsys):
         from repro.resilience.faults import corrupt_record_byte
 

@@ -7,13 +7,12 @@ within the stated tolerance (and *fails* when the bundle was tampered
 with — a reproduce check that cannot fail verifies nothing), the
 flash-crowd static-vs-adaptive comparison separates (the controller's
 proof of value), and the 10k-session acceptance run from the issue
-completes end to end.  Includes the ``BENCH_traffic.json`` smoke check.
+completes end to end.  Includes the ``BENCH_traffic.json`` value pin.
 """
 
+import functools
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -259,14 +258,22 @@ class TestBenchCli:
 
 
 @pytest.mark.traffic
-def test_bench_traffic_schema_check():
-    """The committed BENCH_traffic.json must match the fresh schema."""
-    result = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "bench_traffic.py"),
-         "--check"],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
-        timeout=600,
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "schema matches" in result.stdout
+def test_traffic_pin_values_reproduce(tmp_path):
+    """``BENCH_traffic.json`` pins every exact key of the seed-0
+    flash-crowd summaries, static and adaptive: the virtual clock must
+    reproduce each value."""
+    with open(os.path.join(ROOT, "BENCH_traffic.json")) as handle:
+        pinned = json.load(handle)
+    assert set(pinned) == {"profile", "seed", "static", "adaptive"}
+    profile = builtin_profile(pinned["profile"]).scaled(seed=pinned["seed"])
+    for mode in ("static", "adaptive"):
+        summary = run_traffic(
+            RunConfig(profile=profile, adaptive=mode == "adaptive"),
+            results_root=str(tmp_path),
+            run_id=mode,
+        ).summary
+        fresh = {
+            key: functools.reduce(dict.__getitem__, key.split("."), summary)
+            for key in EXACT_KEYS
+        }
+        assert fresh == pinned[mode], mode
