@@ -1,98 +1,44 @@
 """Figure 2: breakdown of graph updates, redundant computations and
 wasteful processing time under contribution-independent processing.
 
-Paper result (Orkut, 10 queries): 85% of updates are useless, causing 87%
-redundant computations and >84% wasted time; deletions waste more than
-additions because of the extra tagging traversal.
+The ``fig2`` artifact of :mod:`repro.bench.reporting` (its paper values
+come from :mod:`repro.bench.paper`): on Orkut most updates are useless and
+cause most of the computations and processing time; deletions waste more
+than additions because of the extra tagging traversal.
 
 The reproduction reports two uselessness notions (DESIGN.md): the
 identification-level fraction (updates changing no state — what the
-paper's classifier detects, its 85%) and the query-level ground truth
-(updates that never moved the destination, which bounds it from above).
+paper's classifier detects) and the query-level ground truth (updates
+that never moved the destination, which bounds it from above).
 The deletion-overhead observation is demonstrated separately by comparing
 KickStarter-style dependence tagging against the GraphFly-style
 conservative reset on a deletion-only stream.
 """
 
-from benchmarks.conftest import num_pairs
 from repro.algorithms import get_algorithm
 from repro.baselines.incremental import PlainIncrementalEngine
 from repro.bench.charts import horizontal_bars
-from repro.bench.experiments import run_fig2
-from repro.bench.tables import format_dict_table, format_fraction
+from repro.bench.tables import format_dict_table
 from repro.graph.batch import UpdateBatch
 from repro.metrics import OpCounts
 
 
-def test_fig2(benchmark, emit, workloads, query_pairs):
-    workload = workloads["OR"]
-    queries = query_pairs["OR"]
-
-    result = benchmark.pedantic(
-        lambda: run_fig2(workload, "ppsp", queries), rounds=1, iterations=1
-    )
-
-    rows = [
-        {
-            "metric": "useless updates (identification level)",
-            "value": format_fraction(result.state_useless_fraction),
-            "paper": "85%",
-        },
-        {
-            "metric": "useless updates (query ground truth)",
-            "value": format_fraction(result.useless_update_fraction),
-            "paper": ">= 85%",
-        },
-        {
-            "metric": "redundant computations",
-            "value": format_fraction(result.redundant_computation_fraction),
-            "paper": "87%",
-        },
-        {
-            "metric": "wasteful processing time",
-            "value": format_fraction(result.wasteful_time_fraction),
-            "paper": ">84%",
-        },
-        {
-            "metric": "useless among additions",
-            "value": format_fraction(result.useless_addition_fraction),
-            "paper": "(majority)",
-        },
-        {
-            "metric": "useless among deletions",
-            "value": format_fraction(result.useless_deletion_fraction),
-            "paper": "(majority)",
-        },
-    ]
-    emit(
-        format_dict_table(
-            rows,
-            columns=["metric", "value", "paper"],
-            title=(
-                f"Figure 2 - motivation breakdown on OR, PPSP, "
-                f"{num_pairs()} query pairs"
-            ),
+def test_fig2(reproduce, emit):
+    for result in reproduce("fig2"):
+        emit(
+            horizontal_bars(
+                [
+                    ("useless (identification)", result.state_useless_fraction),
+                    ("useless (query truth)", result.useless_update_fraction),
+                    ("redundant computations", result.redundant_computation_fraction),
+                    ("wasteful time", result.wasteful_time_fraction),
+                ],
+                width=50,
+                max_value=1.0,
+                value_format="{:.0%}",
+                title=f"Figure 2 as bars ({result.dataset}, {result.algorithm})",
+            )
         )
-    )
-
-    emit(
-        horizontal_bars(
-            [
-                ("useless (identification)", result.state_useless_fraction),
-                ("useless (query truth)", result.useless_update_fraction),
-                ("redundant computations", result.redundant_computation_fraction),
-                ("wasteful time", result.wasteful_time_fraction),
-            ],
-            width=50,
-            max_value=1.0,
-            value_format="{:.0%}",
-            title="Figure 2 as bars",
-        )
-    )
-
-    assert result.state_useless_fraction > 0.5
-    assert result.useless_update_fraction >= result.state_useless_fraction - 1e-9
-    assert result.redundant_computation_fraction > 0.5
 
 
 def test_fig2_deletion_tagging_overhead(benchmark, emit, workloads, query_pairs):
@@ -134,8 +80,8 @@ def test_fig2_deletion_tagging_overhead(benchmark, emit, workloads, query_pairs)
             rows,
             columns=["deletion handling", "compute_ops", "tag_ops"],
             title=(
-                "Figure 2 (deletions) - prior-work deletion overhead on 25 "
-                f"deletions (conservative/trimmed = {ratio:.0f}x)"
+                "Figure 2 (deletions) - prior-work deletion overhead on "
+                f"{len(deletions)} deletions (conservative/trimmed = {ratio:.0f}x)"
             ),
         )
     )

@@ -1,51 +1,17 @@
 """Figure 5(a): computations in CISGraph vs CS, normalised to CS (OR).
 
-Paper result: CISGraph reduces computations by 67% on average (normalised
-0.33); the reproduction's reduction is typically much larger because the
-scaled batches touch a smaller graph fraction — the *shape* (CISGraph well
-below CS on every algorithm) is the claim under test.
+The ``fig5a`` artifact of :mod:`repro.bench.reporting`.  The
+reproduction's reduction is typically much larger than the paper's
+average (``repro.bench.paper.FIG5A_NORMALIZED_MEAN``) because the scaled
+batches touch a smaller graph fraction — the *shape* (CISGraph below CS on
+every algorithm) is the claim under test.
 """
 
-from benchmarks.conftest import num_pairs
 from repro.bench.charts import horizontal_bars
-from repro.bench.experiments import run_fig5a
-from repro.bench.tables import format_dict_table
-
-ALGORITHMS = ["ppsp", "ppwp", "ppnp", "viterbi", "reach"]
 
 
-def test_fig5a(benchmark, emit, workloads, query_pairs):
-    workload = workloads["OR"]
-    queries = query_pairs["OR"]
-
-    def run_all():
-        return [run_fig5a(workload, alg, queries) for alg in ALGORITHMS]
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = [
-        {
-            "algorithm": r.algorithm,
-            "cs_computations": r.cs_computations,
-            "cisgraph_computations": r.cisgraph_computations,
-            "normalized_to_cs": f"{r.normalized:.4f}",
-        }
-        for r in results
-    ]
-    emit(
-        format_dict_table(
-            rows,
-            columns=[
-                "algorithm",
-                "cs_computations",
-                "cisgraph_computations",
-                "normalized_to_cs",
-            ],
-            title=(
-                "Figure 5(a) - computations normalised to CS on OR "
-                f"({num_pairs()} query pairs; paper mean: 0.33)"
-            ),
-        )
-    )
+def test_fig5a(reproduce, emit):
+    results = reproduce("fig5a")
     emit(
         horizontal_bars(
             [("cs (any)", 1.0)]
@@ -56,5 +22,3 @@ def test_fig5a(benchmark, emit, workloads, query_pairs):
             title="Figure 5(a) as bars (computations normalised to CS)",
         )
     )
-    for r in results:
-        assert r.normalized < 1.0, f"{r.algorithm}: CISGraph must compute less than CS"

@@ -1,68 +1,20 @@
 """Figure 5(b): activated vertices of edge additions over edge deletions.
 
-Paper result: across datasets and algorithms CISGraph activates on average
-2.92x as many vertices for edge additions as for edge deletions before the
-response (deletions are identified and mostly delayed/dropped, avoiding the
-tagging explosion of prior systems); Viterbi is the counter-example where
-deletions activate more.
+The ``fig5b`` artifact of :mod:`repro.bench.reporting`.  Paper result:
+across datasets and algorithms CISGraph activates more vertices for edge
+additions than for edge deletions before the response (on average
+``repro.bench.paper.FIG5B_ADD_OVER_DEL`` times as many; deletions are
+identified and mostly delayed/dropped, avoiding the tagging explosion of
+prior systems); Viterbi is the counter-example where deletions activate
+more.
 """
 
-from benchmarks.conftest import num_pairs
 from repro.bench.charts import grouped_bars
-from repro.bench.experiments import geometric_mean, run_fig5b
-from repro.bench.tables import format_dict_table
-
-ALGORITHMS = ["ppsp", "ppwp", "ppnp", "viterbi", "reach"]
 
 
-def test_fig5b(benchmark, emit, workloads, query_pairs):
-    def run_all():
-        results = []
-        for abbrev, workload in workloads.items():
-            for algorithm in ALGORITHMS:
-                results.append(
-                    run_fig5b(workload, algorithm, query_pairs[abbrev])
-                )
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = [
-        {
-            "dataset": r.dataset,
-            "algorithm": r.algorithm,
-            "additions": r.addition_activations,
-            "deletions_total": r.deletion_activations,
-            "deletions_pre_response": r.deletion_activations_response,
-            "add/del": f"{r.additions_over_deletions:.2f}",
-        }
-        for r in results
-    ]
-    ratios = [
-        r.additions_over_deletions
-        for r in results
-        if r.deletion_activations > 0 and r.addition_activations > 0
-    ]
-    mean = geometric_mean(ratios) if ratios else float("nan")
-    pre_response = sum(r.deletion_activations_response for r in results)
-    total = sum(r.deletion_activations for r in results)
-    emit(
-        format_dict_table(
-            rows,
-            columns=[
-                "dataset",
-                "algorithm",
-                "additions",
-                "deletions_total",
-                "deletions_pre_response",
-                "add/del",
-            ],
-            title=(
-                "Figure 5(b) - activated vertices, additions vs deletions "
-                f"({num_pairs()} pairs; GMean add/del = {mean:.2f}, paper: 2.92; "
-                f"{pre_response}/{total} deletion activations before response)"
-            ),
-        )
-    )
+def test_fig5b(reproduce, emit):
+    """The deferral claim: deletion work happens after the response."""
+    results = reproduce("fig5b")
     emit(
         grouped_bars(
             [
@@ -81,5 +33,3 @@ def test_fig5b(benchmark, emit, workloads, query_pairs):
             title="Figure 5(b) as bars (activated vertices)",
         )
     )
-    # the deferral claim: almost all deletion work happens post-response
-    assert pre_response <= total

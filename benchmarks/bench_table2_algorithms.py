@@ -1,26 +1,22 @@
 """Table II: the five monotonic algorithms and their (+)/(x) operators.
 
-Reproduced directly from the algorithm registry; the benchmark measures the
-relaxation throughput of each algorithm's operator pair (the accelerator's
-per-cycle propagation step).
+Reproduced directly from the algorithm registry (the ``table2`` artifact
+of :mod:`repro.bench.reporting`); the benchmarks measure the relaxation
+throughput of each algorithm's operator pair (the accelerator's per-cycle
+propagation step).
 """
 
 import pytest
 
-from repro.algorithms import get_algorithm, table2_rows
-from repro.bench.tables import format_dict_table
+from repro.algorithms import get_algorithm
 
 
-def test_table2(benchmark, emit):
-    rows = table2_rows()
-    emit(
-        format_dict_table(
-            rows,
-            columns=["algorithm", "plus", "times", "description"],
-            title="Table II - monotonic graph algorithms ((+) and (x) for u -w-> v)",
-        )
-    )
+def test_table2(reproduce):
+    reproduce("table2")
 
+
+def test_relaxation_kernel(benchmark):
+    """One PPSP relaxation chain of 1000 (+)/(x) steps."""
     alg = get_algorithm("ppsp")
 
     def relax_kernel():

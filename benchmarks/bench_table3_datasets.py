@@ -1,26 +1,20 @@
 """Table III: dataset inventory (scaled stand-ins, see DESIGN.md).
 
-The benchmark measures snapshot construction (CSR build), the substrate
-cost every streaming batch pays in the accelerator.
+The ``table3`` artifact of :mod:`repro.bench.reporting`; the benchmarks
+measure snapshot construction (CSR build), the substrate cost every
+streaming batch pays in the accelerator, and workload generation.
 """
 
-from repro.bench.datasets import dataset_specs, table3_rows
-from repro.bench.tables import format_dict_table
+from repro.bench.datasets import dataset_specs
 from repro.graph.csr import CSRGraph
 
 
-def test_table3(benchmark, emit, workloads):
-    rows = table3_rows()
-    emit(
-        format_dict_table(
-            rows,
-            columns=["graph", "abbreviation", "vertices", "edges", "average_degree"],
-            title=(
-                "Table III - real-world graph datasets "
-                "(synthetic stand-ins at CISGRAPH_SCALE)"
-            ),
-        )
-    )
+def test_table3(reproduce):
+    reproduce("table3")
+
+
+def test_csr_build(benchmark, workloads):
+    """Snapshot construction of the OR stand-in."""
     graph = workloads["OR"].initial
     benchmark(lambda: CSRGraph.from_dynamic(graph))
 

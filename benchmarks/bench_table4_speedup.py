@@ -1,65 +1,26 @@
 """Table IV: execution speedup of SGraph, CISGraph-O and CISGraph over the
 Cold-Start baseline, per algorithm and dataset with geometric means.
 
-Paper shapes that must hold: CISGraph-O consistently beats CS (16.6x GMean
-in the paper); SGraph is erratic (0.24x to 81x, occasionally losing to CS
-because of hub-bound maintenance); the CISGraph accelerator adds a further
-integer factor over CISGraph-O (25x over SGraph on average).
+The ``table4`` artifact of :mod:`repro.bench.reporting`, with the paper's
+GMeans from :mod:`repro.bench.paper`.  Paper shapes that must hold:
+CISGraph-O consistently beats CS; SGraph is erratic (occasionally losing
+to CS because of hub-bound maintenance); the CISGraph accelerator adds a
+further integer factor over CISGraph-O.
 """
 
-from benchmarks.conftest import num_pairs
-from repro.bench.experiments import (
-    run_speedup_experiment,
-    table4_gmean_rows,
-)
-from repro.bench.paper import check_ordering_shapes, paper_gmean
 from repro.bench.tables import format_dict_table, format_speedup
 
-ALGORITHMS = ["ppsp", "ppwp", "ppnp", "viterbi", "reach"]
 
-
-def _run_all(workloads, query_pairs):
-    cells = []
-    for abbrev, workload in workloads.items():
-        for algorithm in ALGORITHMS:
-            cells.append(
-                run_speedup_experiment(
-                    workload, algorithm, query_pairs[abbrev]
-                )
-            )
-    return cells
-
-
-def test_table4(benchmark, emit, workloads, query_pairs):
-    cells = benchmark.pedantic(
-        lambda: _run_all(workloads, query_pairs), rounds=1, iterations=1
-    )
-    rows = table4_gmean_rows(cells)
-    for row in rows:
-        published = paper_gmean(row["algorithm"], row["engine"])
-        row["paper_gmean"] = published if published is not None else float("nan")
-    datasets = sorted(workloads)
-    emit(
-        format_dict_table(
-            rows,
-            columns=["algorithm", "engine"] + datasets + ["gmean", "paper_gmean"],
-            formatters={
-                key: format_speedup for key in datasets + ["gmean", "paper_gmean"]
-            },
-            title=(
-                "Table IV - speedup over Cold-Start (CS), "
-                f"{num_pairs()} query pairs per dataset"
-            ),
-        )
-    )
-
-    # variance rows: SGraph's per-query spread is the paper's "randomness"
+def test_table4(reproduce, emit):
+    """The orderings of ``repro.bench.paper.check_ordering_shapes`` hold."""
+    cells = reproduce("table4")
+    # SGraph's per-query spread is the paper's "randomness"
     spread_rows = [
         {
             "algorithm": c.algorithm,
             "dataset": c.dataset,
-            "sgraph_min": c.spread.get("sgraph", (float("nan"),) * 2)[0],
-            "sgraph_max": c.spread.get("sgraph", (float("nan"),) * 2)[1],
+            "sgraph_min": c.spread["sgraph"][0],
+            "sgraph_max": c.spread["sgraph"][1],
         }
         for c in cells
         if "sgraph" in c.spread
@@ -76,8 +37,3 @@ def test_table4(benchmark, emit, workloads, query_pairs):
                 title="Table IV (supplement) - SGraph per-query speedup spread",
             )
         )
-
-    # Shape assertions: the orderings the paper's analysis rests on.
-    by_key = {(r["algorithm"], r["engine"]): r["gmean"] for r in rows}
-    violations = check_ordering_shapes(by_key, ALGORITHMS)
-    assert not violations, violations

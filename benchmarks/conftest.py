@@ -1,7 +1,10 @@
 """Shared configuration for the benchmark suite.
 
 Every benchmark prints its reproduced table/figure to the terminal (outside
-pytest's capture) and appends it to ``results/benchmark_report.txt``.  Scale
+pytest's capture) and appends it to ``results/benchmark_report.txt``.  The
+six paper artifacts go through :func:`reproduce`: the markdown section of
+:mod:`repro.bench.reporting` that ``repro experiment`` and ``repro report``
+print, shape line included.  Scale
 is controlled with ``CISGRAPH_SCALE`` (default ``small``), the number of
 query pairs with ``CISGRAPH_PAIRS`` (default 3; the paper uses 10 — set
 ``CISGRAPH_PAIRS=10`` for the full protocol) and the number of batches with
@@ -57,24 +60,43 @@ def emit(capsys, report_path):
 
 
 @pytest.fixture(scope="session")
-def workloads():
-    """One workload per dataset, shared by every benchmark in the session."""
-    from repro.bench.datasets import dataset_specs, make_workload
+def inputs():
+    """One workload and its random query pairs per dataset (the paper: 10
+    random pairs), built exactly as ``repro report`` builds them."""
+    from repro.bench.datasets import dataset_specs
+    from repro.bench.reporting import paper_inputs
 
-    return {
-        spec.abbreviation: make_workload(
-            spec, num_batches=num_batches(), seed=0
-        )
-        for spec in dataset_specs()
-    }
+    return paper_inputs(dataset_specs(), num_pairs(), num_batches(), seed=0)
 
 
 @pytest.fixture(scope="session")
-def query_pairs(workloads):
-    """Per-dataset random query pairs (paper: 10 random pairs)."""
-    from repro.bench.datasets import pick_query_pairs
+def workloads(inputs):
+    """One workload per dataset, shared by every benchmark in the session."""
+    return inputs[0]
 
-    return {
-        abbrev: pick_query_pairs(w.initial, count=num_pairs(), seed=0)
-        for abbrev, w in workloads.items()
-    }
+
+@pytest.fixture(scope="session")
+def query_pairs(inputs):
+    """Per-dataset random query pairs."""
+    return inputs[1]
+
+
+@pytest.fixture
+def reproduce(benchmark, emit, workloads, query_pairs):
+    """Run one paper artifact (every algorithm) under the benchmark, emit
+    its markdown section and assert that its shape held."""
+    from repro.algorithms import list_algorithms
+    from repro.bench.reporting import ARTIFACTS, run_artifact
+
+    def _reproduce(name: str):
+        results = benchmark.pedantic(
+            lambda: run_artifact(name, workloads, query_pairs, list_algorithms()),
+            rounds=1,
+            iterations=1,
+        )
+        emit(ARTIFACTS[name].section(results))
+        violations = ARTIFACTS[name].check(results)
+        assert not violations, violations
+        return results
+
+    return _reproduce

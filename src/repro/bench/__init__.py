@@ -30,7 +30,6 @@ from repro.bench.experiments import (
     run_fig5b,
     run_software_engine,
     run_speedup_experiment,
-    run_table4,
     table4_gmean_rows,
 )
 from repro.bench.analysis import StreamDiagnostics, diagnose_stream, histogram, summarize
@@ -80,7 +79,6 @@ __all__ = [
     "run_fig5b",
     "run_software_engine",
     "run_speedup_experiment",
-    "run_table4",
     "table4_gmean_rows",
     "format_dict_table",
     "format_fraction",

@@ -9,7 +9,7 @@ design sections argue about qualitatively.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.registry import get_algorithm
 from repro.baselines.coldstart import ColdStartEngine
@@ -37,6 +37,33 @@ class AblationPoint:
     extra: Dict[str, float]
 
 
+def _accelerator_sweep(
+    workload: StreamingWorkload,
+    algorithm_name: str,
+    queries: Sequence[PairwiseQuery],
+    configs: Sequence[Tuple[str, Optional[AcceleratorConfig]]],
+) -> List[AblationPoint]:
+    """One point per labelled configuration: accelerator response and
+    drain time summed over the queries, and the mean SPM hit rate."""
+    points = []
+    for label, config in configs:
+        response = total = hit = 0.0
+        for query in queries:
+            run = run_accelerator(workload, algorithm_name, query, config)
+            response += run.response_ns
+            total += run.total_ns
+            hit += run.extra["spm_hit_rate"]
+        points.append(
+            AblationPoint(
+                label=label,
+                response_ns=response,
+                total_ns=total,
+                extra={"spm_hit_rate": hit / max(len(queries), 1)},
+            )
+        )
+    return points
+
+
 def sweep_pipelines(
     workload: StreamingWorkload,
     algorithm_name: str,
@@ -44,20 +71,10 @@ def sweep_pipelines(
     pipeline_counts: Sequence[int] = (1, 2, 4, 8),
 ) -> List[AblationPoint]:
     """Accelerator response time vs pipeline/propagation-unit count (A1)."""
-    points = []
-    for count in pipeline_counts:
-        config = AcceleratorConfig(pipelines=count, propagate_units=count)
-        response = total = 0.0
-        for query in queries:
-            run = run_accelerator(workload, algorithm_name, query, config)
-            response += run.response_ns
-            total += run.total_ns
-        points.append(
-            AblationPoint(
-                label=f"{count}p", response_ns=response, total_ns=total, extra={}
-            )
-        )
-    return points
+    return _accelerator_sweep(workload, algorithm_name, queries, [
+        (f"{count}p", AcceleratorConfig(pipelines=count, propagate_units=count))
+        for count in pipeline_counts
+    ])
 
 
 def sweep_spm_size(
@@ -71,26 +88,10 @@ def sweep_spm_size(
     Sizes are in KiB: at reproduction scale the whole working set already
     fits in a few MiB, so the interesting knee sits below 1 MiB.
     """
-    points = []
-    for size in sizes_kb:
-        config = AcceleratorConfig(
-            spm=SpmConfig(size_bytes=size * 1024)
-        )
-        response = total = hit = 0.0
-        for query in queries:
-            run = run_accelerator(workload, algorithm_name, query, config)
-            response += run.response_ns
-            total += run.total_ns
-            hit += run.extra.get("spm_hit_rate", 0.0)
-        points.append(
-            AblationPoint(
-                label=f"{size}KB",
-                response_ns=response,
-                total_ns=total,
-                extra={"spm_hit_rate": hit / max(len(queries), 1)},
-            )
-        )
-    return points
+    return _accelerator_sweep(workload, algorithm_name, queries, [
+        (f"{size}KB", AcceleratorConfig(spm=SpmConfig(size_bytes=size * 1024)))
+        for size in sizes_kb
+    ])
 
 
 def scheduling_policy_comparison(
@@ -106,14 +107,10 @@ def scheduling_policy_comparison(
     cannot answer until the whole buffer drains (``total_cycles``).  The
     comparison therefore falls out of one simulation per query.
     """
-    priority = fifo = 0.0
-    for query in queries:
-        run = run_accelerator(workload, algorithm_name, query, config)
-        priority += run.response_ns
-        fifo += run.total_ns
+    (run,) = _accelerator_sweep(workload, algorithm_name, queries, [("", config)])
     return [
-        AblationPoint("priority", response_ns=priority, total_ns=priority, extra={}),
-        AblationPoint("fifo-drain", response_ns=fifo, total_ns=fifo, extra={}),
+        AblationPoint("priority", run.response_ns, total_ns=run.response_ns, extra={}),
+        AblationPoint("fifo-drain", run.total_ns, total_ns=run.total_ns, extra={}),
     ]
 
 
@@ -167,23 +164,10 @@ def sweep_dram_channels(
     """
     from repro.hw.config import DramConfig
 
-    points = []
-    for channels in channel_counts:
-        config = AcceleratorConfig(dram=DramConfig(channels=channels))
-        response = total = 0.0
-        for query in queries:
-            run = run_accelerator(workload, algorithm_name, query, config)
-            response += run.response_ns
-            total += run.total_ns
-        points.append(
-            AblationPoint(
-                label=f"{channels}ch",
-                response_ns=response,
-                total_ns=total,
-                extra={},
-            )
-        )
-    return points
+    return _accelerator_sweep(workload, algorithm_name, queries, [
+        (f"{channels}ch", AcceleratorConfig(dram=DramConfig(channels=channels)))
+        for channels in channel_counts
+    ])
 
 
 def keypath_rule_comparison(

@@ -13,23 +13,16 @@ the runners cross-check that every engine returned the same answers.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.registry import get_algorithm, list_algorithms
+from repro.algorithms.registry import get_algorithm
 from repro.baselines.coalescing import CoalescingEngine
 from repro.baselines.coldstart import ColdStartEngine
 from repro.baselines.hubs import HubIndex
 from repro.baselines.incremental import PlainIncrementalEngine
 from repro.baselines.sgraph import PnPEngine, SGraphEngine
-from repro.bench.datasets import (
-    DatasetSpec,
-    StreamingWorkload,
-    dataset_specs,
-    make_workload,
-    pick_query_pairs,
-)
+from repro.bench.datasets import StreamingWorkload
 from repro.core.engine import CISGraphEngine
 from repro.engine import PairwiseEngine
 from repro.hw.accelerator import CISGraphAccelerator
@@ -57,6 +50,7 @@ class EngineRunResult:
     answers: List[float] = field(default_factory=list)
     ops: OpCounts = field(default_factory=OpCounts)
     extra: Dict[str, float] = field(default_factory=dict)
+    response_ns_per_batch: List[float] = field(default_factory=list)
 
 
 def _profile(workload: StreamingWorkload) -> MemoryProfile:
@@ -85,10 +79,12 @@ def run_software_engine(
     response_ns = 0.0
     total_ns = 0.0
     answers: List[float] = []
+    per_batch: List[float] = []
     ops = OpCounts()
     for step in workload.replay.batches():
         result = engine.on_batch(step.batch)
-        response_ns += cost_model.time_ns(result.response_ops, profile)
+        per_batch.append(cost_model.time_ns(result.response_ops, profile))
+        response_ns += per_batch[-1]
         total_ns += cost_model.time_ns(result.total_ops, profile)
         answers.append(result.answer)
         ops += result.total_ops
@@ -98,6 +94,7 @@ def run_software_engine(
         total_ns=total_ns,
         answers=answers,
         ops=ops,
+        response_ns_per_batch=per_batch,
     )
 
 
@@ -117,25 +114,26 @@ def run_accelerator(
     response_ns = 0.0
     total_ns = 0.0
     answers: List[float] = []
+    per_batch: List[float] = []
     ops = OpCounts()
-    extra: Dict[str, float] = {"spm_hit_rate": 0.0, "batches": 0.0}
+    hit_rate = 0.0
     for step in workload.replay.batches():
         result = engine.on_batch(step.batch)
-        response_ns += config.cycles_to_ns(int(result.stats["response_cycles"]))
+        per_batch.append(config.cycles_to_ns(int(result.stats["response_cycles"])))
+        response_ns += per_batch[-1]
         total_ns += config.cycles_to_ns(int(result.stats["total_cycles"]))
         answers.append(result.answer)
         ops += result.response_ops
-        extra["spm_hit_rate"] += float(result.stats["spm_hit_rate"])
-        extra["batches"] += 1
-    if extra["batches"]:
-        extra["spm_hit_rate"] /= extra["batches"]
+        hit_rate += float(result.stats["spm_hit_rate"])
+    batches = float(len(per_batch))
     return EngineRunResult(
         engine=engine.name,
         response_ns=response_ns,
         total_ns=total_ns,
         answers=answers,
         ops=ops,
-        extra=extra,
+        extra={"spm_hit_rate": hit_rate / max(batches, 1.0), "batches": batches},
+        response_ns_per_batch=per_batch,
     )
 
 
@@ -231,51 +229,23 @@ def run_speedup_experiment(
     )
 
 
-def run_table4(
-    scale: Optional[str] = None,
-    algorithms: Optional[Sequence[str]] = None,
-    num_pairs: int = 5,
-    num_batches: int = 1,
-    engines: Sequence[str] = ("sgraph", "cisgraph-o", "cisgraph"),
-    seed: int = 0,
-) -> List[SpeedupCell]:
-    """All cells of Table IV (plus per-algorithm GMean rows over datasets)."""
-    algorithms = list(algorithms or list_algorithms())
-    cells: List[SpeedupCell] = []
-    for spec in dataset_specs(scale):
-        workload = make_workload(spec, num_batches=num_batches, seed=seed)
-        queries = pick_query_pairs(workload.initial, count=num_pairs, seed=seed)
-        for algorithm_name in algorithms:
-            cells.append(
-                run_speedup_experiment(workload, algorithm_name, queries, engines)
-            )
-    return cells
-
-
 def table4_gmean_rows(cells: Sequence[SpeedupCell]) -> List[Dict[str, object]]:
-    """Aggregate cells into the printed Table IV layout (GMean column)."""
-    rows: List[Dict[str, object]] = []
-    algorithms = sorted({c.algorithm for c in cells}, key=str)
+    """Aggregate cells into the printed Table IV layout: one row per
+    (algorithm, engine), one column per dataset, then their GMean."""
+    # the first cell of an (algorithm, dataset) pair wins
+    speedups = {(c.algorithm, c.dataset): c.speedups for c in reversed(cells)}
+    nan = float("nan")
     datasets = sorted({c.dataset for c in cells})
-    engines: List[str] = sorted(
-        {name for cell in cells for name in cell.speedups}
-    )
-    for algorithm in algorithms:
-        for engine in engines:
-            row: Dict[str, object] = {"algorithm": algorithm, "engine": engine}
-            values = []
-            for dataset in datasets:
-                match = [
-                    c
-                    for c in cells
-                    if c.algorithm == algorithm and c.dataset == dataset
-                ]
-                value = match[0].speedups.get(engine, float("nan")) if match else float("nan")
-                row[dataset] = value
-                if value == value:  # not NaN
-                    values.append(value)
-            row["gmean"] = geometric_mean(values)
-            rows.append(row)
+    rows: List[Dict[str, object]] = []
+    for algorithm in sorted({c.algorithm for c in cells}):
+        for engine in sorted({name for cell in cells for name in cell.speedups}):
+            values = {
+                dataset: speedups.get((algorithm, dataset), {}).get(engine, nan)
+                for dataset in datasets
+            }
+            measured = [v for v in values.values() if v == v]  # not NaN
+            rows.append({"algorithm": algorithm, "engine": engine, **values,
+                         "gmean": geometric_mean(measured)})
     return rows
 
 
@@ -310,47 +280,21 @@ def run_response_timeline(
     variance behind them (e.g. a batch whose deletions hit the key path
     costs CISGraph a repair, while CS pays the same full solve every time).
     """
-    cost_model = cost_model or CpuCostModel()
-    timeline = ResponseTimeline(
-        dataset=workload.spec.abbreviation,
-        algorithm=algorithm_name,
-        query=query,
-    )
-    known = {"cs", "incremental", "coalescing", "cisgraph-o", "cisgraph"}
+    software = {"cs": ColdStartEngine, "incremental": PlainIncrementalEngine,
+                "coalescing": CoalescingEngine, "cisgraph-o": CISGraphEngine}
     for name in engines:
-        if name not in known:
+        if name not in software and name != "cisgraph":
             raise KeyError(f"unknown engine {name!r} for the timeline")
-    algorithm = get_algorithm(algorithm_name)
-    profile = _profile(workload)
+    timeline = ResponseTimeline(workload.spec.abbreviation, algorithm_name, query)
     for name in engines:
-        per_batch: List[float] = []
-        if name == "cisgraph":
-            from repro.hw.accelerator import CISGraphAccelerator
-            from repro.hw.config import AcceleratorConfig
-
-            config = AcceleratorConfig()
-            engine = CISGraphAccelerator(
-                workload.replay.initial_graph, algorithm, query, config=config
+        run = (
+            run_accelerator(workload, algorithm_name, query)
+            if name == "cisgraph"
+            else run_software_engine(
+                workload, algorithm_name, query, software[name], cost_model
             )
-            engine.initialize()
-            for step in workload.replay.batches():
-                result = engine.on_batch(step.batch)
-                per_batch.append(
-                    config.cycles_to_ns(int(result.stats["response_cycles"]))
-                )
-        else:
-            engine_cls = {
-                "cs": ColdStartEngine,
-                "incremental": PlainIncrementalEngine,
-                "coalescing": CoalescingEngine,
-                "cisgraph-o": CISGraphEngine,
-            }[name]
-            engine = engine_cls(workload.replay.initial_graph, algorithm, query)
-            engine.initialize()
-            for step in workload.replay.batches():
-                result = engine.on_batch(step.batch)
-                per_batch.append(cost_model.time_ns(result.response_ops, profile))
-        timeline.per_engine_ns[name] = per_batch
+        )
+        timeline.per_engine_ns[name] = run.response_ns_per_batch
     return timeline
 
 

@@ -11,13 +11,14 @@ Commands
     streaming workload and print per-batch answers and work.
 ``experiment``
     Regenerate one of the paper's artifacts (``table2``, ``table3``,
-    ``fig2``, ``fig5a``, ``fig5b``, ``table4``) at the current scale.
+    ``fig2``, ``fig5a``, ``fig5b``, ``table4``) at the current scale and
+    print its markdown section, shape line included.
 ``validate``
     Differential check: every engine against the reference solver on a
     random stream (useful as a smoke test on new machines).
 ``report``
-    Run the main experiments and render the measured-vs-paper markdown
-    report.
+    Run the four measured artifacts and render the measured-vs-paper
+    markdown report: the same sections ``experiment`` prints.
 ``genstream``
     Generate a streaming workload and save it to a file for replay.
 ``recover``
@@ -83,7 +84,6 @@ from repro.bench.datasets import (
     pick_query_pairs,
     table3_rows,
 )
-from repro.bench.tables import format_dict_table, format_fraction, format_speedup
 from repro.query import PairwiseQuery
 
 ENGINES = (
@@ -157,17 +157,11 @@ def _telemetry_session(path: Optional[str]):
 # ----------------------------------------------------------------------
 def cmd_info(args: argparse.Namespace) -> int:
     """Print the algorithm/dataset/hardware inventory."""
-    print(format_dict_table(
-        table2_rows(),
-        columns=["algorithm", "plus", "times", "description"],
-        title="Algorithms (Table II)",
-    ))
+    from repro.bench.reporting import render_table2_markdown, render_table3_markdown
+
+    print(render_table2_markdown(table2_rows()))
     print()
-    print(format_dict_table(
-        table3_rows(),
-        columns=["graph", "abbreviation", "vertices", "edges", "average_degree"],
-        title="Datasets (Table III stand-ins at current CISGRAPH_SCALE)",
-    ))
+    print(render_table3_markdown(table3_rows()))
     print()
     from repro.hw.config import AcceleratorConfig
 
@@ -224,78 +218,21 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
+def _algorithms(args: argparse.Namespace) -> List[str]:
+    return list_algorithms() if args.algorithm == "all" else [args.algorithm]
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """Regenerate one of the paper's artifacts."""
-    from repro.bench import experiments
+    """Run one of the paper's artifacts and print its markdown section."""
+    from repro.bench.reporting import ARTIFACTS, paper_inputs
 
-    name = args.name
-    if name == "table2":
-        print(format_dict_table(
-            table2_rows(),
-            columns=["algorithm", "plus", "times", "description"],
-            title="Table II",
-        ))
-        return 0
-    if name == "table3":
-        print(format_dict_table(
-            table3_rows(),
-            columns=["graph", "abbreviation", "vertices", "edges", "average_degree"],
-            title="Table III",
-        ))
-        return 0
-
-    spec = dataset_by_abbreviation(args.dataset)
-    workload = make_workload(spec, num_batches=args.batches, seed=args.seed)
-    queries = pick_query_pairs(workload.initial, count=args.pairs, seed=args.seed)
-
+    artifact = ARTIFACTS[args.name]
+    needs_workload = artifact.datasets != "none"
+    specs = [dataset_by_abbreviation(args.dataset)] if needs_workload else []
+    workloads, queries = paper_inputs(specs, args.pairs, args.batches, args.seed)
     with _telemetry_session(args.telemetry):
-        if name == "fig2":
-            result = experiments.run_fig2(workload, args.algorithm, queries)
-            print(f"Figure 2 on {spec.abbreviation} / {args.algorithm}:")
-            print(f"  useless updates (identification): "
-                  f"{format_fraction(result.state_useless_fraction)}")
-            print(f"  useless updates (query truth):     "
-                  f"{format_fraction(result.useless_update_fraction)}")
-            print(f"  redundant computations:            "
-                  f"{format_fraction(result.redundant_computation_fraction)}")
-            print(f"  wasteful time:                     "
-                  f"{format_fraction(result.wasteful_time_fraction)}")
-            return 0
-        if name == "fig5a":
-            result = experiments.run_fig5a(workload, args.algorithm, queries)
-            print(
-                f"Figure 5a on {spec.abbreviation} / {args.algorithm}: "
-                f"CS={result.cs_computations} CISGraph={result.cisgraph_computations} "
-                f"normalised={result.normalized:.4f}"
-            )
-            return 0
-        if name == "fig5b":
-            result = experiments.run_fig5b(workload, args.algorithm, queries)
-            print(
-                f"Figure 5b on {spec.abbreviation} / {args.algorithm}: "
-                f"additions activated {result.addition_activations}, deletions "
-                f"{result.deletion_activations} "
-                f"(add/del = {result.additions_over_deletions:.2f})"
-            )
-            return 0
-        if name == "table4":
-            algorithms = (
-                [args.algorithm] if args.algorithm != "all" else list_algorithms()
-            )
-            cells = [
-                experiments.run_speedup_experiment(workload, alg, queries)
-                for alg in algorithms
-            ]
-            rows = experiments.table4_gmean_rows(cells)
-            print(format_dict_table(
-                rows,
-                columns=["algorithm", "engine", spec.abbreviation, "gmean"],
-                formatters={spec.abbreviation: format_speedup, "gmean": format_speedup},
-                title=f"Table IV (dataset {spec.abbreviation}, {args.pairs} pairs)",
-            ))
-            return 0
-    print(f"unknown experiment {name!r}", file=sys.stderr)
-    return 2
+        print(artifact.section(artifact.run(workloads, queries, _algorithms(args))))
+    return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -307,7 +244,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         num_edges=args.edges,
         num_batches=args.batches,
         seed=args.seed,
-        algorithms=None if args.algorithm == "all" else [args.algorithm],
+        algorithms=_algorithms(args),
     )
     for line in report.lines:
         print(line)
@@ -320,39 +257,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Render the measured-vs-paper markdown report."""
-    from repro.bench.experiments import (
-        run_fig2,
-        run_fig5a,
-        run_fig5b,
-        run_speedup_experiment,
-    )
-    from repro.bench.reporting import render_report
+    from repro.bench.reporting import paper_inputs, run_report
 
-    algorithms = (
-        [args.algorithm] if args.algorithm != "all" else list_algorithms()
+    workloads, queries = paper_inputs(
+        dataset_specs(), args.pairs, args.batches, args.seed
     )
-    workloads = {}
-    queries = {}
-    for spec in dataset_specs():
-        workloads[spec.abbreviation] = make_workload(
-            spec, num_batches=args.batches, seed=args.seed
-        )
-        queries[spec.abbreviation] = pick_query_pairs(
-            workloads[spec.abbreviation].initial, count=args.pairs, seed=args.seed
-        )
-    cells = [
-        run_speedup_experiment(workloads[ab], alg, queries[ab])
-        for ab in workloads
-        for alg in algorithms
-    ]
-    fig2 = run_fig2(workloads["OR"], algorithms[0], queries["OR"])
-    fig5a = [run_fig5a(workloads["OR"], alg, queries["OR"]) for alg in algorithms]
-    fig5b = [
-        run_fig5b(workloads[ab], alg, queries[ab])
-        for ab in workloads
-        for alg in algorithms
-    ]
-    report = render_report(cells=cells, fig2=fig2, fig5a=fig5a, fig5b=fig5b)
+    report = run_report(workloads, queries, _algorithms(args))
     if args.output == "-":
         print(report)
     else:
@@ -825,11 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="CISGraph reproduction command-line interface",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    datasets = dict(type=str.upper, choices=[s.abbreviation for s in dataset_specs()])
+    algorithms = dict(choices=list_algorithms() + ["all"])
 
     sub.add_parser("info", help="package inventory").set_defaults(func=cmd_info)
 
     query = sub.add_parser("query", help="run one pairwise query")
-    query.add_argument("--dataset", default="OR", help="OR, LJ or UK")
+    query.add_argument("--dataset", default="OR", **datasets)
     query.add_argument("--algorithm", default="ppsp", choices=list_algorithms() + ["hops"])
     query.add_argument("--engine", default="cisgraph-o", choices=ENGINES)
     query.add_argument("--source", type=int, default=None)
@@ -849,8 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         choices=["table2", "table3", "fig2", "fig5a", "fig5b", "table4"],
     )
-    experiment.add_argument("--dataset", default="OR")
-    experiment.add_argument("--algorithm", default="ppsp")
+    experiment.add_argument("--dataset", default="OR", **datasets)
+    experiment.add_argument("--algorithm", default="ppsp", **algorithms)
     experiment.add_argument("--pairs", type=int, default=3)
     experiment.add_argument("--batches", type=int, default=1)
     experiment.add_argument("--seed", type=int, default=0)
@@ -867,12 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--edges", type=int, default=500)
     validate.add_argument("--batches", type=int, default=2)
     validate.add_argument("--seed", type=int, default=0)
-    validate.add_argument("--algorithm", default="all")
+    validate.add_argument("--algorithm", default="all", **algorithms)
     validate.set_defaults(func=cmd_validate)
 
     report = sub.add_parser("report", help="render a markdown experiment report")
     report.add_argument("--output", default="-", help="'-' prints to stdout")
-    report.add_argument("--algorithm", default="all")
+    report.add_argument("--algorithm", default="all", **algorithms)
     report.add_argument("--pairs", type=int, default=2)
     report.add_argument("--batches", type=int, default=1)
     report.add_argument("--seed", type=int, default=0)
@@ -880,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     genstream = sub.add_parser("genstream", help="generate and save a stream")
     genstream.add_argument("output")
-    genstream.add_argument("--dataset", default="OR")
+    genstream.add_argument("--dataset", default="OR", **datasets)
     genstream.add_argument("--batches", type=int, default=2)
     genstream.add_argument("--seed", type=int, default=0)
     genstream.set_defaults(func=cmd_genstream)
@@ -920,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--script", default="-",
         help="serve script path ('-' reads stdin; see docs/serving.md)",
     )
-    serve.add_argument("--dataset", default="OR", help="OR, LJ or UK")
+    serve.add_argument("--dataset", default="OR", **datasets)
     serve.add_argument("--algorithm", default="ppsp", choices=list_algorithms())
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--shards", type=int, default=2, help="shard workers")

@@ -23,8 +23,16 @@ class TestParser:
             build_parser().parse_args(["bogus"])
 
     def test_experiment_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig9"])
+        for argv in (
+            ["experiment", "fig9"],
+            ["experiment", "fig5a", "--algorithm", "nonsense"],
+            ["experiment", "fig2", "--dataset", "XX"],
+            ["report", "--algorithm", "nonsense"],
+            ["validate", "--algorithm", "nonsense"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2, argv
 
 
 class TestInfo:
@@ -81,6 +89,8 @@ class TestExperiments:
     def test_fig5a(self, capsys):
         assert main(["experiment", "fig5a", "--pairs", "1"]) == 0
         assert "normalised" in capsys.readouterr().out
+        assert main(["experiment", "fig5a", "--algorithm", "all", "--pairs", "1"]) == 0
+        assert "| OR | reach |" in capsys.readouterr().out
 
     def test_fig5b(self, capsys):
         assert main(["experiment", "fig5b", "--pairs", "1"]) == 0
@@ -96,11 +106,18 @@ class TestExperiments:
 
 class TestReport:
     def test_stdout(self, capsys):
-        code = main(["report", "--pairs", "1", "--algorithm", "ppsp"])
+        run = ["--pairs", "1", "--algorithm", "ppsp", "--seed", "0", "--batches", "1"]
+        code = main(["report"] + run)
         assert code == 0
         out = capsys.readouterr().out
         assert "# CISGraph reproduction report" in out
         assert "Table IV" in out
+        # one definition per artifact: `experiment` prints the report's section
+        sections = out.split("\n\n### ")
+        for name, title in (("fig2", "Figure 2 "), ("fig5a", "Figure 5(a) ")):
+            assert main(["experiment", name] + run) == 0
+            (section,) = [s for s in sections if s.startswith(title)]
+            assert capsys.readouterr().out == f"### {section}\n"
 
     def test_file_output(self, tmp_path, capsys):
         path = str(tmp_path / "report.md")

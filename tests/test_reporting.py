@@ -47,7 +47,7 @@ def sample_fig2():
 class TestSections:
     def test_table4(self, sample_cells):
         text = render_table4_markdown(sample_cells)
-        assert "| ppsp | cisgraph | 120x | 75.60x |" in text
+        assert "| ppsp | cisgraph | 120x | 120x | 75.6x |" in text
         assert "Cold-Start" in text
 
     def test_fig2(self, sample_fig2):
@@ -89,4 +89,4 @@ class TestSections:
         assert lines[header_index + 1].startswith("|---")
         for line in lines[header_index:]:
             if line:
-                assert line.count("|") == 5
+                assert line.count("|") == 6  # algorithm, engine, OR, gmean, paper
