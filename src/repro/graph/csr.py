@@ -173,19 +173,19 @@ class CSRGraph:
     def to_dynamic(self):
         """Rebuild a mutable :class:`~repro.graph.dynamic.DynamicGraph`.
 
-        The arrays are read once and copied, in CSR (out-edge) order; the
-        copy shares nothing with this snapshot.
+        The arrays are read once and copied, in CSR (out-edge) order,
+        through :meth:`DynamicGraph.from_edges`; the copy shares nothing with
+        this snapshot.
         """
         from repro.graph.dynamic import DynamicGraph
 
-        graph = DynamicGraph(self.num_vertices)
-        indptr = self.indptr
-        indices = self.indices
-        weights = self.weights
-        for u in range(self.num_vertices):
-            for i in range(int(indptr[u]), int(indptr[u + 1])):
-                graph.add_edge(u, int(indices[i]), float(weights[i]))
-        return graph
+        sources = np.repeat(
+            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
+        )
+        return DynamicGraph.from_edges(
+            self.num_vertices,
+            zip(sources.tolist(), self.indices.tolist(), self.weights.tolist()),
+        )
 
     def _check_vertex(self, vertex: int) -> None:
         if not 0 <= vertex < self.num_vertices:

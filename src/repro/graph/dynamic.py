@@ -8,14 +8,49 @@ deletion repair (KickStarter-style re-computation, Section II-A) must ask
 Adjacency is stored as one ``dict`` per vertex mapping neighbor id to edge
 weight.  Parallel edges are not modelled (matching CSR snapshots); adding an
 existing edge overwrites its weight.
+
+Bulk builds (:meth:`DynamicGraph.from_edges`) store each value once: every
+endpoint id is one shared ``int`` per id and every positive ``float`` weight
+one shared object per value, so a relaxation touches a few hot objects
+instead of two cold ones per edge.  Copies share the same objects.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import EdgeNotFoundError, VertexOutOfRangeError
 from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind
+
+# Process-wide on purpose: every graph built in the process (and its copies:
+# engine graphs, serve replicas, forked children) points at the same objects.
+# ``_IDS[i]`` is the shared ``int`` for vertex ``i``; the list only grows.
+# ``_WEIGHTS`` maps a weight to its shared object and takes no new value past
+# ``_WEIGHTS_CAP``, so continuous weights cost a bounded table.  Both tables
+# change only under ``_LOCK``.
+_IDS: List[int] = []
+_WEIGHTS: Dict[float, float] = {}
+_WEIGHTS_CAP = 4096
+_LOCK = threading.Lock()
+
+
+def _shared_ids(count: int) -> List[int]:
+    """The shared id table, grown to cover ids ``0 .. count - 1``."""
+    ids = _IDS
+    if len(ids) < count:
+        with _LOCK:
+            ids.extend(range(len(ids), count))
+    return ids
+
+
+def _share_weight(weight: float) -> float:
+    """The shared object for ``weight``; ``weight`` itself once the table is full."""
+    table = _WEIGHTS
+    with _LOCK:
+        if len(table) < _WEIGHTS_CAP:
+            return table.setdefault(weight, weight)
+        return table.get(weight, weight)
 
 
 class DynamicGraph:
@@ -37,14 +72,42 @@ class DynamicGraph:
         num_vertices: int,
         edges: Iterable[Tuple[int, int, float]],
     ) -> "DynamicGraph":
-        """Build a graph from ``(u, v, weight)`` triples."""
+        """Build a graph from ``(u, v, weight)`` triples.
+
+        Same result as :meth:`add_edge` per triple (range checks, insertion
+        order, the last weight of a duplicate wins), but stored with shared
+        objects: each endpoint as the one ``int`` of its id, and each weight
+        that is exactly a ``float`` and ``> 0`` as the one object of its value
+        (for the first 4096 values the process sees).  Any other weight --
+        ints, ``-0.0``, NaN, float subclasses -- is stored as given.
+        :meth:`add_edge` and :meth:`apply_batch` store the caller's objects:
+        sharing inside the streaming ingest loop costs more than it saves.
+        """
         graph = cls(num_vertices)
+        out, inn = graph._out, graph._in
+        count = len(out)
+        ids = _shared_ids(count)
+        table = _WEIGHTS
+        exact = float
+        added = 0
         for u, v, w in edges:
-            graph.add_edge(u, v, w)
+            if not 0 <= u < count:
+                raise VertexOutOfRangeError(u, count)
+            if not 0 <= v < count:
+                raise VertexOutOfRangeError(v, count)
+            u = ids[u]
+            v = ids[v]
+            if type(w) is exact and w > 0.0:
+                w = table.get(w) or _share_weight(w)
+            adj = out[u]
+            if v not in adj:
+                added += 1
+            adj[v] = inn[v][u] = w
+        graph._num_edges = added
         return graph
 
     def copy(self) -> "DynamicGraph":
-        """Deep copy (adjacency dicts are duplicated)."""
+        """Deep copy (adjacency dicts are duplicated, stored objects shared)."""
         clone = DynamicGraph(self.num_vertices)
         clone._out = [dict(adj) for adj in self._out]
         clone._in = [dict(adj) for adj in self._in]

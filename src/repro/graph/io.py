@@ -44,13 +44,17 @@ def load_edge_list(
 
 
 def save_edge_list(path: str, edges: List[Edge], header: Optional[str] = None) -> None:
-    """Write edges as ``u v weight`` lines with an optional ``#`` header."""
+    """Write edges as ``u v weight`` lines with an optional ``#`` header.
+
+    Weights are written with ``repr`` so :func:`load_edge_list` reads back
+    the exact float.
+    """
     with open(path, "w") as handle:
         if header:
             for line in header.splitlines():
                 handle.write(f"# {line}\n")
         for u, v, w in edges:
-            handle.write(f"{u} {v} {w:g}\n")
+            handle.write(f"{u} {v} {w!r}\n")
 
 
 def save_npz(path: str, num_vertices: int, edges: List[Edge]) -> None:

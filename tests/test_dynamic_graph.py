@@ -1,10 +1,22 @@
 """Unit tests for the mutable streaming topology."""
 
+import math
+import random
+import sys
+import threading
+
+import numpy as np
 import pytest
 
+from repro.algorithms import PPSP
+from repro.checkpoint import restore_checkpoint, save_checkpoint
+from repro.core.engine import CISGraphEngine
 from repro.errors import EdgeNotFoundError, VertexOutOfRangeError
+from repro.graph import dynamic
 from repro.graph.batch import UpdateBatch, add, delete
+from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
+from repro.query import PairwiseQuery
 
 
 class TestConstruction:
@@ -22,6 +34,33 @@ class TestConstruction:
         assert g.num_edges == 2
         assert g.edge_weight(0, 1) == 2.0
 
+        # storage order is state: the bulk loop lays the dicts out exactly
+        # as one add_edge per triple does, duplicates included
+        rng = random.Random(7)
+        edges = [
+            (rng.randrange(30), rng.randrange(30), rng.choice([0.5, 1.0, 2, 3.25]))
+            for _ in range(400)
+        ]
+        bulk = DynamicGraph.from_edges(30, edges)
+        one_by_one = DynamicGraph(30)
+        for u, v, w in edges:
+            one_by_one.add_edge(u, v, w)
+        assert bulk.num_edges == one_by_one.num_edges
+        for x in range(30):
+            assert list(bulk.out_adj(x).items()) == list(one_by_one.out_adj(x).items())
+            assert list(bulk.in_adj(x).items()) == list(one_by_one.in_adj(x).items())
+        bulk.check_consistency()
+
+        # a duplicate edge is counted once and its later weight wins
+        g = DynamicGraph.from_edges(3, [(0, 1, 2.0), (1, 2, 3.0), (0, 1, 4.0)])
+        assert g.num_edges == 2
+        assert g.edge_weight(0, 1) == 4.0
+        assert list(g.out_adj(0)) == [1]
+
+        for bad in [(-1, 0, 1.0), (0, -1, 1.0), (3, 0, 1.0), (0, 3, 1.0)]:
+            with pytest.raises(VertexOutOfRangeError):
+                DynamicGraph.from_edges(3, [(0, 1, 1.0), bad])
+
     def test_copy_is_deep(self):
         g = DynamicGraph.from_edges(3, [(0, 1, 2.0)])
         clone = g.copy()
@@ -30,6 +69,116 @@ class TestConstruction:
         assert clone.num_edges == 2
         clone.check_consistency()
         g.check_consistency()
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty shared-object tables for one test (they are process-wide)."""
+    monkeypatch.setattr(dynamic, "_IDS", [])
+    monkeypatch.setattr(dynamic, "_WEIGHTS", {})
+
+
+def stored(graph):
+    """Every (key, weight) object the graph stores, out- and in-adjacency."""
+    return [
+        item
+        for x in range(graph.num_vertices)
+        for adj in (graph.out_adj(x), graph.in_adj(x))
+        for item in adj.items()
+    ]
+
+
+@pytest.mark.usefixtures("fresh_tables")
+class TestSharedStorage:
+    """``from_edges`` stores each vertex id and weight value once."""
+
+    @staticmethod
+    def build():
+        # ids above 256 and weights parsed from text: every triple brings
+        # its own objects, so only the build can make them shared
+        edges = [
+            (int(u), int(v), float(w))
+            for u, v, w in [("300", "301", "2.5"), ("301", "302", "2.5"),
+                            ("302", "300", "0.75"), ("300", "302", "0.75")]
+        ]
+        return DynamicGraph.from_edges(400, edges)
+
+    def test_equal_values_are_one_object(self, tmp_path):
+        first = self.build()
+        engine = CISGraphEngine(self.build(), PPSP(), PairwiseQuery(300, 302))
+        engine.initialize()
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, engine)
+        graphs = [
+            self.build(),
+            first.copy(),
+            CSRGraph.from_dynamic(first).to_dynamic(),
+            restore_checkpoint(path)[0].graph,
+        ]
+        objects = {}
+        for graph in [first] + graphs:
+            for key, weight in stored(graph):
+                for value in (key, weight):
+                    assert objects.setdefault(value, value) is value
+        assert sorted(objects) == [0.75, 2.5, 300, 301, 302]
+        assert all(objects[i] is dynamic._IDS[i] for i in (300, 301, 302))
+
+    def test_other_weights_are_stored_as_given(self):
+        DynamicGraph.from_edges(2, [(0, 1, 2.0), (1, 0, 0.0)])
+        nan, numpy_weight = float("nan"), np.float64(2.0)
+        g = DynamicGraph.from_edges(
+            4, [(0, 1, 2), (1, 2, -0.0), (2, 3, nan), (3, 0, numpy_weight)]
+        )
+        assert type(g.edge_weight(0, 1)) is int
+        assert repr(g.edge_weight(1, 2)) == "-0.0"
+        assert math.copysign(1.0, g.in_adj(2)[1]) == -1.0
+        assert g.edge_weight(2, 3) is nan
+        assert g.edge_weight(3, 0) is numpy_weight
+
+    def test_weight_table_is_capped(self):
+        cap = dynamic._WEIGHTS_CAP
+        weights = [i + 0.5 for i in range(cap + 1)]
+        DynamicGraph.from_edges(2, [(0, 1, w) for w in weights])
+        assert len(dynamic._WEIGHTS) == cap
+
+        def rebuilt(w):
+            graph = DynamicGraph.from_edges(2, [(0, 1, float(repr(w)))])
+            return graph.edge_weight(0, 1)
+
+        assert rebuilt(weights[cap - 1]) is weights[cap - 1]
+        late = rebuilt(weights[cap])
+        assert late == weights[cap] and late is not weights[cap]
+        assert len(dynamic._WEIGHTS) == cap
+
+    def test_id_table_under_concurrent_builds(self):
+        sizes = [50 * (k + 1) for k in range(40)]
+        errors = []
+
+        def build(offset):
+            try:
+                for count in sizes[offset::4] + sizes[::-5]:
+                    g = DynamicGraph.from_edges(
+                        count, [(i, count - 1 - i, 1.0) for i in range(count)]
+                    )
+                    assert all(k is dynamic._IDS[k] for k, _ in stored(g))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k % 4,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        ids = dynamic._IDS
+        assert len(ids) == max(sizes)
+        assert all(type(x) is int and x == i for i, x in enumerate(ids))
 
 
 class TestMutation:

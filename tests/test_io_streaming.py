@@ -19,9 +19,11 @@ EDGES = [(0, 1, 2.0), (1, 2, 3.5), (2, 0, 1.0)]
 class TestEdgeListIO:
     def test_roundtrip_text(self, tmp_path):
         path = str(tmp_path / "graph.txt")
-        io.save_edge_list(path, EDGES, header="test graph\nsecond line")
+        # weights that "%g" would round: 1234570.0 and 0.3
+        edges = EDGES + [(0, 2, 1234567.0), (2, 1, 0.1 + 0.2)]
+        io.save_edge_list(path, edges, header="test graph\nsecond line")
         loaded = io.load_edge_list(path)
-        assert loaded == EDGES
+        assert loaded == edges
 
     def test_default_weight(self, tmp_path):
         path = str(tmp_path / "unweighted.txt")
