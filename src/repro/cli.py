@@ -409,33 +409,26 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run seeded fault schedules against a live serving harness."""
-    import json
     import tempfile
 
     from repro.algorithms import get_algorithm
     from repro.resilience.chaos import (
         BUILTIN_SCHEDULES,
-        HOOK_KINDS,
-        THREAD_ONLY_KINDS,
         builtin_schedule,
         random_schedule,
         run_chaos,
     )
+    from repro.serve.control import write_audit
 
     backend = getattr(args, "backend", "thread")
     if args.schedule == "all":
-        names = list(BUILTIN_SCHEDULES)
-        if backend != "thread":
-            # drop schedules whose faults fire inside worker threads —
-            # on the process backend only outside-in faults apply
-            incompatible = set(HOOK_KINDS + THREAD_ONLY_KINDS)
-            names = [
-                name for name in names
-                if not incompatible
-                & {e.kind for e in builtin_schedule(name).events}
-            ]
-    elif args.schedule == "random" or args.schedule in BUILTIN_SCHEDULES:
-        names = [args.schedule]
+        schedules = [builtin_schedule(name) for name in BUILTIN_SCHEDULES]
+    elif args.schedule == "random":
+        schedules = [random_schedule(
+            args.seed, num_batches=args.batches, num_shards=args.shards
+        )]
+    elif args.schedule in BUILTIN_SCHEDULES:
+        schedules = [builtin_schedule(args.schedule)]
     else:
         available = ", ".join(BUILTIN_SCHEDULES + ("random", "all"))
         print(
@@ -443,16 +436,22 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if backend != "thread":
+        if args.schedule == "all":
+            # keep the schedules whose faults every backend can deliver
+            schedules = [s for s in schedules if not s.thread_only_kinds()]
+        elif schedules[0].thread_only_kinds():
+            kinds = ", ".join(schedules[0].thread_only_kinds())
+            print(
+                f"schedule {args.schedule!r} uses thread-only fault kinds "
+                f"({kinds}); the {backend!r} backend cannot deliver them",
+                file=sys.stderr,
+            )
+            return 2
     algorithm = get_algorithm(args.algorithm)
     failures = 0
     with _telemetry_session(args.telemetry):
-        for name in names:
-            if name == "random":
-                schedule = random_schedule(
-                    args.seed, num_batches=args.batches, num_shards=args.shards
-                )
-            else:
-                schedule = builtin_schedule(name)
+        for schedule in schedules:
             directory = os.path.join(
                 args.state_dir or tempfile.mkdtemp(prefix="repro-chaos-"),
                 schedule.name,
@@ -473,10 +472,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 audit_path = os.path.join(
                     args.telemetry, f"control_audit-{schedule.name}.jsonl"
                 )
-                with open(audit_path, "w") as handle:
-                    for decision in report.decisions:
-                        handle.write(json.dumps(decision, sort_keys=True))
-                        handle.write("\n")
+                write_audit(audit_path, report.decisions)
                 print(
                     f"  control audit: {len(report.decisions)} decision(s) "
                     f"-> {audit_path}"
@@ -507,7 +503,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                         f"  SLO REGRESSION: {violation}", file=sys.stderr
                     )
     verdict = "OK" if failures == 0 else f"{failures} schedule(s) failed"
-    print(f"chaos: {len(names)} schedule(s), {verdict}")
+    print(f"chaos: {len(schedules)} schedule(s), {verdict}")
     return 0 if failures == 0 else 1
 
 

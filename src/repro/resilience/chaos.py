@@ -30,12 +30,13 @@ Everything is deterministic:
 
 from __future__ import annotations
 
+import copy
 import queue
 import random
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.engine import CISGraphEngine
@@ -65,35 +66,59 @@ __all__ = [
     "run_chaos",
 ]
 
-#: fault kinds a schedule may contain.  ``flash_crowd``/``hot_keys``/
-#: ``slow_shard`` are *overload* faults (no component dies — the system
-#: is pushed past its static configuration, which is what the adaptive
-#: controller is graded on).  The last two are *real* faults: they act
-#: on the worker from outside rather than raising an exception inside it
-#: — ``sigkill_shard`` delivers an actual SIGKILL on the process backend
-#: (an injected kill on threads), ``wedge_shard`` busy-loops the worker
-#: without heartbeats — so they run identically on both executor
-#: backends (see ``docs/process_shards.md``).
-KINDS = (
-    "kill_shard",
-    "hang_source",
-    "saturate_inbox",
-    "tear_wal",
-    "flash_crowd",
-    "hot_keys",
-    "slow_shard",
-    "sigkill_shard",
-    "wedge_shard",
-)
 
-#: kinds delivered through the worker-side ``fault_hook`` — they cannot
-#: fire inside a process worker (the hook holds thread gates and driver
-#: state that must not cross the process boundary)
-HOOK_KINDS = ("kill_shard", "hang_source", "slow_shard")
+class FaultKind(NamedTuple):
+    """How one fault kind is delivered and what its fields must hold."""
 
-#: kinds whose command carries an in-process gate (the ``barrier`` that
-#: parks the worker), which cannot cross to a process child
-THREAD_ONLY_KINDS = ("saturate_inbox",)
+    #: ``hook`` fires inside the shard worker (the harness ``fault_hook``),
+    #: ``before`` from the driver ahead of the epoch's submit, ``wave``
+    #: registers standing sessions ahead of the submit
+    fires: str
+    #: ``target`` is a shard index (checked against ``num_shards``)
+    shard_target: bool
+    #: the fields (``payload`` / ``duration``) that must be at least 1
+    required: Tuple[str, ...]
+    #: only the thread backend can deliver it: the hook, and the barrier
+    #: a saturation parks the worker on, are thread state that cannot
+    #: cross to a process child
+    thread_only: bool
+    #: due again in each of ``duration`` consecutive epochs
+    recurs: bool = False
+
+
+#: every fault kind, in delivery precedence: the events due at one epoch
+#: fire in this order (a tear crashes the harness before anything else
+#: lands on it, a kill beats a hang on the same shard).  The shard
+#: target of a ``hook`` or ``wave`` kind resolves through the engine's
+#: routing when the fault fires, so a rescale moves the fault with the
+#: source; a ``before`` kind addresses the worker by index.
+KINDS: Dict[str, FaultKind] = {
+    # crash the harness and truncate `payload` bytes off the WAL tail; the
+    # driver resumes and resubmits from the recovered snapshot
+    "tear_wal": FaultKind("before", False, ("payload",), False),
+    # park shard `target` and fill its inbox so the next submit is shed
+    "saturate_inbox": FaultKind("before", True, (), True),
+    # the *real* faults act on the worker from outside, so they run on
+    # both backends: an actual SIGKILL (the injected-kill analogue on
+    # threads), and a heartbeat-free busy loop of `payload` milliseconds
+    # (size it past the epoch deadline so the barrier fails the shard)
+    "sigkill_shard": FaultKind("before", True, (), False),
+    "wedge_shard": FaultKind("before", True, ("payload",), False),
+    # the *overload* faults kill nothing; they push the system past its
+    # static configuration, which is what the adaptive controller is
+    # graded on: `payload` new sessions before each of `duration` epochs,
+    # then `payload` sessions whose sources all route to shard `target`
+    "flash_crowd": FaultKind("wave", False, ("payload", "duration"), False,
+                             recurs=True),
+    "hot_keys": FaultKind("wave", True, ("payload",), False),
+    # inside the epoch's shard processing: raise in shard `target`, park
+    # source `target`'s group for `duration` epochs, drag every batch
+    # command on shard `target` by `payload` ms for `duration` epochs
+    "kill_shard": FaultKind("hook", True, (), True),
+    "hang_source": FaultKind("hook", False, ("duration",), True),
+    "slow_shard": FaultKind("hook", True, ("payload", "duration"), True,
+                            recurs=True),
+}
 
 
 class ManualClock:
@@ -114,31 +139,9 @@ class ManualClock:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One scheduled fault.
-
-    ``epoch`` is the 1-based batch number the fault attaches to:
-    ``kill_shard`` and ``hang_source`` fire *inside* that epoch's shard
-    processing, ``saturate_inbox`` fills the target shard's inbox *before*
-    the batch is submitted, ``tear_wal`` crashes the harness before the
-    batch and truncates ``payload`` bytes off the WAL tail.  ``target``
-    is a shard index (kill/saturate) or a source vertex (hang);
-    ``duration`` is the hang length in epochs.
-
-    The overload kinds reuse the same fields: ``flash_crowd`` registers
-    ``payload`` new standing sessions before each of ``duration``
-    consecutive epochs starting at ``epoch``; ``hot_keys`` registers
-    ``payload`` sessions whose sources all route to shard ``target``
-    (hot-source skew); ``slow_shard`` drags every batch command on shard
-    ``target`` by ``payload`` milliseconds for ``duration`` epochs.
-
-    The *real* kinds fire from the driver immediately before ``epoch``'s
-    submit and act on the worker from outside: ``sigkill_shard``
-    SIGKILLs shard ``target`` (``os.kill`` on the process backend, the
-    injected-kill analogue on threads), and ``wedge_shard`` spins shard
-    ``target`` in a heartbeat-free busy loop for ``payload``
-    milliseconds (size it past the epoch deadline so the barrier fails
-    the shard).
-    """
+    """One scheduled fault: ``kind`` (a key of :data:`KINDS`, which says
+    what ``target`` / ``duration`` / ``payload`` mean for it) attached to
+    ``epoch``, the 1-based batch number."""
 
     epoch: int
     kind: str
@@ -147,26 +150,14 @@ class FaultEvent:
     payload: int = 0
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        spec = KINDS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.epoch < 1:
             raise ValueError("fault epochs are 1-based")
-        if self.kind == "hang_source" and self.duration < 1:
-            raise ValueError("hang duration must be at least one epoch")
-        if self.kind == "tear_wal" and self.payload < 1:
-            raise ValueError("tear_wal needs payload (bytes to truncate)")
-        if self.kind in ("flash_crowd", "hot_keys") and self.payload < 1:
-            raise ValueError(
-                f"{self.kind} needs payload (sessions per wave)"
-            )
-        if self.kind == "slow_shard" and self.payload < 1:
-            raise ValueError("slow_shard needs payload (milliseconds)")
-        if self.kind in ("flash_crowd", "slow_shard") and self.duration < 1:
-            raise ValueError(
-                f"{self.kind} duration must be at least one epoch"
-            )
-        if self.kind == "wedge_shard" and self.payload < 1:
-            raise ValueError("wedge_shard needs payload (milliseconds)")
+        for name in spec.required:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{self.kind} needs {name} >= 1")
 
 
 @dataclass
@@ -195,13 +186,18 @@ class ChaosSchedule:
                     f"{self.name}: fault at epoch {event.epoch} beyond the "
                     f"{num_batches}-batch stream"
                 )
-            if event.kind in (
-                "kill_shard", "saturate_inbox", "hot_keys", "slow_shard",
-                "sigkill_shard", "wedge_shard",
-            ) and not (0 <= event.target < num_shards):
+            if KINDS[event.kind].shard_target and not (
+                0 <= event.target < num_shards
+            ):
                 raise ValueError(
                     f"{self.name}: shard {event.target} out of range"
                 )
+
+    def thread_only_kinds(self) -> List[str]:
+        """The kinds in this schedule only the thread backend can deliver."""
+        return sorted(
+            {e.kind for e in self.events if KINDS[e.kind].thread_only}
+        )
 
     def supervision(self) -> SupervisorConfig:
         return SupervisorConfig(
@@ -211,140 +207,115 @@ class ChaosSchedule:
         )
 
 
-def builtin_schedule(name: str) -> ChaosSchedule:
-    """One of the canonical schedules (fresh instance).
-
-    The first three are the *failure* schedules (something dies); the
-    :data:`OVERLOAD_SCHEDULES` push the system past its static
-    configuration instead, and carry an :class:`SLOPolicy` so
-    :func:`run_chaos` grades the run — the adaptive controller is
-    accepted when it meets objectives a static run violates.
-    """
-    if name == "kill-shard":
-        # kill the shard owning the odd sources; with threshold 1 the
-        # first failure trips every affected breaker OPEN, rescues stay
-        # blocked through the cooldown, and resurrection happens via the
-        # HALF_OPEN trial two epochs later
-        # the graded variant of this schedule: a static run serves
-        # degraded reads up to the full max_staleness=8 while the
-        # breaker cools down (ages 2-3 observed), violating the 1-epoch
-        # staleness objective; the adaptive controller narrows
-        # max_staleness to the SLO bound the moment breakers open, so
-        # over-bound lookups fall through to exact recompute instead
-        return ChaosSchedule(
-            "kill-shard",
-            [FaultEvent(epoch=2, kind="kill_shard", target=1)],
-            failure_threshold=1,
-            breaker_cooldown=2.0,
-            slo=SLOPolicy(answer_p99=5.0, staleness_bound=1, shed_rate=0.25),
-        )
-    if name == "hang-epoch":
-        # wedge source 3's group mid-epoch: the barrier deadline expires,
-        # the shard is retired+respawned, the zombie wakes 2 epochs later
-        # and exits through its stop flag; threshold 2 keeps the breaker
-        # closed so the rescue is immediate (no half-open detour)
-        return ChaosSchedule(
-            "hang-epoch",
-            [FaultEvent(epoch=3, kind="hang_source", target=3, duration=2)],
-            failure_threshold=2,
-            breaker_cooldown=3.0,
-        )
-    if name == "saturate-tear":
-        # back-to-back infrastructure faults with no shard loss: a full
-        # inbox sheds one submit (no durable trace; the driver retries),
-        # then a torn WAL tail forces crash + resume mid-stream
-        return ChaosSchedule(
-            "saturate-tear",
-            [
-                FaultEvent(epoch=2, kind="saturate_inbox", target=0),
-                FaultEvent(epoch=4, kind="tear_wal", payload=7),
-            ],
-            failure_threshold=2,
-            breaker_cooldown=2.0,
-        )
-    if name == "flash-crowd":
-        # three waves of 12 registrations against a 2/s-refill, 6-burst
-        # bucket: a static run sheds 28 of 48 admission attempts
-        # (shed rate ~0.58); the adaptive controller sees the first
-        # wave's rejections and opens the bucket, keeping the shed rate
-        # under the 0.25 objective
-        return ChaosSchedule(
-            "flash-crowd",
-            [FaultEvent(epoch=2, kind="flash_crowd", payload=12, duration=3)],
-            failure_threshold=2,
-            breaker_cooldown=2.0,
-            registration_rate=2.0,
-            registration_burst=6.0,
-            slo=SLOPolicy(answer_p99=5.0, staleness_bound=4, shed_rate=0.25),
-        )
-    if name == "hot-skew":
-        # eight sessions whose sources all route to shard 1: the hottest
-        # shard owns 10 of 12 source groups until the controller adds a
-        # shard and migration rebalances the groups under the skew factor
-        return ChaosSchedule(
-            "hot-skew",
-            [FaultEvent(epoch=2, kind="hot_keys", target=1, payload=8)],
-            failure_threshold=2,
-            breaker_cooldown=2.0,
-            slo=SLOPolicy(answer_p99=5.0, staleness_bound=4, shed_rate=0.25),
-        )
-    if name == "slow-shard":
-        # shard 0 drags every batch command by 20ms for two epochs —
-        # well inside the epoch deadline, so nothing dies; the drag shows
-        # up only as answer latency, which the p99 objective watches
-        return ChaosSchedule(
-            "slow-shard",
-            [FaultEvent(
-                epoch=2, kind="slow_shard", target=0, duration=2, payload=20
-            )],
-            failure_threshold=2,
-            breaker_cooldown=2.0,
-            slo=SLOPolicy(answer_p99=5.0, staleness_bound=4, shed_rate=0.25),
-        )
-    if name == "sigkill-shard":
-        # the real-death acceptance schedule: shard 1 takes an actual
-        # SIGKILL (process backend) or its thread analogue before epoch
-        # 2's submit; the barrier converts the silent worker into a
-        # failed shard, the supervisor freezes a post-mortem bundle and
-        # respawns from the canonical graph, and with threshold 1 the
-        # affected breakers trip OPEN and heal via the HALF_OPEN trial —
-        # runs identically on both backends
-        return ChaosSchedule(
-            "sigkill-shard",
-            [FaultEvent(epoch=2, kind="sigkill_shard", target=1)],
-            failure_threshold=1,
-            breaker_cooldown=2.0,
-        )
-    if name == "wedge-shard":
-        # shard 0 busy-loops for 1500ms with no heartbeat — 3x the
-        # default 0.5s epoch deadline, so the barrier times the worker
-        # out and fails the shard while it is still technically alive;
-        # threshold 2 keeps the breaker closed so the rescue lands on
-        # the respawned worker immediately
-        return ChaosSchedule(
-            "wedge-shard",
-            [FaultEvent(epoch=3, kind="wedge_shard", target=0, payload=1500)],
-            failure_threshold=2,
-            breaker_cooldown=2.0,
-        )
-    raise ValueError(f"unknown builtin schedule {name!r}")
-
+#: the canonical schedules.  The first three are the *failure* schedules
+#: (something dies); the :data:`OVERLOAD_SCHEDULES` push the system past
+#: its static configuration instead, and carry an :class:`SLOPolicy` so
+#: :func:`run_chaos` grades the run — the adaptive controller is accepted
+#: when it meets objectives a static run violates.
+_BUILTINS: Dict[str, ChaosSchedule] = {s.name: s for s in (
+    # kill the shard owning the odd sources; with threshold 1 the first
+    # failure trips every affected breaker OPEN, rescues stay blocked
+    # through the cooldown, and resurrection happens via the HALF_OPEN
+    # trial two epochs later.
+    # the graded variant of this schedule: a static run serves degraded
+    # reads up to the full max_staleness=8 while the breaker cools down
+    # (ages 2-3 observed), violating the 1-epoch staleness objective; the
+    # adaptive controller narrows max_staleness to the SLO bound the
+    # moment breakers open, so over-bound lookups fall through to exact
+    # recompute instead
+    ChaosSchedule(
+        "kill-shard",
+        [FaultEvent(epoch=2, kind="kill_shard", target=1)],
+        slo=SLOPolicy(answer_p99=5.0, staleness_bound=1, shed_rate=0.25),
+    ),
+    # wedge source 3's group mid-epoch: the barrier deadline expires, the
+    # shard is retired+respawned, the zombie wakes 2 epochs later and
+    # exits through its stop flag; threshold 2 keeps the breaker closed
+    # so the rescue is immediate (no half-open detour)
+    ChaosSchedule(
+        "hang-epoch",
+        [FaultEvent(epoch=3, kind="hang_source", target=3, duration=2)],
+        failure_threshold=2,
+        breaker_cooldown=3.0,
+    ),
+    # back-to-back infrastructure faults with no shard loss: a full inbox
+    # sheds one submit (no durable trace; the driver retries), then a
+    # torn WAL tail forces crash + resume mid-stream
+    ChaosSchedule(
+        "saturate-tear",
+        [
+            FaultEvent(epoch=2, kind="saturate_inbox", target=0),
+            FaultEvent(epoch=4, kind="tear_wal", payload=7),
+        ],
+        failure_threshold=2,
+    ),
+    # three waves of 12 registrations against a 2/s-refill, 6-burst
+    # bucket: a static run sheds 28 of 48 admission attempts (shed rate
+    # ~0.58); the adaptive controller sees the first wave's rejections
+    # and opens the bucket, keeping the shed rate under the 0.25 objective
+    ChaosSchedule(
+        "flash-crowd",
+        [FaultEvent(epoch=2, kind="flash_crowd", payload=12, duration=3)],
+        failure_threshold=2,
+        registration_rate=2.0,
+        registration_burst=6.0,
+        slo=SLOPolicy(answer_p99=5.0, staleness_bound=4, shed_rate=0.25),
+    ),
+    # eight sessions whose sources all route to shard 1: the hottest
+    # shard owns 10 of 12 source groups until the controller adds a shard
+    # and migration rebalances the groups under the skew factor
+    ChaosSchedule(
+        "hot-skew",
+        [FaultEvent(epoch=2, kind="hot_keys", target=1, payload=8)],
+        failure_threshold=2,
+        slo=SLOPolicy(answer_p99=5.0, staleness_bound=4, shed_rate=0.25),
+    ),
+    # shard 0 drags every batch command by 20ms for two epochs — well
+    # inside the epoch deadline, so nothing dies; the drag shows up only
+    # as answer latency, which the p99 objective watches
+    ChaosSchedule(
+        "slow-shard",
+        [FaultEvent(epoch=2, kind="slow_shard", target=0, duration=2,
+                    payload=20)],
+        failure_threshold=2,
+        slo=SLOPolicy(answer_p99=5.0, staleness_bound=4, shed_rate=0.25),
+    ),
+    # the real-death acceptance schedule: shard 1 takes an actual SIGKILL
+    # (process backend) or its thread analogue before epoch 2's submit;
+    # the barrier converts the silent worker into a failed shard, the
+    # supervisor freezes a post-mortem bundle and respawns from the
+    # canonical graph, and with threshold 1 the affected breakers trip
+    # OPEN and heal via the HALF_OPEN trial — runs identically on both
+    # backends
+    ChaosSchedule(
+        "sigkill-shard",
+        [FaultEvent(epoch=2, kind="sigkill_shard", target=1)],
+    ),
+    # shard 0 busy-loops for 1500ms with no heartbeat — 3x the default
+    # 0.5s epoch deadline, so the barrier times the worker out and fails
+    # the shard while it is still technically alive; threshold 2 keeps
+    # the breaker closed so the rescue lands on the respawned worker
+    # immediately
+    ChaosSchedule(
+        "wedge-shard",
+        [FaultEvent(epoch=3, kind="wedge_shard", target=0, payload=1500)],
+        failure_threshold=2,
+    ),
+)}
 
 #: names accepted by :func:`builtin_schedule` / the ``chaos`` CLI
-BUILTIN_SCHEDULES = (
-    "kill-shard",
-    "hang-epoch",
-    "saturate-tear",
-    "flash-crowd",
-    "hot-skew",
-    "slow-shard",
-    "sigkill-shard",
-    "wedge-shard",
-)
+BUILTIN_SCHEDULES = tuple(_BUILTINS)
 
 #: the subset of :data:`BUILTIN_SCHEDULES` that overloads rather than
 #: breaks — the schedules the adaptive controller is graded on
 OVERLOAD_SCHEDULES = ("flash-crowd", "hot-skew", "slow-shard")
+
+
+def builtin_schedule(name: str) -> ChaosSchedule:
+    """A fresh copy of one of the canonical schedules."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin schedule {name!r}")
+    return copy.deepcopy(_BUILTINS[name])
 
 
 def random_schedule(
@@ -372,72 +343,61 @@ def random_schedule(
                 epoch=epoch, kind=kind, target=rng.randrange(num_shards)
             ))
     events.sort(key=lambda e: (e.epoch, e.kind, e.target))
-    return ChaosSchedule(f"random-{seed}", events, failure_threshold=1,
-                         breaker_cooldown=2.0)
+    return ChaosSchedule(f"random-{seed}", events)
 
 
 class ChaosController:
-    """Executes a schedule: in-worker faults via the hook, the rest inline.
+    """Executes a schedule: ``hook`` kinds in the worker, the rest inline.
 
-    One instance is both the harness ``fault_hook`` (kill / hang fire on
-    the worker thread at their exact epoch) and the driver-side actor
-    (inbox saturation, WAL tears, hang releases happen between submits on
-    the driver thread).  ``fired`` records what actually went off.
+    One instance is both the harness ``fault_hook`` (the ``hook`` kinds
+    of :data:`KINDS` fire on the worker thread at their exact epoch) and
+    the driver-side actor (:meth:`before` fires the ``before`` and
+    ``wave`` kinds between submits; :meth:`after_epoch` releases hangs).
+    ``fired`` records what actually went off, each event once.
     """
 
     def __init__(self, schedule: ChaosSchedule, clock: ManualClock) -> None:
-        self.schedule = schedule
         self.clock = clock
-        #: the live engine: kill / slow / hot-key targets resolve through
-        #: its routing when they fire, so a rescale mid-run moves a fault
-        #: with the source (the driver points this at each harness it opens)
+        #: the live engine: routed targets resolve through it when they
+        #: fire (the driver points this at each harness it opens)
         self.engine: Optional[ShardedServeEngine] = None
         self.fired: List[FaultEvent] = []
-        self._kills: Dict[int, FaultEvent] = {}      # epoch -> event
-        self._hangs: Dict[Tuple[int, int], FaultEvent] = {}
-        self._hang_gates: Dict[Tuple[int, int], threading.Event] = {}
-        self._releases: Dict[int, List[threading.Event]] = {}
-        self._saturations: Dict[int, FaultEvent] = {}
-        self._tears: Dict[int, FaultEvent] = {}
-        self._sigkills: Dict[int, FaultEvent] = {}
-        self._wedges: Dict[int, FaultEvent] = {}
+        #: epoch -> events due then, in :data:`KINDS` order; an exact
+        #: duplicate event is one event
+        self._due: Dict[int, Dict[FaultEvent, bool]] = {}
+        rank = {kind: i for i, kind in enumerate(KINDS)}
+        for event in sorted(schedule.events, key=lambda e: rank[e.kind]):
+            span = event.duration if KINDS[event.kind].recurs else 1
+            for epoch in range(event.epoch, event.epoch + span):
+                self._due.setdefault(epoch, {})[event] = True
+        #: hang -> the gate its worker parks on until epoch + duration
+        self._gates = {
+            event: threading.Event()
+            for event in schedule.events if event.kind == "hang_source"
+        }
         self._barriers: List[threading.Event] = []
-        self._crowds: Dict[int, List[FaultEvent]] = {}   # wave epoch -> events
-        self._hot: Dict[int, List[FaultEvent]] = {}
-        self._slow: List[FaultEvent] = []
-        self._overloads_started: set = set()
+        self._lock = threading.Lock()
         self._used_sources: set = set()
         self._cursor = 0
-        for event in schedule.events:
-            if event.kind == "kill_shard":
-                self._kills[event.epoch] = event
-            elif event.kind == "hang_source":
-                key = (event.epoch, event.target)
-                self._hangs[key] = event
-                gate = threading.Event()
-                self._hang_gates[key] = gate
-                self._releases.setdefault(
-                    event.epoch + event.duration, []
-                ).append(gate)
-            elif event.kind == "saturate_inbox":
-                self._saturations[event.epoch] = event
-            elif event.kind == "tear_wal":
-                self._tears[event.epoch] = event
-            elif event.kind == "sigkill_shard":
-                self._sigkills[event.epoch] = event
-            elif event.kind == "wedge_shard":
-                self._wedges[event.epoch] = event
-            elif event.kind == "flash_crowd":
-                for wave in range(event.epoch, event.epoch + event.duration):
-                    self._crowds.setdefault(wave, []).append(event)
-            elif event.kind == "hot_keys":
-                self._hot.setdefault(event.epoch, []).append(event)
-            elif event.kind == "slow_shard":
-                self._slow.append(event)
 
     def _owner(self, source: int) -> int:
         """Index of the shard that owns ``source`` right now."""
         return self.engine.shard_of(source).index
+
+    def _due_now(self, epoch: int, fires: Tuple[str, ...]) -> List[FaultEvent]:
+        with self._lock:
+            due = tuple(self._due.get(epoch, ()))
+        return [event for event in due if KINDS[event.kind].fires in fires]
+
+    def _take(self, epoch: int, event: FaultEvent) -> bool:
+        """Claim ``event`` for this delivery (False if another took it)."""
+        with self._lock:
+            return self._due.get(epoch, {}).pop(event, False)
+
+    def _fire(self, event: FaultEvent) -> None:
+        with self._lock:
+            if event not in self.fired:
+                self.fired.append(event)
 
     # ------------------------------------------------------------------
     # worker-thread side (the fault hook)
@@ -445,86 +405,44 @@ class ChaosController:
     def __call__(self, kind: str, source: int, epoch: int) -> None:
         if kind != "batch":
             return
-        kill = self._kills.get(epoch)
-        if kill is not None and self._owner(source) == kill.target:
-            del self._kills[epoch]
-            self.fired.append(kill)
-            raise ShardKilledError(
-                f"chaos: killed shard {kill.target} at epoch {epoch}"
-            )
-        hang = self._hangs.pop((epoch, source), None)
-        if hang is not None:
-            self.fired.append(hang)
-            # park until the driver releases us `duration` epochs later;
-            # by then this worker is retired and exits via its stop flag
-            self._hang_gates[(epoch, source)].wait(timeout=60.0)
-            return
-        for slow in self._slow:
-            if (
-                slow.epoch <= epoch < slow.epoch + slow.duration
-                and self._owner(source) == slow.target
-            ):
-                if slow not in self._overloads_started:
-                    self._overloads_started.add(slow)
-                    self.fired.append(slow)
-                # a drag, not a death: the worker stays inside the epoch
-                # deadline but every source on the shard pays the tax
-                time.sleep(slow.payload / 1000.0)
+        for event in self._due_now(epoch, ("hook",)):
+            if event.kind == "hang_source":
+                if event.target == source and self._take(epoch, event):
+                    self._fire(event)
+                    # park until the driver releases us `duration` epochs
+                    # later; by then this worker is retired and exits via
+                    # its stop flag
+                    self._gates[event].wait(timeout=60.0)
+                    return
+            elif self._owner(source) != event.target:
+                continue
+            elif event.kind == "kill_shard":
+                if self._take(epoch, event):
+                    self._fire(event)
+                    raise ShardKilledError(
+                        f"chaos: killed shard {event.target} at epoch {epoch}"
+                    )
+            else:  # slow_shard: a drag, not a death — the worker stays
+                # inside the epoch deadline but every source on the
+                # shard pays the tax
+                self._fire(event)
+                time.sleep(event.payload / 1000.0)
 
     # ------------------------------------------------------------------
     # driver side
     # ------------------------------------------------------------------
-    def tear_before(self, epoch: int) -> Optional[FaultEvent]:
-        """The WAL tear scheduled immediately before ``epoch``, if any."""
-        return self._tears.pop(epoch, None)
+    def before(
+        self, epoch: int, harness: ServeHarness, num_vertices: int,
+        reserved: set,
+    ) -> Tuple[Optional[FaultEvent], List[Tuple[int, int]]]:
+        """Fire the driver-side faults due before ``epoch``'s submit.
 
-    def saturate_before(self, epoch: int, harness: ServeHarness) -> bool:
-        """Fill the target shard's inbox so the next submit is shed."""
-        event = self._saturations.pop(epoch, None)
-        if event is None:
-            return False
-        shard = harness.engine.shards[event.target]
-        barrier = threading.Event()
-        self._barriers.append(barrier)
-        shard.submit(("barrier", barrier))  # parks the worker
-        try:
-            while True:
-                shard.submit(("noop",), block=False)
-        except queue.Full:  # the in-flight ledger is at its bound
-            pass
-        self.fired.append(event)
-        return True
-
-    def release_saturation(self) -> None:
-        """Unpark saturated workers; the noop backlog drains in FIFO."""
-        while self._barriers:
-            self._barriers.pop().set()
-
-    def real_before(self, epoch: int, harness: ServeHarness) -> None:
-        """Fire the *real* faults scheduled immediately before ``epoch``.
-
-        These act on the worker from outside instead of raising inside
-        it, so they are delivered from the driver thread and work on
-        both executor backends: ``sigkill_shard`` via ``worker.kill()``
-        (a genuine ``os.kill`` on processes) and ``wedge_shard`` via a
-        wedge command the worker spins on without heartbeating.
-        """
-        event = self._sigkills.pop(epoch, None)
-        if event is not None:
-            harness.engine.shards[event.target].kill()
-            self.fired.append(event)
-        event = self._wedges.pop(epoch, None)
-        if event is not None:
-            harness.engine.shards[event.target].submit_wedge(event.payload)
-            self.fired.append(event)
-
-    def wave_before(
-        self, epoch: int, num_vertices: int, reserved: set
-    ) -> List[Tuple[int, int]]:
-        """Standing-query pairs the overload events register before ``epoch``.
-
-        ``flash_crowd`` waves draw sources round-robin across the shards;
-        ``hot_keys`` draws only sources routed to its target shard.
+        Returns ``(tear, pairs)``.  A due ``tear_wal`` comes back alone,
+        before anything else fires: the driver crashes and resumes the
+        harness, then asks again, so the epoch's other faults land on the
+        resumed one.  ``pairs`` are the standing-query pairs the overload
+        waves register: ``flash_crowd`` draws sources round-robin across
+        the shards, ``hot_keys`` only sources routed to its target.
         Sources are never reused (each pair is a distinct session) and
         never collide with ``reserved`` (the oracle pairs + the anchor),
         so the convergence check is untouched by the crowd.  The driver
@@ -532,17 +450,33 @@ class ChaosController:
         """
         self._used_sources.update(reserved)
         pairs: List[Tuple[int, int]] = []
-        for event in self._crowds.get(epoch, ()):
-            if event not in self._overloads_started:
-                self._overloads_started.add(event)
-                self.fired.append(event)
-            pairs.extend(self._draw(event.payload, num_vertices, None))
-        for event in self._hot.get(epoch, ()):
-            if event not in self._overloads_started:
-                self._overloads_started.add(event)
-                self.fired.append(event)
-            pairs.extend(self._draw(event.payload, num_vertices, event.target))
-        return pairs
+        for event in self._due_now(epoch, ("before", "wave")):
+            self._take(epoch, event)
+            self._fire(event)
+            if event.kind == "tear_wal":
+                return event, []
+            if KINDS[event.kind].fires == "wave":
+                routed = KINDS[event.kind].shard_target
+                target = event.target if routed else None
+                pairs.extend(self._draw(event.payload, num_vertices, target))
+                continue
+            shard = harness.engine.shards[event.target]
+            if event.kind == "sigkill_shard":
+                shard.kill()  # a genuine os.kill on the process backend
+            elif event.kind == "wedge_shard":
+                shard.submit_wedge(event.payload)
+            else:  # saturate_inbox
+                barrier = threading.Event()
+                self._barriers.append(barrier)
+                try:
+                    # parks the worker; an inbox a second saturation finds
+                    # already at its bound stays as it is
+                    shard.submit(("barrier", barrier), block=False)
+                    while True:
+                        shard.submit(("noop",), block=False)
+                except queue.Full:  # the in-flight ledger is at its bound
+                    pass
+        return None, pairs
 
     def _draw(
         self, count: int, num_vertices: int, shard_target: Optional[int]
@@ -554,9 +488,7 @@ class ChaosController:
             source = self._cursor % num_vertices
             self._cursor += 1
             scanned += 1
-            if source in self._used_sources:
-                continue
-            if (
+            if source in self._used_sources or (
                 shard_target is not None
                 and self._owner(source) != shard_target
             ):
@@ -568,19 +500,23 @@ class ChaosController:
             pairs.append((source, destination))
         return pairs
 
+    def release_saturation(self) -> None:
+        """Unpark saturated workers; the noop backlog drains in FIFO."""
+        while self._barriers:
+            self._barriers.pop().set()
+
     def after_epoch(self, epoch: int) -> None:
         """Advance chaos time one epoch; release hangs that served it."""
         self.clock.advance(1.0)
-        for gate in self._releases.pop(epoch, ()):
-            gate.set()
+        for event, gate in self._gates.items():
+            if event.epoch + event.duration == epoch:
+                gate.set()
 
     def release_all(self) -> None:
         """Unblock every outstanding gate (teardown: no zombie survives)."""
         self.release_saturation()
-        for gates in self._releases.values():
-            for gate in gates:
-                gate.set()
-        self._releases.clear()
+        for gate in self._gates.values():
+            gate.set()
 
 
 @dataclass
@@ -731,21 +667,13 @@ def run_chaos(
     pairs = pairs or [(1, 20), (2, 30), (3, 40), (4, 50)]
     anchor = anchor or PairwiseQuery(7, 23)
     schedule.validate(num_batches, num_shards)
-    if backend != "thread":
-        # hook-delivered faults execute *inside* the worker and carry
-        # driver-side thread state; only the real (outside-in) faults
-        # and the infrastructure faults are meaningful across a process
-        # boundary
-        unsupported = sorted(
-            {event.kind for event in schedule.events}
-            & set(HOOK_KINDS + THREAD_ONLY_KINDS)
+    unsupported = schedule.thread_only_kinds() if backend != "thread" else []
+    if unsupported:
+        raise ValueError(
+            f"schedule {schedule.name!r} uses in-worker fault kinds "
+            f"{unsupported} that cannot fire on the {backend!r} "
+            f"backend; use sigkill_shard/wedge_shard"
         )
-        if unsupported:
-            raise ValueError(
-                f"schedule {schedule.name!r} uses in-worker fault kinds "
-                f"{unsupported} that cannot fire on the {backend!r} "
-                f"backend; use sigkill_shard/wedge_shard"
-            )
     policy = slo or schedule.slo
     graph, batches = _workload(seed, num_vertices, num_edges, num_batches)
     offline = _offline_replay(graph, algorithm, pairs, batches)
@@ -763,21 +691,25 @@ def run_chaos(
         checkpoint_every=2,
         backend=backend,
     )
-    harness = ServeHarness.open(
+
+    def attach(opened: ServeHarness) -> ServeHarness:
+        """Point the faults at ``opened`` and (re-)register every client."""
+        controller.engine = opened.engine
+        if adaptive:
+            opened.attach_controller(policy)
+        for pair in pairs:
+            opened.register(*pair)
+        opened.wait_all_live()
+        return opened
+
+    harness = attach(ServeHarness.open(
         directory, graph.copy(), algorithm, anchor,
         supervision=schedule.supervision(), **serve_options,
-    )
-    controller.engine = harness.engine
-    if adaptive:
-        harness.attach_controller(policy)
-    for pair in pairs:
-        harness.register(*pair)
-    harness.wait_all_live()
+    ))
 
     # sources the crowd generator must never reuse: the oracle pairs'
     # (a duplicate registration would raise) and the anchor's
     reserved = {source for source, _ in pairs} | {anchor.source}
-    telemetry = harness.telemetry
     resumes = 0
     shed = 0
     crowd_admitted = 0
@@ -793,14 +725,16 @@ def run_chaos(
     try:
         while epoch < num_batches:
             target = epoch + 1
-            tear = controller.tear_before(target)
+            tear, wave = controller.before(
+                target, harness, num_vertices, reserved
+            )
             if tear is not None:
                 # simulated crash: stop threads, leave disk as-is, damage
                 # the WAL tail, then recover and re-register every client —
                 # dumping the flight rings first, exactly like a real
                 # post-mortem would capture the moment of the crash
-                if telemetry is not None:
-                    telemetry.flight.dump(
+                if harness.telemetry is not None:
+                    harness.telemetry.flight.dump(
                         "chaos-tear-wal",
                         {"epoch": target, "torn_bytes": tear.payload},
                     )
@@ -811,30 +745,18 @@ def run_chaos(
                 harness.engine.close(strict=False)
                 _, wal_dir = state_paths(directory)
                 truncate_segment(wal_dir, tear.payload)
-                controller.fired.append(tear)
-                harness = ServeHarness.resume(
+                harness = attach(ServeHarness.resume(
                     directory, algorithm=algorithm,
                     supervision=schedule.supervision(), **serve_options,
-                )
-                controller.engine = harness.engine
+                ))
                 resumes += 1
-                telemetry = harness.telemetry
-                if adaptive:
-                    harness.attach_controller(policy)
-                for pair in pairs:
-                    harness.register(*pair)
-                harness.wait_all_live()
                 # the tear may have rolled back past durable batches; the
                 # recovered snapshot says exactly where to resubmit from
                 epoch = harness.snapshot_id
                 continue
-            controller.saturate_before(target, harness)
-            controller.real_before(target, harness)
             # overload waves register through normal admission; a shed
             # attempt is the signal the adaptive controller feeds on
-            for source, destination in controller.wave_before(
-                target, num_vertices, reserved
-            ):
+            for source, destination in wave:
                 try:
                     harness.register(source, destination)
                     crowd_admitted += 1
@@ -945,9 +867,9 @@ def run_chaos(
         decisions=decisions,
         controller=controller_stats,
     )
-    if telemetry is not None:
+    if harness.telemetry is not None:
         # end-of-run bundle: the run's verdict next to the final events
-        telemetry.flight.dump(
+        harness.telemetry.flight.dump(
             f"chaos-{schedule.name}",
             {
                 "schedule": schedule.name,

@@ -245,6 +245,16 @@ class ControlDecision:
         return dataclasses.asdict(self)
 
 
+def write_audit(path: str, decisions: Sequence[Dict[str, object]]) -> int:
+    """Write :meth:`ControlDecision.as_dict` records as the control-audit
+    JSONL (one sorted-key object a line); returns the record count."""
+    with open(path, "w") as handle:
+        for decision in decisions:
+            handle.write(json.dumps(decision, sort_keys=True))
+            handle.write("\n")
+    return len(decisions)
+
+
 #: the knobs the controller may move, in apply order
 KNOBS = (
     "shards",
@@ -632,7 +642,7 @@ class RuntimeController:
         self.freeze_reason = None
 
     # ------------------------------------------------------------------
-    # introspection / export
+    # introspection
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Point-in-time summary for ``ServeHarness.stats()`` and the CLI."""
@@ -646,15 +656,6 @@ class RuntimeController:
             "baseline": dict(self.baseline),
             "audit_size": len(self.audit),
         }
-
-    def export_audit(self, path: str) -> int:
-        """Write the audit log as JSONL; returns the record count."""
-        decisions = list(self.audit)
-        with open(path, "w") as handle:
-            for decision in decisions:
-                handle.write(json.dumps(decision.as_dict(), sort_keys=True))
-                handle.write("\n")
-        return len(decisions)
 
     def __repr__(self) -> str:
         return (

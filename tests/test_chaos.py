@@ -11,12 +11,18 @@ path (shard respawn, breaker half-open trial, crash + resume, admission
 shed + retry).  A green run that never injected anything proves nothing.
 """
 
+import sys
+import threading
+from types import SimpleNamespace
+
 import pytest
 
 from repro.algorithms import PPSP
+from repro.errors import ShardKilledError
 from repro.query import PairwiseQuery
 from repro.resilience.chaos import (
     BUILTIN_SCHEDULES,
+    KINDS,
     ChaosController,
     ChaosSchedule,
     FaultEvent,
@@ -58,9 +64,48 @@ class TestSchedules:
         with pytest.raises(ValueError):
             wide.validate(num_batches=8, num_shards=2)
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_each_required_field_must_be_positive(self, kind):
+        fields = dict(payload=1, duration=1)
+        FaultEvent(epoch=1, kind=kind, **fields).validate()
+        for name in KINDS[kind].required:
+            with pytest.raises(ValueError, match=name):
+                FaultEvent(
+                    epoch=1, kind=kind, **{**fields, name: 0}
+                ).validate()
+
+    @pytest.mark.parametrize(
+        "kind", sorted(k for k, spec in KINDS.items() if spec.shard_target)
+    )
+    def test_shard_targets_stop_below_num_shards(self, kind):
+        def schedule(target):
+            return ChaosSchedule(kind, [FaultEvent(
+                epoch=2, kind=kind, target=target, payload=1, duration=1
+            )])
+
+        schedule(1).validate(num_batches=8, num_shards=2)
+        with pytest.raises(ValueError, match="out of range"):
+            schedule(2).validate(num_batches=8, num_shards=2)
+
+    def test_builtins_are_fresh_copies(self):
+        schedule = builtin_schedule("saturate-tear")
+        schedule.events.clear()
+        assert len(builtin_schedule("saturate-tear").events) == 2
+
     def test_random_schedule_is_seed_deterministic(self):
         assert random_schedule(11).events == random_schedule(11).events
         assert random_schedule(11).events != random_schedule(12).events
+
+    def test_random_schedule_events_are_pinned(self):
+        # seed 7 is the CLI default; a change to the generator shows here
+        assert random_schedule(7).events == [
+            FaultEvent(epoch=3, kind="hang_source", target=2, duration=1),
+            FaultEvent(epoch=6, kind="kill_shard", target=0),
+        ]
+        assert random_schedule(11).events == [
+            FaultEvent(epoch=6, kind="hang_source", target=2, duration=2),
+            FaultEvent(epoch=6, kind="saturate_inbox", target=0),
+        ]
 
     def test_manual_clock_only_moves_forward(self):
         clock = ManualClock()
@@ -99,6 +144,50 @@ class TestRoutingAfterRescale:
         assert [event.kind for event in controller.fired] == ["kill_shard"]
         assert [index for index, _ in result.failed_shards] == [1]
         assert (3, 40) in result.answers and (4, 50) not in result.answers
+
+
+class TestConcurrentDelivery:
+    def test_each_kill_fires_once_under_racing_shard_threads(self):
+        """Shard threads call the hook concurrently; every due kill is
+        claimed by exactly one call, whatever the interleaving."""
+        shards = 8
+        events = [
+            FaultEvent(epoch=1, kind="kill_shard", target=t)
+            for t in range(shards)
+        ]
+        controller = ChaosController(
+            ChaosSchedule("racing", events), ManualClock()
+        )
+        controller.engine = SimpleNamespace(
+            shard_of=lambda source: SimpleNamespace(index=source % shards)
+        )
+        raised = []
+        start = threading.Barrier(2 * shards)
+
+        def shard_thread(source):
+            start.wait(timeout=10)
+            for _ in range(50):
+                try:
+                    controller("batch", source, 1)
+                except ShardKilledError as error:
+                    raised.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=shard_thread, args=(source,))
+                for source in range(2 * shards)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(e.target for e in controller.fired) == list(range(shards))
+        assert len(raised) == shards
 
 
 class TestConvergence:
@@ -150,6 +239,44 @@ class TestConvergence:
         assert report.resumes == 1
         assert report.supervisor["shard_restarts"] == 0
         assert report.session_states.get("live") == 4
+
+    def test_kills_of_two_shards_at_one_epoch_both_fire(self, tmp_path):
+        schedule = ChaosSchedule("double-kill", [
+            FaultEvent(epoch=2, kind="kill_shard", target=0),
+            FaultEvent(epoch=2, kind="kill_shard", target=1),
+        ])
+        report = run_chaos(schedule, str(tmp_path), PPSP())
+        assert report.converged, report.mismatches
+        assert report.faults_fired == ["kill_shard@2", "kill_shard@2"]
+        assert report.supervisor["shard_restarts"] == 2
+        assert report.session_states.get("live") == 4
+
+    def test_an_exact_duplicate_event_fires_once(self, tmp_path):
+        # a second saturation of an already full inbox would block the
+        # driver forever; the duplicate is the same fault, delivered once
+        event = FaultEvent(epoch=2, kind="saturate_inbox", target=0)
+        report = run_chaos(
+            ChaosSchedule("double-saturate", [event, event]),
+            str(tmp_path), PPSP(),
+        )
+        assert report.converged, report.mismatches
+        assert report.faults_fired == ["saturate_inbox@2"]
+        assert report.shed_submits == 1
+
+    def test_a_second_saturation_of_a_full_inbox_finishes(self, tmp_path):
+        # distinct events (payload differs) both fire; the second finds
+        # the inbox at its bound and leaves it there instead of blocking
+        report = run_chaos(
+            ChaosSchedule("saturate-twice", [
+                FaultEvent(epoch=2, kind="saturate_inbox", target=0),
+                FaultEvent(epoch=2, kind="saturate_inbox", target=0,
+                           payload=1),
+            ]),
+            str(tmp_path), PPSP(),
+        )
+        assert report.converged, report.mismatches
+        assert report.faults_fired == ["saturate_inbox@2"] * 2
+        assert report.shed_submits == 1
 
     def test_random_schedule_converges(self, tmp_path):
         schedule = random_schedule(11)

@@ -13,7 +13,9 @@ analogues.
 import pytest
 
 from repro.algorithms import PPSP
+from repro.cli import main
 from repro.obs import Telemetry, use_telemetry
+from repro.resilience import chaos
 from repro.resilience.chaos import (
     BUILTIN_SCHEDULES,
     builtin_schedule,
@@ -39,6 +41,23 @@ class TestScheduleCompatibility:
                 builtin_schedule("kill-shard"), str(tmp_path), PPSP(),
                 backend="process",
             )
+
+    @pytest.mark.parametrize("schedule, kinds", [
+        ("kill-shard", "kill_shard"),
+        ("random", "hang_source, kill_shard"),  # seed 7, the default
+    ])
+    def test_cli_refuses_thread_only_kinds_on_process(
+        self, schedule, kinds, monkeypatch, capsys
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a harness was started")
+
+        monkeypatch.setattr(chaos, "run_chaos", no_run)
+        code = main(["chaos", "--schedule", schedule, "--backend", "process"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and f"({kinds})" in err
 
     def test_unknown_backend_is_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown shard backend"):

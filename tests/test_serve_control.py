@@ -29,7 +29,7 @@ from repro.serve import (
     TokenBucket,
 )
 from repro.serve.admission import AdmissionController
-from repro.serve.control import KNOBS
+from repro.serve.control import KNOBS, write_audit
 from tests.conftest import random_batch, random_graph
 
 pytestmark = pytest.mark.serve
@@ -366,7 +366,9 @@ class TestRuntimeController:
             harness.rescale_shards(3)
             controller.freeze(reason="export-test")
             path = tmp_path / "audit.jsonl"
-            count = controller.export_audit(str(path))
+            count = write_audit(
+                str(path), [d.as_dict() for d in controller.audit]
+            )
             assert count == len(controller.audit) > 0
             lines = [
                 json.loads(line)
