@@ -26,7 +26,7 @@ from typing import Set
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.engine import PairwiseEngine
-from repro.graph.batch import EdgeUpdate, UpdateBatch, net_effects
+from repro.graph.batch import UpdateBatch
 from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import BatchResult, OpCounts
@@ -61,8 +61,7 @@ class CoalescingEngine(PairwiseEngine):
         alg = self.algorithm
         state = self.state
 
-        effective = net_effects(batch, graph.weight_or_none)
-        graph.apply_batch(effective, missing_ok=False)
+        effective = graph.apply_net(batch)
         ops.updates_processed += len(effective)
 
         # ---- coalesced deletion repair first: collect every supplying

@@ -17,7 +17,8 @@ The engine augments incremental computation with the paper's workflow:
 Useless updates are dropped in step 2 and never touch the propagation
 machinery — the paper's headline computation reduction.
 
-Step 1 happens here; steps 2-5 are
+Step 1 happens here, as one :meth:`DynamicGraph.apply_net` call that
+reduces the batch and applies it in the same loop; steps 2-5 are
 :meth:`repro.core.multiquery.SourceGroup.process_batch`, shared with the
 multi-query engine and the serve layer.
 """
@@ -31,7 +32,9 @@ from repro.core.classification import ClassifiedBatch, KeyPathRule
 from repro.core.keypath import KeyPathTracker
 from repro.core.multiquery import BatchObserver, SourceGroup
 from repro.engine import PairwiseEngine
-from repro.graph.batch import UpdateBatch, net_effects
+from repro.graph.batch import UpdateBatch
+# unused here; perfbench's tracer self-test rebinds this by-name import
+from repro.graph.batch import net_effects  # noqa: F401
 from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import BatchResult, OpCounts
@@ -99,8 +102,7 @@ class CISGraphEngine(PairwiseEngine):
 
         # net topology effect, applied before any processing so that
         # propagation and repair always traverse the new snapshot
-        effective = net_effects(batch, graph.weight_or_none)
-        graph.apply_batch(effective, missing_ok=False)
+        effective = graph.apply_net(batch)
 
         seen = BatchObserver(telemetry=self.telemetry, engine=self.name)
         self._group.process_batch(effective, response, post, seen)

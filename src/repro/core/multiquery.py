@@ -38,7 +38,7 @@ from repro.core.classification import (
 from repro.core.keypath import KeyPathTracker
 from repro.core.scheduler import UpdateScheduler
 from repro.errors import DuplicateQueryError
-from repro.graph.batch import EdgeUpdate, UpdateBatch, net_effects
+from repro.graph.batch import EdgeUpdate, UpdateBatch
 from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import OpCounts
@@ -368,8 +368,7 @@ class MultiQueryEngine:
         response = OpCounts()
         post = OpCounts()
 
-        effective = net_effects(batch, self.graph.weight_or_none)
-        self.graph.apply_batch(effective, missing_ok=False)
+        effective = self.graph.apply_net(batch)
 
         stats: Dict[str, float] = {
             "groups": float(len(self._groups)),

@@ -146,8 +146,11 @@ def net_effects(batch: UpdateBatch, edge_weight) -> "UpdateBatch":
 
     Engines that classify a whole batch before processing (CISGraph) must
     not propagate through an edge that a later update in the same batch
-    removes.  This helper replays the batch against the pre-batch topology
-    (queried once per distinct edge through
+    removes.  This is the pure reducer: the engines call
+    :meth:`~repro.graph.dynamic.DynamicGraph.apply_net`, which reduces and
+    applies in one loop and is held to exactly this function followed by
+    ``apply_batch(effective, missing_ok=False)``.  It replays the batch
+    against the pre-batch topology (queried once per distinct edge through
     ``edge_weight(u, v) -> Optional[float]``) and returns an equivalent
     batch with at most one deletion followed by at most one addition per
     edge: pure additions, pure deletions (carrying the *pre-batch* weight,

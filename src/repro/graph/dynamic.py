@@ -21,7 +21,7 @@ import threading
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import EdgeNotFoundError, VertexOutOfRangeError
-from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind
+from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind, net_effects
 
 # Process-wide on purpose: every graph built in the process (and its copies:
 # engine graphs, serve replicas, forked children) points at the same objects.
@@ -80,8 +80,9 @@ class DynamicGraph:
         that is exactly a ``float`` and ``> 0`` as the one object of its value
         (for the first 4096 values the process sees).  Any other weight --
         ints, ``-0.0``, NaN, float subclasses -- is stored as given.
-        :meth:`add_edge` and :meth:`apply_batch` store the caller's objects:
-        sharing inside the streaming ingest loop costs more than it saves.
+        :meth:`add_edge`, :meth:`apply_batch` and :meth:`apply_net` store the
+        caller's objects: sharing inside the streaming ingest loop costs
+        more than it saves.
         """
         graph = cls(num_vertices)
         out, inn = graph._out, graph._in
@@ -190,10 +191,12 @@ class DynamicGraph:
     def apply_batch(self, batch: UpdateBatch, missing_ok: bool = True) -> int:
         """Apply a whole batch in order; returns the number of effective changes.
 
-        The one apply routine of every engine.  Both endpoints of every
-        update are range-checked *before the first write*, so a batch
-        refused with :class:`VertexOutOfRangeError` leaves the graph as it
-        found it.  With ``missing_ok=False`` deleting an absent edge raises
+        The apply routine for raw batches (stream replay, the cold-start
+        baseline, a process child's replica); engines call
+        :meth:`apply_net`.  Both endpoints of every update are range-checked
+        *before the first write*, so a batch refused with
+        :class:`VertexOutOfRangeError` leaves the graph as it found it.
+        With ``missing_ok=False`` deleting an absent edge raises
         :class:`EdgeNotFoundError` after the updates in front of it were
         applied; the edge count stays consistent with the adjacency.
         """
@@ -221,6 +224,69 @@ class DynamicGraph:
             self._num_edges += added - removed
         return added + removed
 
+    def apply_net(self, batch: UpdateBatch) -> UpdateBatch:
+        """Apply a batch's *net* topology effect and return that effect.
+
+        The ingest routine of every engine: exactly
+        ``net_effects(batch, self.weight_or_none)`` followed by
+        ``apply_batch(effective, missing_ok=False)`` -- the same effective
+        updates (the caller's own objects wherever ``net_effects`` reuses
+        them), in first-touch order, leaving the same insertion order in
+        both adjacency dicts and the same edge count -- in one dedupe pass
+        and one loop over the distinct edges, which reads each pre-batch
+        weight from the out-adjacency, decides the effect and writes it.
+
+        A surviving addition that names a vertex the graph does not have
+        raises :class:`VertexOutOfRangeError` for the largest such vertex
+        before the first write; a deletion of such an edge has no effect.
+        One difference from the pair: a stored weight no
+        :class:`EdgeUpdate` can carry (``<= 0`` or NaN, which
+        :meth:`from_edges` accepts) raises the reducer's ``ValueError``
+        when a deletion half must carry it, but after the edges in front
+        of it were applied; the edge count stays consistent.
+        """
+        out, inn = self._out, self._in
+        count = len(out)
+        last = {(upd.u, upd.v): upd for upd in batch}
+        if batch.max_vertex() >= count:
+            top = net_effects(batch, self.weight_or_none).max_vertex()
+            if top >= count:
+                raise VertexOutOfRangeError(top, count)
+            # what is left naming such a vertex deletes an edge that cannot exist
+            last = {key: upd for key, upd in last.items() if max(key) < count}
+        is_add, is_delete = UpdateKind.ADD, UpdateKind.DELETE
+        reduced: List[EdgeUpdate] = []
+        append = reduced.append
+        added = removed = 0
+        try:
+            for (u, v), upd in last.items():
+                adj = out[u]
+                if upd.kind is is_add:
+                    if v in adj:
+                        old = adj[v]
+                        if old == upd.weight:
+                            continue
+                        # delete-then-add: the edge moves to the end of both dicts
+                        append(EdgeUpdate(is_delete, u, v, old))
+                        del adj[v]
+                        del inn[v][u]
+                    else:
+                        added += 1
+                    adj[v] = inn[v][u] = upd.weight
+                    append(upd)
+                else:
+                    old = adj.get(v)
+                    if old is not None:
+                        if upd.weight != old:
+                            upd = EdgeUpdate(is_delete, u, v, old)
+                        del adj[v]
+                        del inn[v][u]
+                        removed += 1
+                        append(upd)
+        finally:
+            self._num_edges += added - removed
+        return UpdateBatch(reduced)
+
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
@@ -240,8 +306,8 @@ class DynamicGraph:
     def weight_or_none(self, u: int, v: int) -> Optional[float]:
         """Weight of ``u -> v``; ``None`` when absent or ``u`` out of range.
 
-        The pre-batch lookup every engine hands to
-        :func:`~repro.graph.batch.net_effects`: an update naming a vertex
+        The pre-batch lookup to hand :func:`~repro.graph.batch.net_effects`
+        (what :meth:`apply_net` reads inline): an update naming a vertex
         the graph does not have reduces to a net addition (or to nothing,
         for a deletion), so applying the reduced batch raises the typed
         :class:`VertexOutOfRangeError` instead of an ``IndexError`` here.

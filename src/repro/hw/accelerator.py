@@ -39,7 +39,7 @@ from repro.core.classification import (
 )
 from repro.core.keypath import KeyPathTracker
 from repro.engine import PairwiseEngine
-from repro.graph.batch import EdgeUpdate, UpdateBatch, net_effects
+from repro.graph.batch import EdgeUpdate, UpdateBatch
 from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.hw.config import AcceleratorConfig
@@ -136,8 +136,7 @@ class CISGraphAccelerator(PairwiseEngine):
             self.tracer.clear()
 
         # -- snapshot generation: apply net topology effect, rebuild CSR.
-        effective = net_effects(batch, self.graph.weight_or_none)
-        self.graph.apply_batch(effective, missing_ok=False)
+        effective = self.graph.apply_net(batch)
         csr = CSRGraph.from_dynamic(self.graph)
         new_layout = MemoryLayout(csr, csr.reversed())
         if self._spm is None or self._dram is None:

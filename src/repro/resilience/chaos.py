@@ -76,7 +76,8 @@ class FaultKind(NamedTuple):
     fires: str
     #: ``target`` is a shard index (checked against ``num_shards``)
     shard_target: bool
-    #: the fields (``payload`` / ``duration``) that must be at least 1
+    #: the fields (``payload`` / ``duration``) that must be at least 1; a
+    #: kind that does not list ``duration`` takes none (it must stay 1)
     required: Tuple[str, ...]
     #: only the thread backend can deliver it: the hook, and the barrier
     #: a saturation parks the worker on, are thread state that cannot
@@ -119,6 +120,8 @@ KINDS: Dict[str, FaultKind] = {
     "slow_shard": FaultKind("hook", True, ("payload", "duration"), True,
                             recurs=True),
 }
+#: a kind's position in :data:`KINDS` (its delivery precedence)
+_RANK = {kind: i for i, kind in enumerate(KINDS)}
 
 
 class ManualClock:
@@ -158,6 +161,8 @@ class FaultEvent:
         for name in spec.required:
             if getattr(self, name) < 1:
                 raise ValueError(f"{self.kind} needs {name} >= 1")
+        if "duration" not in spec.required and self.duration != 1:
+            raise ValueError(f"{self.kind} takes no duration (got {self.duration})")
 
 
 @dataclass
@@ -365,8 +370,7 @@ class ChaosController:
         #: epoch -> events due then, in :data:`KINDS` order; an exact
         #: duplicate event is one event
         self._due: Dict[int, Dict[FaultEvent, bool]] = {}
-        rank = {kind: i for i, kind in enumerate(KINDS)}
-        for event in sorted(schedule.events, key=lambda e: rank[e.kind]):
+        for event in sorted(schedule.events, key=lambda e: _RANK[e.kind]):
             span = event.duration if KINDS[event.kind].recurs else 1
             for epoch in range(event.epoch, event.epoch + span):
                 self._due.setdefault(epoch, {})[event] = True
@@ -525,6 +529,8 @@ class ChaosReport:
 
     schedule: str
     epochs: int
+    #: ``kind@epoch`` of every event that went off, ordered by epoch and
+    #: then :data:`KINDS` order, whichever shard thread reached it first
     faults_fired: List[str]
     converged: bool
     mismatches: List[str]
@@ -851,7 +857,10 @@ def run_chaos(
     report = ChaosReport(
         schedule=schedule.name,
         epochs=num_batches,
-        faults_fired=[f"{e.kind}@{e.epoch}" for e in controller.fired],
+        faults_fired=[f"{e.kind}@{e.epoch}" for e in sorted(
+            controller.fired,
+            key=lambda e: (e.epoch, _RANK[e.kind], e.target, e.duration, e.payload),
+        )],
         converged=not mismatches,
         mismatches=mismatches,
         resumes=resumes,

@@ -41,7 +41,6 @@ from repro.checkpoint import (
 )
 from repro.core.engine import CISGraphEngine
 from repro.errors import RecoveryError
-from repro.graph.batch import net_effects
 from repro.metrics import ResilienceCounters
 from repro.resilience.deadletter import DeadLetterQueue
 from repro.resilience.wal import WalRecord, WalStats, replay
@@ -176,10 +175,11 @@ class RecoveryManager:
     ) -> Iterator[WalRecord]:
         """``log``, record for record — but before the first record of the
         state record's WAL span comes out, the span has been read ahead,
-        the topology fast-forwarded over it (the two calls every engine
-        makes before classification) and the record's state adopted, so the
-        caller skips the span as covered.  A record that fails any check is
-        ignored, the reason kept, and the span comes out to be replayed."""
+        the topology fast-forwarded over it (``DynamicGraph.apply_net``, the
+        call every engine makes before classification) and the record's
+        state adopted, so the caller skips the span as covered.  A record
+        that fails any check is ignored, the reason kept, and the span comes
+        out to be replayed."""
         base, engine = result.checkpoint, result.engine
         graph = engine.graph
         span: List[WalRecord] = []
@@ -199,9 +199,7 @@ class RecoveryManager:
                     f"WAL holds {sequences} of its span {first}..{last}"
                 )
             for wal in span:
-                graph.apply_batch(
-                    net_effects(wal.batch, graph.weight_or_none), missing_ok=False
-                )
+                graph.apply_net(wal.batch)
             if graph.num_edges != record.num_edges:
                 raise CheckpointError(
                     f"{graph.num_edges} edges after its WAL span, "

@@ -15,12 +15,13 @@ Topology and work are split as follows:
 * every shard worker owns the source groups of the standing sessions
   hashed to it (``source % num_shards``); a thread shard reads the
   canonical graph itself, a process child a replica of it;
-* :meth:`on_batch` reduces the batch to net effects once, then runs
-  **drain → apply once → fan out → anchor → barrier**: it waits until
-  every shard has retired what was submitted before the epoch, applies
-  the batch to the canonical graph, fans the same effective batch to
-  every shard, processes the anchor, and merges the shard outcomes for
-  the epoch into one :class:`ServeBatchResult`.
+* :meth:`on_batch` runs **drain → reduce + apply once → fan out →
+  anchor → barrier**: it waits until every shard has retired what was
+  submitted before the epoch, reduces the batch and applies it to the
+  canonical graph in one :meth:`DynamicGraph.apply_net` call, fans the
+  effective batch it returns to every shard, processes the anchor, and
+  merges the shard outcomes for the epoch into one
+  :class:`ServeBatchResult`.
 
 The drain is the topology contract: a registration submitted ahead of
 batch *k* has retired — bootstrapped on the pre-*k* topology — before
@@ -49,7 +50,7 @@ from repro.core.classification import KeyPathRule
 from repro.core.keypath import KeyPathTracker
 from repro.core.multiquery import SourceGroup
 from repro.errors import ShardCrashedError, ShardShutdownError
-from repro.graph.batch import UpdateBatch, net_effects
+from repro.graph.batch import UpdateBatch
 from repro.graph.dynamic import DynamicGraph
 from repro.incremental import IncrementalState
 from repro.metrics import BatchResult, OpCounts
@@ -259,7 +260,6 @@ class ShardedServeEngine:
         provenance = self.provenance
         response = OpCounts()
         post = OpCounts()
-        effective = net_effects(batch, self.graph.weight_or_none)
         self.epoch += 1
         # the context every shard re-activates: on the ingest thread this
         # is the open engine.batch span (itself nested under the
@@ -268,12 +268,6 @@ class ShardedServeEngine:
             telemetry.tracer.current_context() if telemetry is not None
             else None
         )
-        if provenance is not None:
-            provenance.begin_batch(
-                self.epoch,
-                trace_id=context.trace_id if context is not None else None,
-                updates=len(effective),
-            )
         # drain: nothing submitted before this epoch (a bootstrap above
         # all) may still be reading the graph when it moves; a shard that
         # stays busy past the deadline fails for the epoch instead of
@@ -291,8 +285,14 @@ class ShardedServeEngine:
             if not self.tolerate_shard_failures:
                 raise ShardCrashedError(reason)
             failed_shards.append((shard.index, reason))
-        # apply once, then fan out so shards overlap with the anchor
-        self.graph.apply_batch(effective, missing_ok=True)
+        # reduce + apply once, then fan out so shards overlap with the anchor
+        effective = self.graph.apply_net(batch)
+        if provenance is not None:
+            provenance.begin_batch(
+                self.epoch,
+                trace_id=context.trace_id if context is not None else None,
+                updates=len(effective),
+            )
         for shard in drained:
             shard.submit_batch(self.epoch, effective, context)
         # the anchor is the durability surface, not an isolated source:

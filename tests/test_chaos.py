@@ -87,6 +87,22 @@ class TestSchedules:
         with pytest.raises(ValueError, match="out of range"):
             schedule(2).validate(num_batches=8, num_shards=2)
 
+    @pytest.mark.parametrize(
+        "kind",
+        sorted(k for k, spec in KINDS.items() if "duration" not in spec.required),
+    )
+    def test_a_kind_without_duration_refuses_one(self, kind):
+        # a hot_keys with duration=3 used to run one wave, silently
+        FaultEvent(epoch=2, kind=kind, target=1, payload=4).validate()
+        with pytest.raises(ValueError, match="duration"):
+            FaultEvent(
+                epoch=2, kind=kind, target=1, payload=4, duration=3
+            ).validate()
+
+    def test_random_schedules_validate(self):
+        for seed in range(60):
+            random_schedule(seed).validate(num_batches=8, num_shards=2)
+
     def test_builtins_are_fresh_copies(self):
         schedule = builtin_schedule("saturate-tear")
         schedule.events.clear()
@@ -277,6 +293,18 @@ class TestConvergence:
         assert report.converged, report.mismatches
         assert report.faults_fired == ["saturate_inbox@2"] * 2
         assert report.shed_submits == 1
+
+    def test_faults_fired_is_in_epoch_then_kind_order(self, tmp_path):
+        # a kill and a hang at epoch 2 fire on two shard threads; the
+        # report lists them in KINDS order whichever thread ran first
+        schedule = random_schedule(36)
+        assert {e.epoch for e in schedule.events} == {2}
+        fired = []
+        for run in range(6):
+            report = run_chaos(schedule, str(tmp_path / str(run)), PPSP())
+            assert report.converged, report.mismatches
+            fired.append(report.faults_fired)
+        assert fired == [["kill_shard@2", "hang_source@2"]] * 6
 
     def test_random_schedule_converges(self, tmp_path):
         schedule = random_schedule(11)

@@ -168,6 +168,7 @@ def test_keypath_witnesses_the_answer(graph, batches, source, dest):
 # ----------------------------------------------------------------------
 # the ingest pair this repository started with, kept verbatim as the
 # written specification of ``net_effects`` + ``DynamicGraph.apply_batch``
+# and of ``DynamicGraph.apply_net``
 # ----------------------------------------------------------------------
 def _seed_net_effects(batch, edge_weight):
     before: dict = {}
@@ -248,20 +249,60 @@ _ingest_batch = st.lists(_ingest_update, max_size=30).map(
 )
 
 
+# an addition naming a vertex the graph lacks, spliced in at some position
+# of about half the batches; a later deletion of the same edge cancels it
+_stray_addition = st.one_of(
+    st.none(),
+    st.tuples(
+        st.integers(0, 30),
+        st.tuples(
+            st.integers(0, _INGEST_N + 2), st.integers(0, _INGEST_N + 2)
+        ).filter(lambda e: e[0] != e[1] and max(e) >= _INGEST_N),
+        st.integers(1, 3),
+    ),
+)
+
+
+def _owned(effective, batch):
+    """Which effective updates are the caller's own objects."""
+    mine = {id(upd) for upd in batch}
+    return [id(upd) if id(upd) in mine else None for upd in effective]
+
+
 @settings(max_examples=300, deadline=None)
-@given(graph=_ingest_graph, batch=_ingest_batch)
-def test_ingest_matches_the_seed_pair(graph, batch):
-    """``net_effects`` + ``apply_batch`` against the seed's pair: the same
-    reduced sequence and the same topology *in the same storage order*."""
-    old_graph, new_graph = graph.copy(), graph.copy()
+@given(graph=_ingest_graph, batch=_ingest_batch, stray=_stray_addition)
+def test_ingest_matches_the_seed_pair(graph, batch, stray):
+    """``net_effects`` + ``apply_batch`` and ``DynamicGraph.apply_net``
+    against the seed's pair: the same reduced sequence (the caller's own
+    objects where the reducer reuses them), the same change count and the
+    same topology *in the same storage order* -- or, for a surviving
+    out-of-range addition, the same refusal before any write."""
+    if stray is not None:
+        at, (u, v), w = stray
+        batch.updates.insert(at, EdgeUpdate(UpdateKind.ADD, u, v, float(w)))
+    old_graph, pair_graph, net_graph = graph.copy(), graph.copy(), graph.copy()
     old = _seed_net_effects(batch, old_graph.weight_or_none)
+    pair = net_effects(batch, pair_graph.weight_or_none)
+    if pair.max_vertex() >= _INGEST_N:
+        before = _storage(graph)
+        with pytest.raises(VertexOutOfRangeError):
+            _seed_apply(old_graph, old, missing_ok=False)
+        with pytest.raises(VertexOutOfRangeError) as pair_refusal:
+            pair_graph.apply_batch(pair, missing_ok=False)
+        with pytest.raises(VertexOutOfRangeError) as net_refusal:
+            net_graph.apply_net(batch)
+        assert net_refusal.value.vertex == pair_refusal.value.vertex
+        assert net_refusal.value.vertex == pair.max_vertex()
+        assert _storage(net_graph) == _storage(pair_graph) == before
+        return
     old_changed = _seed_apply(old_graph, old, missing_ok=False)
-    new = net_effects(batch, new_graph.weight_or_none)
-    new_changed = new_graph.apply_batch(new, missing_ok=False)
-    assert _rows(new) == _rows(old)
-    assert new_changed == old_changed == len(old)
-    assert _storage(new_graph) == _storage(old_graph)
-    new_graph.check_consistency()
+    pair_changed = pair_graph.apply_batch(pair, missing_ok=False)
+    net = net_graph.apply_net(batch)
+    assert _rows(net) == _rows(pair) == _rows(old)
+    assert _owned(net, batch) == _owned(pair, batch)
+    assert len(net) == pair_changed == old_changed == len(old)
+    assert _storage(net_graph) == _storage(pair_graph) == _storage(old_graph)
+    net_graph.check_consistency()
 
 
 @settings(max_examples=150, deadline=None)

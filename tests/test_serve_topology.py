@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.algorithms.solvers import dijkstra
-from repro.graph.batch import UpdateBatch
+from repro.graph.batch import UpdateBatch, net_effects
 from repro.graph.dynamic import DynamicGraph
 from tests.test_serve_reads import BOTH, _mixed_batch, _open, _register_all
 
@@ -23,7 +23,7 @@ COMMITS = 4
 #: a pair no standing session uses; source 3 sits on shard 1 of 2
 LATE = (3, 40)
 
-_apply = DynamicGraph.apply_batch
+_apply_net = DynamicGraph.apply_net
 
 
 def _oracle_holds(harness, result):
@@ -39,13 +39,13 @@ def _oracle_holds(harness, result):
 def test_a_commit_applies_its_batch_once(tmp_path, monkeypatch, backend):
     applied = []
 
-    def spy(graph, batch, missing_ok=True):
+    def spy(graph, batch):
         applied.append(graph)
-        return _apply(graph, batch, missing_ok)
+        return _apply_net(graph, batch)
 
     with _open(tmp_path, backend, shards=3) as harness:
         _register_all(harness)
-        monkeypatch.setattr(DynamicGraph, "apply_batch", spy)
+        monkeypatch.setattr(DynamicGraph, "apply_net", spy)
         for index in range(COMMITS):
             result = harness.submit(_mixed_batch(harness.engine.graph, index))
             assert not result.failed_shards
@@ -69,12 +69,12 @@ def test_a_registration_in_flight_retires_before_the_graph_moves(
         _register_all(harness)
         canonical = harness.engine.graph
 
-        def spy(graph, batch, missing_ok=True):
+        def spy(graph, batch):
             if graph is canonical:
                 order.append("apply")
-            return _apply(graph, batch, missing_ok)
+            return _apply_net(graph, batch)
 
-        monkeypatch.setattr(DynamicGraph, "apply_batch", spy)
+        monkeypatch.setattr(DynamicGraph, "apply_net", spy)
         batch = _mixed_batch(canonical, 0)
         session = harness.register(*LATE)
         timer = threading.Timer(0.2, release.set)
@@ -118,24 +118,24 @@ def test_a_zombie_waking_mid_apply_is_never_merged(tmp_path, monkeypatch):
             _oracle_holds(harness, result)
             assert harness.wait_all_live(timeout=30.0)
 
-            def torn(graph, batch, missing_ok=True):
+            def torn(graph, batch):
                 """Wake the zombie half-way through the canonical apply
                 and let it finish its epoch on the half-moved graph."""
                 if graph is not canonical:
-                    return _apply(graph, batch, missing_ok)
+                    return _apply_net(graph, batch)
                 woke.append(zombie._runner.is_alive())
-                updates = list(batch)
+                effective = net_effects(batch, graph.weight_or_none)
+                updates = list(effective)
                 half = len(updates) // 2
-                changed = _apply(graph, UpdateBatch(updates[:half]), missing_ok)
+                graph.apply_batch(UpdateBatch(updates[:half]), missing_ok=False)
                 release.set()
                 zombie._runner.join(10.0)
-                return changed + _apply(
-                    graph, UpdateBatch(updates[half:]), missing_ok
-                )
+                graph.apply_batch(UpdateBatch(updates[half:]), missing_ok=False)
+                return effective
 
-            monkeypatch.setattr(DynamicGraph, "apply_batch", torn)
+            monkeypatch.setattr(DynamicGraph, "apply_net", torn)
             result = harness.submit(_mixed_batch(canonical, 4))
-            monkeypatch.setattr(DynamicGraph, "apply_batch", _apply)
+            monkeypatch.setattr(DynamicGraph, "apply_net", _apply_net)
         finally:
             release.set()
         # one canonical apply, with the zombie still hung when it began
