@@ -20,9 +20,10 @@ Regenerate (only when an answer or a counter is *meant* to change)::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.baselines import (
 from repro.core.classification import KeyPathRule
 from repro.core.engine import CISGraphEngine
 from repro.core.multiquery import MultiQueryEngine
+from repro.hw import AcceleratorConfig, CISGraphAccelerator, SpmConfig
 from repro.metrics import OpCounts
 from repro.query import PairwiseQuery
 from repro.serve import ServeHarness
@@ -72,6 +74,20 @@ BASELINES = {
     "sgraph": lambda graph, alg: SGraphEngine(graph, alg, SINGLE),
     "coalescing": lambda graph, alg: CoalescingEngine(graph, alg, SINGLE),
 }
+#: accelerator machines: ``(config, traced)``
+ACCEL_CONFIGS = {
+    "default": (AcceleratorConfig(), False),
+    "small": (
+        AcceleratorConfig(
+            pipelines=2, propagate_units=3,
+            spm=SpmConfig(size_bytes=2048, ways=4),
+        ),
+        True,
+    ),
+}
+ACCEL_CASES = [
+    (name, rule, config) for name, rule in CASES for config in ACCEL_CONFIGS
+]
 #: the engines plus SGraph's hub index on its own
 BASELINE_NAMES = (*BASELINES, "hubs")
 BASELINE_CASES = [
@@ -199,6 +215,39 @@ def run_hubs(graph, batches, algorithm) -> list:
     ]
 
 
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def run_accelerator(graph, batches, algorithm, rule, config) -> list:
+    machine, traced = ACCEL_CONFIGS[config]
+    accel = CISGraphAccelerator(
+        graph.copy(), algorithm, SINGLE, config=machine, rule=rule,
+        trace=traced,
+    )
+    accel.initialize()
+    rows = []
+    for batch in batches:
+        result = accel.on_batch(batch)
+        hw = accel.last_stats
+        rows.append({
+            "answer": result.answer,
+            "stats": dict(result.stats),
+            "response_ops": _ops(result.response_ops),
+            "memory": [
+                list(astuple(part)) for part in (
+                    hw.spm, hw.dram, hw.state_prefetch, hw.neighbor_prefetch,
+                )
+            ],
+            "trace": (
+                _digest([astuple(record) for record in accel.tracer])
+                if traced else None
+            ),
+            "state": _digest((accel.states, accel.parents)),
+        })
+    return rows
+
+
 def build_golden(directory: str) -> dict:
     """Everything the fixture pins, computed by the code under test."""
     graph, batches = _stream()
@@ -220,7 +269,19 @@ def build_golden(directory: str) -> dict:
                 os.path.join(directory, f"{name}-{rule.value}"), "thread",
             ),
         }
-    return {"op_fields": OP_FIELDS, "cases": cases, "baselines": baselines}
+    accelerator = {
+        f"{name}/{rule.value}": {
+            config: run_accelerator(
+                graph, batches, get_algorithm(name), rule, config
+            )
+            for config in ACCEL_CONFIGS
+        }
+        for name, rule in CASES
+    }
+    return {
+        "op_fields": OP_FIELDS, "cases": cases, "baselines": baselines,
+        "accelerator": accelerator,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +350,23 @@ def test_process_harness_matches_the_pin(golden, stream, tmp_path, name, rule):
 def test_baseline_matches_the_pin(pinned, stream, name, baseline):
     rows = run_baseline(*stream, get_algorithm(name), baseline)
     _assert_rows(rows, pinned["baselines"][name][baseline], baseline)
+
+
+@pytest.mark.parametrize("name,rule,config", ACCEL_CASES)
+def test_accelerator_matches_the_pin(pinned, stream, name, rule, config):
+    rows = run_accelerator(*stream, get_algorithm(name), rule, config)
+    _assert_rows(
+        rows, pinned["accelerator"][f"{name}/{rule.value}"][config],
+        f"accelerator/{config}",
+    )
+
+
+def test_the_accelerator_pin_exercises_repair_and_writebacks(pinned):
+    """Every case repairs, and the small machine writes lines back."""
+    for case, runs in pinned["accelerator"].items():
+        for config, rows in runs.items():
+            assert sum(row["stats"]["repairs"] for row in rows), (case, config)
+        assert sum(row["memory"][0][2] for row in runs["small"]), case
 
 
 def test_the_stream_exercises_every_class(golden):
