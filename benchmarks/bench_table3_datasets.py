@@ -1,8 +1,9 @@
 """Table III: dataset inventory (scaled stand-ins, see DESIGN.md).
 
 The ``table3`` artifact of :mod:`repro.bench.reporting`; the benchmarks
-measure snapshot construction (CSR build), the substrate cost every
-streaming batch pays in the accelerator, and workload generation.
+measure building an immutable CSR snapshot of the OR stand-in (a cost no
+streaming engine pays per batch: the accelerator's memory layout is two
+degree prefix sums) and workload generation.
 """
 
 from repro.bench.datasets import dataset_specs

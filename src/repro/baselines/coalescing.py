@@ -72,7 +72,7 @@ class CoalescingEngine(PairwiseEngine):
             if upd.is_deletion and state.parents[upd.v] == upd.u
         ]
         ops.tag_ops += sum(1 for upd in effective if upd.is_deletion)
-        tagged, rederived = state.repair_subtrees(roots, ops)
+        tagged, _, rederived = state.repair_subtrees(roots, ops)
         seeds: Set[int] = set(rederived)
 
         # ---- coalesced additions: relax every added edge, merge improved
@@ -96,5 +96,5 @@ class CoalescingEngine(PairwiseEngine):
         return BatchResult(
             answer=self.answer,
             response_ops=ops,
-            stats={"coalesced_seeds": len(seeds), "tagged": tagged},
+            stats={"coalesced_seeds": len(seeds), "tagged": len(tagged)},
         )

@@ -18,7 +18,8 @@ Queries are grouped by source; each :class:`SourceGroup` maintains one
 per-batch workflow — classify, valuable additions, scheduled deletions
 with the delayed-promotion pass (against every destination's key path,
 which keeps all early answers exact), drain.  That workflow exists only
-here: the single-query engine is the one-destination case.
+here: the single-query engine is the one-destination case, and the
+accelerator model times the same steps over a one-destination group.
 """
 
 from __future__ import annotations
@@ -100,7 +101,12 @@ class SourceGroup:
     (:meth:`process_batch`): :class:`MultiQueryEngine` drives one group per
     source, :class:`~repro.core.engine.CISGraphEngine` *is* a group with a
     single destination, and the serve layer (:mod:`repro.serve`) shards
-    standing sessions along source groups.  Destinations can be attached
+    standing sessions along source groups.  The accelerator model
+    (:class:`~repro.hw.accelerator.CISGraphAccelerator`) holds a
+    one-destination group too: it runs the same steps (:meth:`classify`,
+    the repair and relaxation kernels on :attr:`state`,
+    :meth:`rebuild_keypaths`, :meth:`carries_answer`) in its own timing
+    order instead of :meth:`process_batch`'s.  Destinations can be attached
     and detached at runtime (:meth:`add_destination` /
     :meth:`remove_destination`) so standing queries can register and
     deregister against a live group.
@@ -126,9 +132,9 @@ class SourceGroup:
     # ------------------------------------------------------------------
     def initialize(self, ops: OpCounts) -> None:
         self.state.full_compute(ops)
-        self._rebuild_keypaths()
+        self.rebuild_keypaths()
 
-    def _rebuild_keypaths(self) -> None:
+    def rebuild_keypaths(self) -> None:
         for tracker in self.keypaths.values():
             tracker.rebuild(self.state.parents)
 
@@ -156,14 +162,14 @@ class SourceGroup:
         return not self.keypaths
 
     # ------------------------------------------------------------------
-    def _classify(self, updates) -> ClassifiedBatch:
+    def classify(self, updates) -> ClassifiedBatch:
         state = self.state
         return classify_batch(
             self.algorithm, state.states, state.parents,
             self.keypaths.values(), updates, self.rule,
         )
 
-    def _carries_answer(self, upd: EdgeUpdate) -> bool:
+    def carries_answer(self, upd: EdgeUpdate) -> bool:
         """Does a buffered delayed deletion now carry some answer?"""
         return carries_answer(
             self.rule, self.keypaths.values(), self.state.parents, upd
@@ -181,7 +187,7 @@ class SourceGroup:
         match the batch's real classification exactly.
         """
         sample = list(islice(effective, max(0, limit)))
-        classified = self._classify(sample)
+        classified = self.classify(sample)
         verdicts = {
             id(upd): verdict
             for verdict, bucket in (
@@ -234,7 +240,7 @@ class SourceGroup:
 
         # classification against the previous converged states
         with _phase_span(observer, "engine.classify") as classify_span:
-            classified = self._classify(effective)
+            classified = self.classify(effective)
             if classify_span is not None:
                 classify_span.set(
                     valuable=classified.num_valuable,
@@ -251,7 +257,7 @@ class SourceGroup:
                 response, add_wave,
             )
             response.updates_processed += len(additions)
-            self._rebuild_keypaths()
+            self.rebuild_keypaths()
 
         # deletion phase through the priority buffer
         with _phase_span(observer, "engine.schedule"):
@@ -269,12 +275,12 @@ class SourceGroup:
                         item.update.u, item.update.v, response,
                         activated=del_wave,
                     ):
-                        self._rebuild_keypaths()
+                        self.rebuild_keypaths()
                     response.updates_processed += 1
                 # Repairs may have rerouted a key path through a deletion
                 # we originally delayed; promote and keep going until
                 # stable so every early answer is safe.
-                if scheduler.promote_delayed(self._carries_answer) == 0:
+                if scheduler.promote_delayed(self.carries_answer) == 0:
                     break
 
         # the response window closes for every destination of this group:
@@ -293,7 +299,7 @@ class SourceGroup:
             pairs = [(item.update.u, item.update.v) for item in scheduler.drain()]
             state.process_deletions(pairs, post, drain_wave)
             post.updates_processed += len(pairs)
-            self._rebuild_keypaths()
+            self.rebuild_keypaths()
         return {
             "valuable_additions": len(classified.valuable_additions),
             "nondelayed_deletions": len(classified.nondelayed_deletions),

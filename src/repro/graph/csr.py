@@ -1,11 +1,12 @@
 """Compressed Sparse Row snapshots.
 
-The accelerator stores graph topology in CSR (Section III-B): neighbor ids
-and weights of one vertex are contiguous, so the neighbor prefetcher fetches
-a whole edge list with a single base-address + length memory request.
-:class:`CSRGraph` is the immutable snapshot format consumed by the hardware
-simulator and the cold-start solver; it also knows the byte layout of its
-arrays so the memory model can translate accesses to addresses.
+:class:`CSRGraph` is the immutable array form of a topology: per-vertex
+offsets (``indptr``) into contiguous neighbor-id and weight arrays.  It is
+built from edge triples or a :class:`~repro.graph.dynamic.DynamicGraph`
+snapshot and converts back with :meth:`CSRGraph.to_dynamic`.  The
+accelerator model does not copy a snapshot into it: the addresses of its
+CSR regions need only the offsets, which :class:`~repro.hw.layout.MemoryLayout`
+computes as degree prefix sums over the dynamic graph.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ class CSRGraph:
     weights:
         ``float64[num_edges]`` — edge weights, aligned with ``indices``.
     """
-
-    #: bytes per element, used by the hardware memory layout
-    INDPTR_BYTES = 8
-    INDEX_BYTES = 4
-    WEIGHT_BYTES = 4  # the accelerator stores fp32 weights
-    STATE_BYTES = 8
 
     def __init__(
         self,
@@ -102,18 +97,6 @@ class CSRGraph:
                 pos += 1
         return cls(indptr, indices, weights)
 
-    def reversed(self) -> "CSRGraph":
-        """CSR of the transposed graph (in-edges become out-edges)."""
-        num_vertices = self.num_vertices
-        sources = np.repeat(
-            np.arange(num_vertices, dtype=np.int32), np.diff(self.indptr)
-        )
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, self.indices.astype(np.int64) + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return CSRGraph(indptr, sources[order], self.weights[order])
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -153,22 +136,6 @@ class CSRGraph:
         if self.num_vertices == 0:
             return 0.0
         return self.num_edges / self.num_vertices
-
-    # ------------------------------------------------------------------
-    # memory layout (used by repro.hw)
-    # ------------------------------------------------------------------
-    def edge_list_address(self, u: int, base: int = 0) -> Tuple[int, int]:
-        """Byte address and length of ``u``'s packed (id, weight) edge list.
-
-        The accelerator fetches a vertex's whole edge list with one request
-        (Section III-B).  Each edge record is ``INDEX_BYTES + WEIGHT_BYTES``
-        bytes, records of one vertex are contiguous.
-        """
-        self._check_vertex(u)
-        record = self.INDEX_BYTES + self.WEIGHT_BYTES
-        start = base + int(self.indptr[u]) * record
-        length = self.out_degree(u) * record
-        return start, length
 
     def to_dynamic(self):
         """Rebuild a mutable :class:`~repro.graph.dynamic.DynamicGraph`.

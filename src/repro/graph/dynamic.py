@@ -10,9 +10,11 @@ weight.  Parallel edges are not modelled (matching CSR snapshots); adding an
 existing edge overwrites its weight.
 
 Bulk builds (:meth:`DynamicGraph.from_edges`) store each value once: every
-endpoint id is one shared ``int`` per id and every positive ``float`` weight
-one shared object per value, so a relaxation touches a few hot objects
-instead of two cold ones per edge.  Copies share the same objects.
+endpoint id is one shared ``int`` per id and every ``float`` weight one
+shared object per value, so a relaxation touches a few hot objects instead
+of two cold ones per edge.  Copies share the same objects.  Weights are
+positive, as :class:`~repro.graph.batch.EdgeUpdate` requires: a bulk build
+refuses any other.
 """
 
 from __future__ import annotations
@@ -77,9 +79,12 @@ class DynamicGraph:
         Same result as :meth:`add_edge` per triple (range checks, insertion
         order, the last weight of a duplicate wins), but stored with shared
         objects: each endpoint as the one ``int`` of its id, and each weight
-        that is exactly a ``float`` and ``> 0`` as the one object of its value
-        (for the first 4096 values the process sees).  Any other weight --
-        ints, ``-0.0``, NaN, float subclasses -- is stored as given.
+        that is exactly a ``float`` as the one object of its value (for the
+        first 4096 values the process sees).  Other positive weights --
+        ints, float subclasses such as NumPy's -- are stored as given.  A
+        weight that is not ``> 0`` (zero, negative, ``-0.0``, NaN) raises
+        the ``ValueError`` an :class:`EdgeUpdate` raises for it: no stream
+        could delete or re-weight such an edge.
         :meth:`add_edge`, :meth:`apply_batch` and :meth:`apply_net` store the
         caller's objects: sharing inside the streaming ingest loop costs
         more than it saves.
@@ -100,6 +105,10 @@ class DynamicGraph:
             v = ids[v]
             if type(w) is exact and w > 0.0:
                 w = table.get(w) or _share_weight(w)
+            elif not w > 0:
+                raise ValueError(
+                    f"edge weights must be positive: +({u} --{w:g}--> {v})"
+                )
             adj = out[u]
             if v not in adj:
                 added += 1
@@ -240,10 +249,11 @@ class DynamicGraph:
         raises :class:`VertexOutOfRangeError` for the largest such vertex
         before the first write; a deletion of such an edge has no effect.
         One difference from the pair: a stored weight no
-        :class:`EdgeUpdate` can carry (``<= 0`` or NaN, which
-        :meth:`from_edges` accepts) raises the reducer's ``ValueError``
-        when a deletion half must carry it, but after the edges in front
-        of it were applied; the edge count stays consistent.
+        :class:`EdgeUpdate` can carry (``<= 0`` or NaN, which only
+        :meth:`add_edge` stores; :meth:`from_edges` refuses it) raises the
+        reducer's ``ValueError`` when a deletion half must carry it, but
+        after the edges in front of it were applied; the edge count stays
+        consistent.
         """
         out, inn = self._out, self._in
         count = len(out)

@@ -26,7 +26,9 @@ def load_edge_list(
     """Read a whitespace-separated edge list.
 
     Lines are ``u v`` or ``u v weight``; missing weights get
-    ``default_weight``.  Vertex ids must be non-negative integers.
+    ``default_weight``.  Vertex ids must be non-negative integers and
+    weights ``> 0`` (a zero, negative or NaN weight raises a
+    ``ValueError`` naming ``path:lineno``).
     """
     edges: List[Edge] = []
     with open(path, "r") as handle:
@@ -39,6 +41,10 @@ def load_edge_list(
                 raise ValueError(f"{path}:{lineno}: expected 'u v [w]', got {line!r}")
             u, v = int(parts[0]), int(parts[1])
             w = float(parts[2]) if len(parts) == 3 else default_weight
+            if not w > 0:
+                raise ValueError(
+                    f"{path}:{lineno}: edge weights must be positive, got {w!r}"
+                )
             edges.append((u, v, w))
     return edges
 

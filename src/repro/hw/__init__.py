@@ -12,7 +12,7 @@ from repro.hw.prefetcher import (
     PrefetcherStats,
     StatePrefetcher,
 )
-from repro.hw.sim import EventQueue, ReadyQueue, Resource
+from repro.hw.sim import ReadyQueue, Resource
 from repro.hw.spm import ScratchpadMemory, SpmStats
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "Prefetcher",
     "PrefetcherStats",
     "StatePrefetcher",
-    "EventQueue",
     "ReadyQueue",
     "Resource",
 ]

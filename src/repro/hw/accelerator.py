@@ -1,7 +1,11 @@
 """Cycle-resolution simulator of the CISGraph accelerator (Section III-B).
 
-The simulator layers *timing* over the same functional workflow as
-:class:`~repro.core.engine.CISGraphEngine`:
+The simulator is a *timing* layer over the functional workflow of
+:class:`~repro.core.engine.CISGraphEngine`: it holds a one-destination
+:class:`~repro.core.multiquery.SourceGroup` (state and parent arrays, key
+path, classification, the promotion predicate) and runs the per-edge work
+through the loops of :mod:`repro.kernels`, while it decides *when* each
+step happens:
 
 * **Identification**: the batch streams through ``pipelines`` identification
   units (update ``u -> v`` goes to pipeline ``v mod P``, one update issued
@@ -15,39 +19,36 @@ The simulator layers *timing* over the same functional workflow as
   vertices are assigned by ``id mod Q``), fetches CSR edge lists with one
   burst per vertex (neighbor prefetcher), relaxes one out-neighbor per
   cycle, and appends activations to the global buffer.  Deletion repair
-  additionally walks the reverse CSR for re-derivation.
+  runs the shared repair kernel and replays its timing in the kernel's
+  order: the tag walk over forward edge lists, the resets, and the
+  re-derivation over reverse edge lists.
 
-The functional layer (state/parent arrays, classification, key-path
-promotion) is shared logic with the software engine, so the simulated
-answers are exact; the timing layer adds SPM/DRAM contention and unit
+The memory layout of each snapshot is two degree prefix sums
+(:class:`~repro.hw.layout.MemoryLayout`); the state region keeps its
+addresses across batches and the edge-list regions are invalidated in the
+SPM.  The answers are exact because the functional steps are the software
+engine's own; the timing layer adds SPM/DRAM contention and unit
 occupancy, producing the response/total cycle counts used in Table IV.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro import kernels
 from repro.algorithms.base import MonotonicAlgorithm
-from repro.core.classification import (
-    ClassifiedBatch,
-    KeyPathRule,
-    carries_answer,
-    classify_batch,
-)
+from repro.core.classification import ClassifiedBatch, KeyPathRule
 from repro.core.keypath import KeyPathTracker
+from repro.core.multiquery import SourceGroup
 from repro.engine import PairwiseEngine
 from repro.graph.batch import EdgeUpdate, UpdateBatch
-from repro.graph.csr import CSRGraph
 from repro.graph.dynamic import DynamicGraph
 from repro.hw.config import AcceleratorConfig
 from repro.hw.dram import DramModel, DramStats
 from repro.hw.layout import MemoryLayout
 from repro.hw.prefetcher import (
     NeighborPrefetcher,
-    Prefetcher,
     PrefetcherStats,
     StatePrefetcher,
 )
@@ -98,12 +99,12 @@ class CISGraphAccelerator(PairwiseEngine):
         self.rule = rule
         #: per-batch execution trace (None unless trace=True)
         self.tracer: Optional[TraceRecorder] = TraceRecorder() if trace else None
-        self.states: List[float] = []
-        self.parents: List[int] = []
-        self.keypath = KeyPathTracker(query.source, query.destination)
+        self._group = SourceGroup(
+            graph, algorithm, query.source, [query.destination], rule
+        )
+        self._relax = kernels.compiled(algorithm).relax
         self.last_stats: Optional[HwBatchStats] = None
         # per-batch timing machinery, rebuilt at the top of _do_batch
-        self._layout: Optional[MemoryLayout] = None
         self._spm: Optional[ScratchpadMemory] = None
         self._dram: Optional[DramModel] = None
         self._units: List[Resource] = []
@@ -115,43 +116,53 @@ class CISGraphAccelerator(PairwiseEngine):
     # lifecycle
     # ------------------------------------------------------------------
     def _do_initialize(self) -> None:
-        from repro.algorithms.solvers import dijkstra
+        self._group.initialize(self.init_ops)
 
-        result = dijkstra(self.graph, self.algorithm, self.query.source)
-        self.init_ops += result.ops
-        self.states = result.states
-        self.parents = result.parents
-        self.keypath.rebuild(self.parents)
+    @property
+    def states(self) -> List[float]:
+        """The converged state array (the source group's)."""
+        return self._group.state.states
+
+    @property
+    def parents(self) -> List[int]:
+        """The dependence tree (the source group's)."""
+        return self._group.state.parents
+
+    @property
+    def keypath(self) -> KeyPathTracker:
+        """The query's global key path."""
+        return self._group.keypaths[self.query.destination]
 
     @property
     def answer(self) -> float:
-        return self.states[self.query.destination]
+        return self._group.answer(self.query.destination)
 
     # ------------------------------------------------------------------
     # batch processing
     # ------------------------------------------------------------------
     def _do_batch(self, batch: UpdateBatch) -> BatchResult:
         stats = HwBatchStats()
+        group = self._group
         if self.tracer is not None:
             self.tracer.clear()
 
-        # -- snapshot generation: apply net topology effect, rebuild CSR.
+        # -- snapshot generation: apply the net topology effect; the new
+        # layout is two degree prefix sums over the updated adjacency.
         effective = self.graph.apply_net(batch)
-        csr = CSRGraph.from_dynamic(self.graph)
-        new_layout = MemoryLayout(csr, csr.reversed())
+        layout = MemoryLayout(self.graph)
         if self._spm is None or self._dram is None:
             self._dram = DramModel(self.config.dram)
             self._spm = ScratchpadMemory(self.config.spm, self._dram)
         else:
             # the state region keeps stable addresses across batches (SPM
-            # reuse, Section III-B); CSR regions are rebuilt, so their
-            # cached lines are stale and must be invalidated.
-            self._spm.invalidate_from(new_layout.indptr_base)
+            # reuse, Section III-B); the CSR regions are laid out anew from
+            # the new degrees, so their cached lines are stale and must be
+            # invalidated.
+            self._spm.invalidate_from(layout.indptr_base)
             self._dram.reset_stats()
             self._dram.reset_timing()
             self._spm.reset_timing()
             self._spm.stats = SpmStats()
-        self._layout = new_layout
         self._units = [
             Resource(f"propagate-unit-{i}")
             for i in range(self.config.propagate_units)
@@ -160,15 +171,15 @@ class CISGraphAccelerator(PairwiseEngine):
         # identification pipeline, one state+neighbor pair per propagation
         # unit (propagation reuses the prefetcher hardware).
         self._id_state_pf = [
-            StatePrefetcher(self._spm, self._layout)
+            StatePrefetcher(self._spm, layout)
             for _ in range(self.config.pipelines)
         ]
         self._unit_state_pf = [
-            StatePrefetcher(self._spm, self._layout)
+            StatePrefetcher(self._spm, layout)
             for _ in range(self.config.propagate_units)
         ]
         self._unit_nbr_pf = [
-            NeighborPrefetcher(self._spm, self._layout)
+            NeighborPrefetcher(self._spm, layout)
             for _ in range(self.config.propagate_units)
         ]
 
@@ -180,25 +191,24 @@ class CISGraphAccelerator(PairwiseEngine):
         # -- valuable additions (finished before deletions start).
         heap = ReadyQueue()
         for upd in classified.valuable_additions:
-            self._push(heap, ready_times[id(upd)], "add", (upd.u, upd.v, upd.weight))
+            heap.push(ready_times[id(upd)], ("add", (upd.u, upd.v, upd.weight)))
         additions_end = self._run(heap, stats)
         stats.addition_phase_end = additions_end
-        self.keypath.rebuild(self.parents)
+        group.rebuild_keypaths()
 
         # -- non-delayed deletions, preemptively; delayed buffered.
         pending_delayed: List[EdgeUpdate] = list(classified.delayed_deletions)
         for upd in classified.nondelayed_deletions:
             ready = max(ready_times[id(upd)], additions_end)
-            self._push(heap, ready, "del", (upd.u, upd.v))
+            heap.push(ready, ("del", (upd.u, upd.v)))
         response_end = max(self._run(heap, stats), additions_end, identify_end)
 
         # promotion loop: repairs may pull a delayed deletion onto the key
         # path; the answer waits until no such deletion remains.
         while True:
-            self.keypath.rebuild(self.parents)
+            group.rebuild_keypaths()
             promoted = [
-                upd for upd in pending_delayed
-                if carries_answer(self.rule, (self.keypath,), self.parents, upd)
+                upd for upd in pending_delayed if group.carries_answer(upd)
             ]
             if not promoted:
                 break
@@ -208,7 +218,8 @@ class CISGraphAccelerator(PairwiseEngine):
                 u for u in pending_delayed if id(u) not in promoted_ids
             ]
             for upd in promoted:
-                self._push(heap, max(ready_times[id(upd)], response_end), "del", (upd.u, upd.v))
+                ready = max(ready_times[id(upd)], response_end)
+                heap.push(ready, ("del", (upd.u, upd.v)))
             response_end = max(self._run(heap, stats), response_end)
 
         stats.response_cycles = response_end
@@ -216,10 +227,11 @@ class CISGraphAccelerator(PairwiseEngine):
 
         # -- delayed deletions drain in the background.
         for upd in pending_delayed:
-            self._push(heap, max(ready_times[id(upd)], response_end), "del", (upd.u, upd.v))
+            ready = max(ready_times[id(upd)], response_end)
+            heap.push(ready, ("del", (upd.u, upd.v)))
         total_end = max(self._run(heap, stats), response_end)
         stats.total_cycles = total_end
-        self.keypath.rebuild(self.parents)
+        group.rebuild_keypaths()
 
         assert self._spm is not None and self._dram is not None
         stats.spm = self._spm.stats
@@ -276,12 +288,8 @@ class CISGraphAccelerator(PairwiseEngine):
         the cycle its identification completed, and the cycle the whole
         phase drained.
         """
-        assert self._spm is not None and self._layout is not None
         cfg = self.config
-        classified = classify_batch(
-            self.algorithm, self.states, self.parents, self.keypath, batch,
-            rule=self.rule,
-        )
+        classified = self._group.classify(batch)
         pipe_free = [0] * cfg.pipelines
         ready: Dict[int, int] = {}
         phase_end = 0
@@ -302,9 +310,6 @@ class CISGraphAccelerator(PairwiseEngine):
     # ------------------------------------------------------------------
     # propagation engine
     # ------------------------------------------------------------------
-    def _push(self, heap: ReadyQueue, ready: int, kind: str, payload: tuple) -> None:
-        heap.push(ready, (kind, payload))
-
     def _unit_index(self, item: Tuple[str, tuple]) -> int:
         kind, payload = item
         vertex = payload[1] if kind != "vertex" else payload[0]
@@ -344,8 +349,7 @@ class CISGraphAccelerator(PairwiseEngine):
     ) -> int:
         """Relax a valuable added edge; activate its target on improvement."""
         u, v, weight = payload
-        alg = self.algorithm
-        assert self._spm is not None
+        state = self._group.state
         if self.tracer is not None:
             self.tracer.record(start, "addition", unit, "start", v)
         # operand states were prefetched at identification; re-read u (it may
@@ -353,14 +357,14 @@ class CISGraphAccelerator(PairwiseEngine):
         t = self._unit_state_pf[unit].fetch_state(u, now=start)
         t += self.config.compute_latency
         stats.relaxations += 1
-        candidate = alg.propagate(self.states[u], alg.transform_weight(weight))
+        improved = self._relax(
+            self.algorithm, state.states, state.parents, u, ((v, weight),)
+        )
         self._units[unit].occupy_until(t)
-        if alg.is_better(candidate, self.states[v]):
-            self.states[v] = candidate
-            self.parents[v] = u
+        if improved:
             stats.activations += 1
             t = self._unit_state_pf[unit].fetch_state(v, now=t, write=True)
-            self._push(heap, t, "vertex", (v,))
+            heap.push(t, ("vertex", (v,)))
         return t
 
     def _exec_vertex(
@@ -371,31 +375,29 @@ class CISGraphAccelerator(PairwiseEngine):
         One indptr access sizes the request, one burst fetches the packed
         edge list, then one neighbor is relaxed per cycle (Section III-B's
         two-step propagate: compute candidate, select against previous).
+        The relaxation runs first, in the shared kernel; the walk below
+        times it edge by edge.
         """
-        alg = self.algorithm
-        assert self._spm is not None and self._layout is not None
+        state = self._group.state
         if self.tracer is not None:
             self.tracer.record(start, "vertex", unit, "start", v)
         t = self._unit_nbr_pf[unit].fetch_edge_list(v, now=start)
-        dv = self.states[v]
-        better = alg.is_better
-        propagate = alg.propagate
-        transform = alg.transform_weight
+        adj = self.graph.out_adj(v)
+        activated = set(
+            self._relax(self.algorithm, state.states, state.parents, v, adj.items())
+        )
+        stats.relaxations += len(adj)
+        fetch_state = self._unit_state_pf[unit].fetch_state
+        latency = self.config.compute_latency
         done = t
         issue = t
-        for x, w in self.graph.out_adj(v).items():
-            issue += self.config.compute_latency
-            stats.relaxations += 1
-            candidate = propagate(dv, transform(w))
-            read_done = self._unit_state_pf[unit].fetch_state(x, now=issue)
-            if better(candidate, self.states[x]):
-                self.states[x] = candidate
-                self.parents[x] = v
+        for x in adj:
+            issue += latency
+            read_done = fetch_state(x, now=issue)
+            if x in activated:
                 stats.activations += 1
-                write_done = self._unit_state_pf[unit].fetch_state(
-                    x, now=read_done, write=True
-                )
-                self._push(heap, write_done, "vertex", (x,))
+                write_done = fetch_state(x, now=read_done, write=True)
+                heap.push(write_done, ("vertex", (x,)))
                 if self.tracer is not None:
                     self.tracer.record(write_done, "vertex", unit, "activate", x)
                 read_done = write_done
@@ -409,68 +411,43 @@ class CISGraphAccelerator(PairwiseEngine):
     ) -> int:
         """Repair after a valuable deletion (KickStarter-style, timed).
 
-        Tags the dependence subtree by walking forward edge lists, resets
-        members, re-derives each from its reverse edge list, and seeds
-        propagation.  A deletion whose target is supplied by another edge is
-        a one-cycle no-op (the witness is intact).
+        The shared repair kernel tags the dependence subtree, resets it and
+        re-derives each member; the timing is replayed in its order: per
+        tagged vertex one forward edge-list fetch and one cycle per scanned
+        out-edge, one state write per member, then per member one reverse
+        edge-list fetch and ``compute_latency`` per in-edge, and a state
+        write plus an activation for each re-derived member.  A deletion
+        whose target is supplied by another edge is a one-cycle no-op (the
+        witness is intact).
         """
         u, v = payload
-        alg = self.algorithm
-        assert self._spm is not None and self._layout is not None
+        state = self._group.state
         if self.tracer is not None:
             self.tracer.record(start, "deletion", unit, "start", v)
-        if self.parents[v] != u:
+        if state.parents[v] != u:
             self._units[unit].occupy_until(start + 1)
             return start + 1
         stats.repairs += 1
         if self.tracer is not None:
             self.tracer.record(start, "deletion", unit, "repair", v)
-        identity = alg.identity()
-
-        # tagging walk over forward edge lists
+        tagged, members, seeds = state.repair_subtrees((v,), OpCounts())
+        out_adj, in_adj = self.graph.out_adj, self.graph.in_adj
+        fetch_edge_list = self._unit_nbr_pf[unit].fetch_edge_list
+        fetch_state = self._unit_state_pf[unit].fetch_state
+        latency = self.config.compute_latency
         t = start
-        subtree: Set[int] = {v}
-        frontier: Deque[int] = deque([v])
-        while frontier:
-            x = frontier.popleft()
-            t = self._unit_nbr_pf[unit].fetch_edge_list(x, now=t)
-            for y in self.graph.out_adj(x):
-                t += 1  # parent comparison, one per scanned edge
-                if y not in subtree and self.parents[y] == x:
-                    subtree.add(y)
-                    frontier.append(y)
-
-        # reset
-        for x in subtree:
-            self.states[x] = identity
-            self.parents[x] = -1
-            t = self._unit_state_pf[unit].fetch_state(x, now=t, write=True)
-
-        # re-derive from reverse edge lists
-        better = alg.is_better
-        propagate = alg.propagate
-        transform = alg.transform_weight
-        source = self.query.source
-        for x in subtree:
-            if x == source:
-                self.states[x] = alg.source_state()
-                self._push(heap, t, "vertex", (x,))
-                continue
-            t = self._unit_nbr_pf[unit].fetch_edge_list(x, now=t, reverse=True)
-            best = identity
-            parent = -1
-            for y, w in self.graph.in_adj(x).items():
-                t += self.config.compute_latency
-                stats.relaxations += 1
-                candidate = propagate(self.states[y], transform(w))
-                if better(candidate, best):
-                    best = candidate
-                    parent = y
-            if better(best, identity):
-                self.states[x] = best
-                self.parents[x] = parent
+        for x in tagged:  # parent comparison, one per scanned edge
+            t = fetch_edge_list(x, now=t) + len(out_adj(x))
+        for x in members:
+            t = fetch_state(x, now=t, write=True)
+        derived = set(seeds)
+        for x in members:
+            in_degree = len(in_adj(x))
+            t = fetch_edge_list(x, now=t, reverse=True) + latency * in_degree
+            stats.relaxations += in_degree
+            if x in derived:
                 stats.activations += 1
-                t = self._unit_state_pf[unit].fetch_state(x, now=t, write=True)
-                self._push(heap, t, "vertex", (x,))
+                t = fetch_state(x, now=t, write=True)
+                heap.push(t, ("vertex", (x,)))
         self._units[unit].occupy_until(t)
         return t

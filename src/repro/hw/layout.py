@@ -6,13 +6,20 @@ edge lists (4 B neighbor id + 4 B weight per edge, contiguous per vertex)
 and the packed reverse edge lists used by deletion repair.  The layout
 object translates logical accesses ("state of vertex 17", "edge list of
 vertex 4") into byte addresses and lengths for the SPM/DRAM models.
+
+Addresses depend only on the CSR offsets, so the layout of a snapshot is
+two degree prefix sums over the :class:`~repro.graph.dynamic.DynamicGraph`
+(out-degrees for the forward index, in-degrees for the reverse one); the
+edge records themselves are never materialised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import List
 
-from repro.graph.csr import CSRGraph
+from repro.graph.dynamic import DynamicGraph
 
 #: alignment of region bases; a DRAM row so regions never share a row
 _REGION_ALIGN = 8192
@@ -20,6 +27,11 @@ _REGION_ALIGN = 8192
 
 def _align(value: int, alignment: int = _REGION_ALIGN) -> int:
     return (value + alignment - 1) // alignment * alignment
+
+
+def _offsets(adjacency) -> List[int]:
+    """CSR ``indptr``: the prefix sum of the per-vertex degrees."""
+    return list(accumulate(map(len, adjacency), initial=0))
 
 
 @dataclass(frozen=True)
@@ -37,27 +49,27 @@ class Span:
 class MemoryLayout:
     """Byte addresses of state, CSR and reverse-CSR regions for a snapshot."""
 
-    STATE_BYTES = CSRGraph.STATE_BYTES
-    INDPTR_BYTES = CSRGraph.INDPTR_BYTES
-    EDGE_RECORD_BYTES = CSRGraph.INDEX_BYTES + CSRGraph.WEIGHT_BYTES
+    STATE_BYTES = 8
+    INDPTR_BYTES = 8
+    #: 4 B neighbor id + 4 B weight (the accelerator stores fp32 weights)
+    EDGE_RECORD_BYTES = 8
 
-    def __init__(self, csr: CSRGraph, reverse_csr: CSRGraph) -> None:
-        if csr.num_vertices != reverse_csr.num_vertices:
-            raise ValueError("forward and reverse CSR disagree on vertex count")
-        self.csr = csr
-        self.reverse_csr = reverse_csr
-        n = csr.num_vertices
+    def __init__(self, graph: DynamicGraph) -> None:
+        vertices = range(graph.num_vertices)
+        self._indptr = _offsets(map(graph.out_adj, vertices))
+        self._rev_indptr = _offsets(map(graph.in_adj, vertices))
+        n = graph.num_vertices
         self.state_base = 0
         self.indptr_base = _align(self.state_base + n * self.STATE_BYTES)
         self.edges_base = _align(self.indptr_base + (n + 1) * self.INDPTR_BYTES)
         self.rev_indptr_base = _align(
-            self.edges_base + csr.num_edges * self.EDGE_RECORD_BYTES
+            self.edges_base + self._indptr[-1] * self.EDGE_RECORD_BYTES
         )
         self.rev_edges_base = _align(
             self.rev_indptr_base + (n + 1) * self.INDPTR_BYTES
         )
         self.total_bytes = _align(
-            self.rev_edges_base + reverse_csr.num_edges * self.EDGE_RECORD_BYTES
+            self.rev_edges_base + self._rev_indptr[-1] * self.EDGE_RECORD_BYTES
         )
 
     # ------------------------------------------------------------------
@@ -77,9 +89,7 @@ class MemoryLayout:
 
     def edge_list_span(self, vertex: int) -> Span:
         """Byte range of ``vertex``'s packed forward edge list."""
-        start = int(self.csr.indptr[vertex]) * self.EDGE_RECORD_BYTES
-        length = self.csr.out_degree(vertex) * self.EDGE_RECORD_BYTES
-        return Span(self.edges_base + start, length)
+        return self._list_span(self.edges_base, self._indptr, vertex)
 
     def rev_indptr_span(self, vertex: int) -> Span:
         return Span(
@@ -89,6 +99,11 @@ class MemoryLayout:
 
     def rev_edge_list_span(self, vertex: int) -> Span:
         """Byte range of ``vertex``'s packed reverse (in-) edge list."""
-        start = int(self.reverse_csr.indptr[vertex]) * self.EDGE_RECORD_BYTES
-        length = self.reverse_csr.out_degree(vertex) * self.EDGE_RECORD_BYTES
-        return Span(self.rev_edges_base + start, length)
+        return self._list_span(self.rev_edges_base, self._rev_indptr, vertex)
+
+    def _list_span(self, base: int, indptr: List[int], vertex: int) -> Span:
+        start = indptr[vertex]
+        return Span(
+            base + start * self.EDGE_RECORD_BYTES,
+            (indptr[vertex + 1] - start) * self.EDGE_RECORD_BYTES,
+        )

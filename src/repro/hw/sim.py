@@ -1,17 +1,15 @@
 """Small discrete-event simulation primitives (cycle resolution).
 
-The accelerator model needs three things from a simulation kernel:
+The accelerator model needs two things from a simulation kernel:
 
-* :class:`Resource` — a unit that can do one thing at a time (a pipeline
-  issue slot, a propagation unit): a monotone ``next_free`` cursor with
-  ``acquire(ready, duration)`` semantics;
+* :class:`Resource` — a unit that can do one thing at a time (a
+  propagation unit): a monotone ``next_free`` cursor that variable-latency
+  work extends with :meth:`Resource.occupy_until`;
 * :class:`ReadyQueue` — a priority queue of work items keyed by the cycle
   they become ready, with the *re-key* idiom: when the popped item's
   resource is busy past another item's readiness, it is pushed back keyed
   at its actual start time so shared-memory contention is resolved in
-  near-chronological order;
-* :class:`EventQueue` — a classic callback event loop, used by tests and
-  available for user extensions that want explicit event scheduling.
+  near-chronological order.
 
 All times are integer cycles; ordering ties are broken by insertion
 sequence, making every simulation deterministic.
@@ -29,29 +27,11 @@ from repro.errors import SimulationError
 class Resource:
     """A sequentially-occupied unit with a monotone availability cursor."""
 
-    __slots__ = ("name", "next_free", "busy_cycles")
+    __slots__ = ("name", "next_free")
 
     def __init__(self, name: str = "resource") -> None:
         self.name = name
         self.next_free = 0
-        self.busy_cycles = 0
-
-    def acquire(self, ready: int, duration: int) -> Tuple[int, int]:
-        """Occupy the resource for ``duration`` cycles from ``ready`` on.
-
-        Returns ``(start, end)``.  ``start`` is ``max(ready, next_free)``.
-        """
-        if duration < 0:
-            raise SimulationError(f"{self.name}: negative duration {duration}")
-        start = ready if ready > self.next_free else self.next_free
-        end = start + duration
-        self.next_free = end
-        self.busy_cycles += duration
-        return start, end
-
-    def peek_start(self, ready: int) -> int:
-        """When would work ready at ``ready`` actually start (no side effect)."""
-        return ready if ready > self.next_free else self.next_free
 
     def occupy_until(self, cycle: int) -> None:
         """Extend the busy window to ``cycle`` (for variable-latency work)."""
@@ -105,50 +85,3 @@ class ReadyQueue:
             self.push(start, item)
             return None
         return start if start > ready else ready, item
-
-
-class EventQueue:
-    """Callback-based event loop (``schedule`` / ``run``)."""
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Callable[[], None]]] = []
-        self._seq = itertools.count()
-        self.now = 0
-        self.events_fired = 0
-
-    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay`` cycles from the current time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self.now + delay, next(self._seq), callback))
-
-    def schedule_at(self, cycle: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at an absolute cycle (not before ``now``)."""
-        if cycle < self.now:
-            raise SimulationError(
-                f"cannot schedule at {cycle}, current time is {self.now}"
-            )
-        heapq.heappush(self._heap, (cycle, next(self._seq), callback))
-
-    def run(self, max_events: int = 10_000_000) -> int:
-        """Drain all events; returns the final simulation time."""
-        fired = 0
-        while self._heap:
-            time, _, callback = heapq.heappop(self._heap)
-            self.now = time
-            callback()
-            fired += 1
-            if fired > max_events:
-                raise SimulationError("event budget exhausted (runaway loop?)")
-        self.events_fired += fired
-        return self.now
-
-    def step(self) -> bool:
-        """Fire a single event; returns False when the queue is empty."""
-        if not self._heap:
-            return False
-        time, _, callback = heapq.heappop(self._heap)
-        self.now = time
-        callback()
-        self.events_fired += 1
-        return True

@@ -203,18 +203,20 @@ class IncrementalState:
         ops: OpCounts,
         follow_all: bool = False,
         activated: Optional[Set[int]] = None,
-    ) -> Tuple[int, List[int]]:
+    ) -> Tuple[List[int], Set[int], List[int]]:
         """Tag, reset and re-derive the repair sets of ``roots``.
 
-        The body of :meth:`process_deletion`, and of the coalescing
-        baseline, which repairs every supplying deletion of a batch at once
-        (the source is never such a root: ``parents[source] == -1``).
-        Returns how many vertices were tagged and the re-derived ones — the
-        seeds to :meth:`propagate` from — without propagating.  Members are
-        inserted in breadth-first adjacency order and re-derived in the
-        set's iteration order, which follows that insertion history; the
-        order is observable (a member re-derived earlier supplies later
-        ones), so changing either moves ``parents`` and ``OpCounts``.
+        The body of :meth:`process_deletion`, of the coalescing baseline,
+        which repairs every supplying deletion of a batch at once, and of
+        the accelerator's repair (the source is never such a root:
+        ``parents[source] == -1``).  Returns the tagged vertices in
+        tagging (breadth-first adjacency) order, the member set, which the
+        reset and the re-derivation iterate in its own order (it follows
+        that insertion history), and the re-derived members — the seeds to
+        :meth:`propagate` from — without propagating.  Both orders are
+        observable (a member re-derived earlier supplies later ones), so
+        changing either moves ``parents`` and ``OpCounts``; the accelerator
+        replays its repair timing in them.
         """
         return self._loops.repair(self, roots, ops, follow_all, activated)
 

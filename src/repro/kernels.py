@@ -1,8 +1,9 @@
 """The per-edge loops, compiled once per algorithm class.
 
-Every incremental loop of the engines — the propagation scan, the repair
-set (tag walk, reset, re-derivation) and the classification of a batch —
-is written exactly once below, as a template.  :func:`compiled` splices an
+Every incremental loop of the engines and of the accelerator model — the
+propagation scan, the relaxation of one vertex's edges, the repair set
+(tag walk, reset, re-derivation) and the classification of a batch — is
+written exactly once below, as a template.  :func:`compiled` splices an
 algorithm class's declared expressions (``plus_expr``, ``better_expr``,
 ``transform_expr`` on :class:`~repro.algorithms.base.MonotonicAlgorithm`)
 into the templates, compiles the result and caches it per class, so per
@@ -109,20 +110,20 @@ while queue:
 #: tag the repair set of ``roots`` (supplier policy: dependence edges only;
 #: reachable policy: every topology edge out of a reached vertex), reset
 #: it, and re-derive each member from its in-neighbors into ``seeds``.
-#: Members are inserted in breadth-first adjacency order and re-derived in
-#: the set's iteration order, which follows that insertion history; a
-#: member re-derived earlier supplies later ones, so both orders are
-#: observable in ``parents`` and ``OpCounts``.  Reset states equal the
-#: identity, which never supplies, so in-set suppliers are ignored.
+#: Members are tagged in breadth-first adjacency order (``tagged``, walked
+#: as it grows) and re-derived in the set's iteration order, which follows
+#: that insertion history; a member re-derived earlier supplies later
+#: ones, so both orders are observable in ``parents`` and ``OpCounts``.
+#: Reset states equal the identity, which never supplies, so in-set
+#: suppliers are ignored.
 _REPAIR = """\
 subtree = set()
-frontier = deque()
+tagged = []
 for root in roots:
     if root not in subtree:
         subtree.add(root)
-        frontier.append(root)
-while frontier:
-    x = frontier.popleft()
+        tagged.append(root)
+for x in tagged:
     adj = out_adj(x)
     tags += len(adj)
     if follow_all:
@@ -132,12 +133,12 @@ while frontier:
             reads += 1
             if self.is_reached(states[y]):
                 subtree.add(y)
-                frontier.append(y)
+                tagged.append(y)
     else:
         for y in adj:
             if parents[y] == x and y not in subtree:
                 subtree.add(y)
-                frontier.append(y)
+                tagged.append(y)
 for x in subtree:
     states[x] = identity
     parents[x] = -1
@@ -244,7 +245,19 @@ def repair(state, roots, ops, follow_all, activated):
     REPAIR_STATE
     REPAIR
     CHARGE_REPAIR
-    return resets, seeds
+    return tagged, subtree, seeds
+
+
+def relax(self, states, parents, tail, edges):
+    improved = []
+    du = states[tail]
+    for head, w in edges:
+        candidate = {plus:du,{weight:w}}
+        if {better:candidate,states[head]}:
+            states[head] = candidate
+            parents[head] = tail
+            improved.append(head)
+    return improved
 
 
 def classify(self, states, parents, batch, result, carries, rule, trackers):
@@ -290,7 +303,12 @@ class Kernels(NamedTuple):
       repairs``: for each ``(u, v)`` (edge already removed) check, repair
       and propagate before the next one
     * ``repair(state, roots, ops, follow_all, activated) -> (tagged,
-      seeds)``: the repair set alone, not propagated
+      members, seeds)``: the repair set alone, not propagated -- its
+      members in tagging order, the set itself (re-derivation order) and
+      the re-derived members
+    * ``relax(algorithm, states, parents, tail, edges) -> improved``:
+      relax each ``(head, weight)`` out of ``tail``, write every
+      improvement, and return the improved heads in edge order
     * ``classify(algorithm, states, parents, batch, result, carries, rule,
       trackers)``: fill ``result``'s buckets
     """
@@ -299,6 +317,7 @@ class Kernels(NamedTuple):
     additions: Callable
     deletions: Callable
     repair: Callable
+    relax: Callable
     classify: Callable
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.algorithms import PPSP, PPWP, dijkstra, get_algorithm
@@ -125,6 +126,18 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(path, engine)
         with pytest.raises(CheckpointError, match="convergence"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_corrupt_weight_is_a_checkpoint_error(self, tmp_path, bad):
+        engine = self.make_engine()
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, engine)
+        with np.load(path) as data:
+            fields = dict(data)
+        fields["edges_wgt"][0] = bad
+        np.savez_compressed(path, **fields)
+        with pytest.raises(CheckpointError, match="corrupt: edge weights must"):
             load_checkpoint(path)
 
     def test_verify_can_be_skipped(self, tmp_path):

@@ -74,26 +74,3 @@ class TestQueries:
     def test_average_degree(self):
         csr = CSRGraph.from_edges(4, EDGES)
         assert csr.average_degree() == 1.0
-
-    def test_reversed_transposes(self):
-        csr = CSRGraph.from_edges(4, EDGES)
-        rev = csr.reversed()
-        assert sorted(rev.edges()) == sorted((v, u, w) for u, v, w in EDGES)
-        # double reverse is identity
-        assert sorted(rev.reversed().edges()) == sorted(csr.edges())
-
-
-class TestLayout:
-    def test_edge_list_address_contiguity(self):
-        csr = CSRGraph.from_edges(4, EDGES)
-        record = CSRGraph.INDEX_BYTES + CSRGraph.WEIGHT_BYTES
-        addr0, len0 = csr.edge_list_address(0)
-        addr1, len1 = csr.edge_list_address(1)
-        assert len0 == 2 * record
-        assert addr1 == addr0 + len0  # vertex 1's list directly follows
-        assert len1 == 1 * record
-
-    def test_edge_list_address_with_base(self):
-        csr = CSRGraph.from_edges(4, EDGES)
-        addr, _ = csr.edge_list_address(0, base=1024)
-        assert addr == 1024

@@ -1,6 +1,5 @@
 """Unit tests for the mutable streaming topology."""
 
-import math
 import random
 import sys
 import threading
@@ -60,6 +59,24 @@ class TestConstruction:
         for bad in [(-1, 0, 1.0), (0, -1, 1.0), (3, 0, 1.0), (0, 3, 1.0)]:
             with pytest.raises(VertexOutOfRangeError):
                 DynamicGraph.from_edges(3, [(0, 1, 1.0), bad])
+
+    @pytest.mark.parametrize(
+        "bad", [0.0, -0.0, -1.5, float("nan"), 0, -2, np.float64(-2.0)]
+    )
+    def test_non_positive_weights_are_refused(self, bad):
+        with pytest.raises(ValueError, match="edge weights must be positive"):
+            DynamicGraph.from_edges(4, [(0, 1, 2.0), (1, 2, bad)])
+
+    def test_a_refused_weight_fails_the_build_not_the_stream(self):
+        """No stream can delete a zero-weight edge (a batch deleting it
+        would raise from the reducer half-way through ``apply_net``), so
+        the build refuses it, with the message an ``EdgeUpdate`` of that
+        weight raises."""
+        with pytest.raises(ValueError) as built:
+            DynamicGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.0)])
+        with pytest.raises(ValueError) as update:
+            add(1, 2, 0.0)
+        assert str(built.value) == str(update.value)
 
     def test_copy_is_deep(self):
         g = DynamicGraph.from_edges(3, [(0, 1, 2.0)])
@@ -124,15 +141,9 @@ class TestSharedStorage:
         assert all(objects[i] is dynamic._IDS[i] for i in (300, 301, 302))
 
     def test_other_weights_are_stored_as_given(self):
-        DynamicGraph.from_edges(2, [(0, 1, 2.0), (1, 0, 0.0)])
-        nan, numpy_weight = float("nan"), np.float64(2.0)
-        g = DynamicGraph.from_edges(
-            4, [(0, 1, 2), (1, 2, -0.0), (2, 3, nan), (3, 0, numpy_weight)]
-        )
+        numpy_weight = np.float64(2.0)
+        g = DynamicGraph.from_edges(4, [(0, 1, 2), (3, 0, numpy_weight)])
         assert type(g.edge_weight(0, 1)) is int
-        assert repr(g.edge_weight(1, 2)) == "-0.0"
-        assert math.copysign(1.0, g.in_adj(2)[1]) == -1.0
-        assert g.edge_weight(2, 3) is nan
         assert g.edge_weight(3, 0) is numpy_weight
 
     def test_weight_table_is_capped(self):

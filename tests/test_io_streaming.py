@@ -39,6 +39,14 @@ class TestEdgeListIO:
         with pytest.raises(ValueError, match="bad.txt:1"):
             io.load_edge_list(path)
 
+    @pytest.mark.parametrize("weight", ["0", "-1.5", "-0.0", "nan"])
+    def test_non_positive_weight_raises(self, tmp_path, weight):
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as handle:
+            handle.write(f"0 1 2.0\n1 2 {weight}\n")
+        with pytest.raises(ValueError, match="bad.txt:2: edge weights must"):
+            io.load_edge_list(path)
+
     def test_roundtrip_npz(self, tmp_path):
         path = str(tmp_path / "graph.npz")
         io.save_npz(path, 3, EDGES)

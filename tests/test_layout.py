@@ -1,16 +1,17 @@
 """Tests for the physical memory layout."""
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
+from repro.graph.dynamic import DynamicGraph
 from repro.hw.layout import MemoryLayout, Span
 
 EDGES = [(0, 1, 2.0), (0, 2, 3.0), (1, 2, 4.0), (3, 0, 5.0)]
 
 
 def make_layout(num_vertices=4, edges=EDGES):
-    csr = CSRGraph.from_edges(num_vertices, edges)
-    return MemoryLayout(csr, csr.reversed())
+    return MemoryLayout(DynamicGraph.from_edges(num_vertices, edges))
 
 
 class TestRegions:
@@ -31,12 +32,6 @@ class TestRegions:
     def test_total_bytes_covers_everything(self):
         layout = make_layout()
         assert layout.total_bytes >= layout.rev_edges_base
-
-    def test_mismatched_csr_rejected(self):
-        fwd = CSRGraph.from_edges(4, EDGES)
-        rev = CSRGraph.from_edges(5, [(u, v, w) for v, u, w in EDGES])
-        with pytest.raises(ValueError):
-            MemoryLayout(fwd, rev)
 
 
 class TestSpans:
@@ -69,3 +64,55 @@ class TestSpans:
         # vertex 2 has two in-edges (from 0 and 1)
         span = layout.rev_edge_list_span(2)
         assert span.length == 2 * layout.EDGE_RECORD_BYTES
+
+
+def _align(value, alignment=8192):
+    return (value + alignment - 1) // alignment * alignment
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.sampled_from([0.5, 1.0, 3.0])),
+        max_size=40,
+    ))
+    return DynamicGraph.from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=graphs())
+def test_layout_matches_the_csr_offsets(graph):
+    """Every region base and span equals the one computed from CSR
+    offsets: the forward CSR of the graph and the CSR of its transpose."""
+    n = graph.num_vertices
+    forward = CSRGraph.from_dynamic(graph)
+    reverse = CSRGraph.from_dynamic(DynamicGraph.from_edges(
+        n, [(v, u, w) for u, v, w in graph.edges()]
+    ))
+    layout = MemoryLayout(graph)
+    record = 8
+    indptr_base = _align(n * 8)
+    edges_base = _align(indptr_base + (n + 1) * 8)
+    rev_indptr_base = _align(edges_base + forward.num_edges * record)
+    rev_edges_base = _align(rev_indptr_base + (n + 1) * 8)
+    assert (
+        layout.state_base, layout.indptr_base, layout.edges_base,
+        layout.rev_indptr_base, layout.rev_edges_base, layout.total_bytes,
+    ) == (
+        0, indptr_base, edges_base, rev_indptr_base, rev_edges_base,
+        _align(rev_edges_base + reverse.num_edges * record),
+    )
+    for v in range(n):
+        assert layout.state_span(v) == Span(v * 8, 8)
+        assert layout.indptr_span(v) == Span(indptr_base + v * 8, 16)
+        assert layout.rev_indptr_span(v) == Span(rev_indptr_base + v * 8, 16)
+        assert layout.edge_list_span(v) == Span(
+            edges_base + int(forward.indptr[v]) * record,
+            forward.out_degree(v) * record,
+        )
+        assert layout.rev_edge_list_span(v) == Span(
+            rev_edges_base + int(reverse.indptr[v]) * record,
+            reverse.out_degree(v) * record,
+        )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.graph.csr import CSRGraph
+from repro.graph.dynamic import DynamicGraph
 from repro.hw.config import DramConfig, SpmConfig
 from repro.hw.dram import DramModel
 from repro.hw.layout import MemoryLayout
@@ -18,8 +18,7 @@ def memory():
     spm = ScratchpadMemory(
         SpmConfig(size_bytes=64 * 1024, ports=8), DramModel(DramConfig())
     )
-    csr = CSRGraph.from_edges(4, EDGES)
-    layout = MemoryLayout(csr, csr.reversed())
+    layout = MemoryLayout(DynamicGraph.from_edges(4, EDGES))
     return spm, layout
 
 

@@ -3,44 +3,16 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.hw.sim import EventQueue, ReadyQueue, Resource
+from repro.hw.sim import ReadyQueue, Resource
 
 
 class TestResource:
-    def test_acquire_when_idle(self):
-        r = Resource("unit")
-        start, end = r.acquire(ready=5, duration=3)
-        assert (start, end) == (5, 8)
-        assert r.next_free == 8
-
-    def test_acquire_queues_behind_busy(self):
-        r = Resource()
-        r.acquire(0, 10)
-        start, end = r.acquire(ready=2, duration=1)
-        assert (start, end) == (10, 11)
-
-    def test_peek_has_no_side_effect(self):
-        r = Resource()
-        r.acquire(0, 10)
-        assert r.peek_start(3) == 10
-        assert r.next_free == 10
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
-            Resource().acquire(0, -1)
-
     def test_occupy_until(self):
         r = Resource()
         r.occupy_until(9)
         assert r.next_free == 9
         r.occupy_until(4)  # never moves backwards
         assert r.next_free == 9
-
-    def test_busy_accounting(self):
-        r = Resource()
-        r.acquire(0, 4)
-        r.acquire(0, 6)
-        assert r.busy_cycles == 10
 
 
 class TestReadyQueue:
@@ -86,60 +58,3 @@ class TestReadyQueue:
         start, item = q.pop_or_requeue(lambda item: starts[item])
         assert item == "blocked"
         assert start == 100
-
-
-class TestEventQueue:
-    def test_ordering_and_time(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(5, lambda: fired.append(("a", q.now)))
-        q.schedule(2, lambda: fired.append(("b", q.now)))
-        end = q.run()
-        assert fired == [("b", 2), ("a", 5)]
-        assert end == 5
-
-    def test_cascading_events(self):
-        q = EventQueue()
-        fired = []
-
-        def first():
-            fired.append(q.now)
-            q.schedule(3, lambda: fired.append(q.now))
-
-        q.schedule(1, first)
-        q.run()
-        assert fired == [1, 4]
-
-    def test_schedule_at(self):
-        q = EventQueue()
-        fired = []
-        q.schedule_at(9, lambda: fired.append(q.now))
-        q.run()
-        assert fired == [9]
-
-    def test_schedule_into_past_rejected(self):
-        q = EventQueue()
-        q.schedule(5, lambda: None)
-        q.run()
-        with pytest.raises(SimulationError):
-            q.schedule_at(2, lambda: None)
-        with pytest.raises(SimulationError):
-            q.schedule(-1, lambda: None)
-
-    def test_runaway_guard(self):
-        q = EventQueue()
-
-        def rearm():
-            q.schedule(1, rearm)
-
-        q.schedule(0, rearm)
-        with pytest.raises(SimulationError):
-            q.run(max_events=100)
-
-    def test_step(self):
-        q = EventQueue()
-        fired = []
-        q.schedule(1, lambda: fired.append(1))
-        assert q.step() is True
-        assert q.step() is False
-        assert fired == [1]
