@@ -10,7 +10,9 @@ serve harness (one pin for both backends).  Its ``baselines`` entries
 were added at commit ``fe13e11``, before the incremental kernels were
 rewritten: the same stream through the plain incremental engine (both
 deletion policies), SGraph, the coalescing engine and SGraph's hub
-index, per algorithm.  A hot-path change that keeps this file green did not change
+index, per algorithm; its ``pnp`` entry (PnP fed each batch additions-first,
+so its prune hook runs) before the sequential baselines shared one update
+step.  A hot-path change that keeps this file green did not change
 what the engines compute or how much work they count for it.
 
 Regenerate (only when an answer or a counter is *meant* to change)::
@@ -32,11 +34,13 @@ from repro.baselines import (
     CoalescingEngine,
     HubIndex,
     PlainIncrementalEngine,
+    PnPEngine,
     SGraphEngine,
 )
 from repro.core.classification import KeyPathRule
 from repro.core.engine import CISGraphEngine
 from repro.core.multiquery import MultiQueryEngine
+from repro.graph.batch import UpdateBatch
 from repro.hw import AcceleratorConfig, CISGraphAccelerator, SpmConfig
 from repro.metrics import OpCounts
 from repro.query import PairwiseQuery
@@ -72,6 +76,8 @@ BASELINES = {
         graph, alg, SINGLE, record_updates=True, deletion_policy="reachable"
     ),
     "sgraph": lambda graph, alg: SGraphEngine(graph, alg, SINGLE),
+    # fed each batch additions-first (see ``_additions_first``)
+    "pnp": lambda graph, alg: PnPEngine(graph, alg, SINGLE),
     "coalescing": lambda graph, alg: CoalescingEngine(graph, alg, SINGLE),
 }
 #: accelerator machines: ``(config, traced)``
@@ -107,6 +113,24 @@ def _stream():
         reference.apply_batch(batch)
         batches.append(batch)
     return graph, batches
+
+
+def _additions_first(graph, batches) -> list:
+    """``batches`` with each batch's new-edge additions moved, in order, in
+    front of its re-weights and deletions (same net topology): in the
+    stream as generated a re-weight leads every batch, so a prune hook,
+    which only runs before a batch's first repair, would never be asked."""
+    reference = graph.copy()
+    reordered = []
+    for batch in batches:
+        fresh = [
+            upd for upd in batch
+            if upd.is_addition and not reference.has_edge(upd.u, upd.v)
+        ]
+        rest = [upd for upd in batch if upd not in fresh]
+        reordered.append(UpdateBatch(fresh + rest))
+        reference.apply_batch(batch)
+    return reordered
 
 
 def _ops(ops: OpCounts) -> list:
@@ -185,6 +209,8 @@ def run_serve(graph, batches, algorithm, rule, directory, backend) -> list:
 def run_baseline(graph, batches, algorithm, baseline) -> list:
     if baseline == "hubs":
         return run_hubs(graph, batches, algorithm)
+    if baseline == "pnp":
+        batches = _additions_first(graph, batches)
     engine = BASELINES[baseline](graph.copy(), algorithm)
     engine.initialize()
     rows = []
@@ -367,6 +393,13 @@ def test_the_accelerator_pin_exercises_repair_and_writebacks(pinned):
         for config, rows in runs.items():
             assert sum(row["stats"]["repairs"] for row in rows), (case, config)
         assert sum(row["memory"][0][2] for row in runs["small"]), case
+
+
+def test_the_pnp_pin_exercises_the_prune_hook(pinned):
+    """PnP's generic rule is asked on every algorithm."""
+    checks = OP_FIELDS.index("bound_checks")
+    for name, runs in pinned["baselines"].items():
+        assert sum(row["response_ops"][checks] for row in runs["pnp"]), name
 
 
 def test_the_stream_exercises_every_class(golden):
