@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Set
 
+from repro import kernels
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.engine import PairwiseEngine
 from repro.graph.batch import UpdateBatch
@@ -46,6 +47,7 @@ class CoalescingEngine(PairwiseEngine):
     ) -> None:
         super().__init__(graph, algorithm, query)
         self.state = IncrementalState(graph, algorithm, query.source)
+        self._relax = kernels.compiled(algorithm).relax
 
     def _do_initialize(self) -> None:
         self.state.full_compute(self.init_ops)
@@ -57,11 +59,9 @@ class CoalescingEngine(PairwiseEngine):
     # ------------------------------------------------------------------
     def _do_batch(self, batch: UpdateBatch) -> BatchResult:
         ops = OpCounts()
-        graph = self.graph
-        alg = self.algorithm
         state = self.state
 
-        effective = graph.apply_net(batch)
+        effective = self.graph.apply_net(batch)
         ops.updates_processed += len(effective)
 
         # ---- coalesced deletion repair first: collect every supplying
@@ -77,20 +77,20 @@ class CoalescingEngine(PairwiseEngine):
 
         # ---- coalesced additions: relax every added edge, merge improved
         # targets into the same single wave.
-        for upd in effective:
-            if not upd.is_addition:
-                continue
-            ops.relaxations += 1
-            ops.state_reads += 2
-            candidate = alg.propagate(
-                state.states[upd.u], alg.transform_weight(upd.weight)
+        added = [upd for upd in effective if upd.is_addition]
+        improved = [
+            head
+            for upd in added
+            for head in self._relax(
+                self.algorithm, state.states, state.parents, upd.u,
+                ((upd.v, upd.weight),),
             )
-            if alg.is_better(candidate, state.states[upd.v]):
-                state.states[upd.v] = candidate
-                state.parents[upd.v] = upd.u
-                ops.state_writes += 1
-                ops.activations += 1
-                seeds.add(upd.v)
+        ]
+        ops.relaxations += len(added)
+        ops.state_reads += 2 * len(added)
+        ops.state_writes += len(improved)
+        ops.activations += len(improved)
+        seeds.update(improved)
 
         state.propagate(sorted(seeds), ops)
         return BatchResult(

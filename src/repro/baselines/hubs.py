@@ -83,21 +83,10 @@ class HubIndex:
             )
         ops = OpCounts()
         for upd in batch:
-            if upd.is_addition:
-                old_weight = self.graph.out_adj(upd.u).get(upd.v)
-                self.graph.add_edge(upd.u, upd.v, upd.weight)
-                if old_weight == upd.weight:
-                    continue
-                for state in self._states.values():
-                    if old_weight is None:
-                        state.process_addition(upd.u, upd.v, upd.weight, ops)
-                    else:
-                        state.process_reweight(upd.u, upd.v, upd.weight, ops)
-            else:
-                if not self.graph.remove_edge(upd.u, upd.v, missing_ok=True):
-                    continue
-                for state in self._states.values():
-                    state.process_deletion(upd.u, upd.v, ops)
+            old_weight = self.graph.weight_or_none(upd.u, upd.v)
+            self.graph.apply_update(upd)
+            for state in self._states.values():
+                state.process_update(upd, old_weight, ops)
         # All maintenance work is bound bookkeeping from the query's point of
         # view; fold the traffic into the hub_relaxations counter as well so
         # result tables can report it separately.

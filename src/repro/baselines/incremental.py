@@ -13,7 +13,7 @@ breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.engine import PairwiseEngine
@@ -78,26 +78,12 @@ class PlainIncrementalEngine(PairwiseEngine):
             ops = OpCounts()
             activated: Set[int] = set()
             before = self.state.states[destination]
-            if upd.is_addition:
-                old_weight = self.graph.out_adj(upd.u).get(upd.v)
-                self.graph.add_edge(upd.u, upd.v, upd.weight)
-                if old_weight is None:
-                    self.state.process_addition(
-                        upd.u, upd.v, upd.weight, ops, activated=activated
-                    )
-                elif old_weight != upd.weight:
-                    self.state.process_reweight(
-                        upd.u, upd.v, upd.weight, ops, activated=activated
-                    )
-            else:
-                if self.graph.remove_edge(upd.u, upd.v, missing_ok=True):
-                    self.state.process_deletion(
-                        upd.u,
-                        upd.v,
-                        ops,
-                        activated=activated,
-                        policy=self.deletion_policy,
-                    )
+            old_weight = self.graph.weight_or_none(upd.u, upd.v)
+            self.graph.apply_update(upd)
+            self.state.process_update(
+                upd, old_weight, ops, activated=activated,
+                policy=self.deletion_policy,
+            )
             ops.updates_processed += 1
             if self.record_updates:
                 records.append(

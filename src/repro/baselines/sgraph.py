@@ -12,11 +12,13 @@ every batch.  The reproduction keeps the two sound pruning rules:
 * **landmark rule** (PPSP only): suppress when ``state[v] + LB(v, d)``
   cannot beat the answer, with ``LB`` the hub (ALT) lower bound.
 
-Pruning is *deferred*, not discarded: suppressed vertices are flushed to
-full convergence before any deletion repair (deletions worsen the answer,
-which would invalidate prune decisions) and at the end of the batch, so the
-maintained state array is always converged at batch boundaries.  See
-DESIGN.md section 5 for the soundness argument.
+:class:`PnPEngine` is the generic rule; :class:`SGraphEngine` adds the
+landmark rule and the hub upkeep.  Pruning is *deferred*, not discarded:
+suppressed vertices are flushed to full convergence before the batch's
+first repair (a deletion or re-weight of a present edge worsens the answer,
+which would invalidate prune decisions; pruning stops there) and at the end
+of the batch, so the maintained state array is always converged at batch
+boundaries.  See DESIGN.md section 5 for the soundness argument.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from repro.baselines.hubs import HubIndex
 from repro.engine import PairwiseEngine
 from repro.graph.batch import UpdateBatch
 from repro.graph.dynamic import DynamicGraph
-from repro.incremental import IncrementalState
+from repro.incremental import IncrementalState, PruneHook
 from repro.metrics import BatchResult, OpCounts
 from repro.query import PairwiseQuery
 
 
-class BoundPrunedEngine(PairwiseEngine):
-    """Shared machinery for bound-pruning engines (SGraph, PnP)."""
+class PnPEngine(PairwiseEngine):
+    """Upper-bound-only pruning (PnP): the generic rule, no hub upkeep."""
 
-    name = "bound-pruned"
+    name = "pnp"
 
     def __init__(
         self,
@@ -59,8 +61,7 @@ class BoundPrunedEngine(PairwiseEngine):
     # ------------------------------------------------------------------
     def _prune(self, vertex: int, state: float) -> bool:
         """Sound suppression test; subclasses may strengthen it."""
-        answer = self.state.states[self.query.destination]
-        return not self.algorithm.is_better(state, answer)
+        return not self.algorithm.is_better(state, self.answer)
 
     def _maintenance_ops(self, batch: UpdateBatch) -> OpCounts:
         """Per-batch bound bookkeeping (hub updates for SGraph)."""
@@ -73,43 +74,22 @@ class BoundPrunedEngine(PairwiseEngine):
         response += self._maintenance_ops(batch)
 
         activated: Set[int] = set()
-        deletions_seen = False
-
-        def enter_deletion_mode() -> None:
-            # Deletions (and repair-triggering re-weights) worsen the
-            # answer, invalidating earlier prune decisions: finish
-            # suppressed convergence first and stop pruning afterwards.
-            nonlocal deletions_seen
-            if not deletions_seen:
-                self.state.flush_suppressed(response, activated=activated)
-                deletions_seen = True
-
+        prune: Optional[PruneHook] = self._prune
         for upd in batch:
             response.updates_processed += 1
-            if upd.is_addition:
-                old_weight = self.graph.out_adj(upd.u).get(upd.v)
-                self.graph.add_edge(upd.u, upd.v, upd.weight)
-                if old_weight is None:
-                    self.state.process_addition(
-                        upd.u,
-                        upd.v,
-                        upd.weight,
-                        response,
-                        prune=None if deletions_seen else self._prune,
-                        activated=activated,
-                    )
-                elif old_weight != upd.weight:
-                    enter_deletion_mode()
-                    self.state.process_reweight(
-                        upd.u, upd.v, upd.weight, response, activated=activated
-                    )
-            else:
-                if not self.graph.remove_edge(upd.u, upd.v, missing_ok=True):
-                    continue
-                enter_deletion_mode()
-                self.state.process_deletion(
-                    upd.u, upd.v, response, activated=activated
-                )
+            old_weight = self.graph.weight_or_none(upd.u, upd.v)
+            self.graph.apply_update(upd)
+            if prune is not None and old_weight is not None and (
+                upd.is_deletion or old_weight != upd.weight
+            ):
+                # A repair (a deletion, or a re-weight) worsens the answer,
+                # invalidating earlier prune decisions: finish suppressed
+                # convergence first and stop pruning for the batch.
+                self.state.flush_suppressed(response, activated=activated)
+                prune = None
+            self.state.process_update(
+                upd, old_weight, response, prune=prune, activated=activated
+            )
 
         # Background completion of any remaining suppressed broadcasts so the
         # next batch starts from a converged array.
@@ -122,7 +102,7 @@ class BoundPrunedEngine(PairwiseEngine):
         )
 
 
-class SGraphEngine(BoundPrunedEngine):
+class SGraphEngine(PnPEngine):
     """Hub-based upper/lower-bound pruning (SGraph)."""
 
     name = "sgraph"
@@ -154,18 +134,12 @@ class SGraphEngine(BoundPrunedEngine):
         return self.hub_index.process_batch(self._batch_counter, batch)
 
     def _prune(self, vertex: int, state: float) -> bool:
-        answer = self.state.states[self.query.destination]
-        if not self.algorithm.is_better(state, answer):
+        if super()._prune(vertex, state):
             return True
+        answer = self.answer
         if self._use_landmark and answer != math.inf:
             assert self.hub_index is not None
             bound = self.hub_index.ppsp_lower_bound(vertex, self.query.destination)
             if state + bound >= answer:
                 return True
         return False
-
-
-class PnPEngine(BoundPrunedEngine):
-    """Upper-bound-only pruning (PnP), no hub maintenance."""
-
-    name = "pnp"

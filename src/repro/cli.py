@@ -76,6 +76,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
+from repro import baselines
 from repro.algorithms import list_algorithms, table2_rows
 from repro.bench.datasets import (
     dataset_by_abbreviation,
@@ -85,39 +86,6 @@ from repro.bench.datasets import (
     table3_rows,
 )
 from repro.query import PairwiseQuery
-
-ENGINES = (
-    "cs",
-    "incremental",
-    "coalescing",
-    "sgraph",
-    "pnp",
-    "cisgraph-o",
-    "cisgraph",
-)
-
-
-def _engine_factory(name: str):
-    from repro.baselines import (
-        CoalescingEngine,
-        ColdStartEngine,
-        PlainIncrementalEngine,
-        PnPEngine,
-        SGraphEngine,
-    )
-    from repro.core.engine import CISGraphEngine
-    from repro.hw.accelerator import CISGraphAccelerator
-
-    return {
-        "cs": ColdStartEngine,
-        "incremental": PlainIncrementalEngine,
-        "coalescing": CoalescingEngine,
-        "sgraph": SGraphEngine,
-        "pnp": PnPEngine,
-        "cisgraph-o": CISGraphEngine,
-        "cisgraph": CISGraphAccelerator,
-    }[name]
-
 
 @contextlib.contextmanager
 def _telemetry_session(path: Optional[str]):
@@ -155,6 +123,15 @@ def _telemetry_session(path: Optional[str]):
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
+def _script_verbs(runner: type) -> List[str]:
+    """The verbs a serve script runner accepts: its ``_cmd_*`` handlers, in
+    definition order (``_cmd_a_b`` answers ``a-b``)."""
+    return [
+        name[len("_cmd_"):].replace("_", "-")
+        for name in vars(runner) if name.startswith("_cmd_")
+    ]
+
+
 def cmd_info(args: argparse.Namespace) -> int:
     """Print the algorithm/dataset/hardware inventory."""
     from repro.bench.reporting import render_table2_markdown, render_table3_markdown
@@ -173,11 +150,11 @@ def cmd_info(args: argparse.Namespace) -> int:
           f"{config.spm.ways}-way, {config.spm.ports} ports")
     print(f"  DRAM:              {config.dram.channels}x DDR4 channels")
     print()
+    from repro.serve.protocol import ScriptRunner
     from repro.serve.session import SessionState
 
     print("Serving (repro serve, docs/serving.md):")
-    print("  script commands:   register, deregister, add, delete, commit, "
-          "query, stats, close")
+    print("  script commands:   " + ", ".join(_script_verbs(ScriptRunner)))
     print("  shed policies:     reject (fail fast), delay (park until deadline)")
     print("  session lifecycle: "
           + " -> ".join(s.value for s in SessionState))
@@ -197,7 +174,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         query = PairwiseQuery(args.source, args.destination)
 
-    factory = _engine_factory(args.engine)
+    factory = baselines.ENGINES[args.engine]
     with _telemetry_session(args.telemetry):
         engine = factory(
             workload.replay.initial_graph, get_algorithm(args.algorithm), query
@@ -739,7 +716,9 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="run one pairwise query")
     query.add_argument("--dataset", default="OR", **datasets)
     query.add_argument("--algorithm", default="ppsp", choices=list_algorithms() + ["hops"])
-    query.add_argument("--engine", default="cisgraph-o", choices=ENGINES)
+    query.add_argument(
+        "--engine", default="cisgraph-o", choices=baselines.ENGINES
+    )
     query.add_argument("--source", type=int, default=None)
     query.add_argument("--destination", type=int, default=None)
     query.add_argument("--batches", type=int, default=2)

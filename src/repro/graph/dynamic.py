@@ -14,7 +14,7 @@ endpoint id is one shared ``int`` per id and every ``float`` weight one
 shared object per value, so a relaxation touches a few hot objects instead
 of two cold ones per edge.  Copies share the same objects.  Weights are
 positive, as :class:`~repro.graph.batch.EdgeUpdate` requires: a bulk build
-refuses any other.
+and :meth:`DynamicGraph.add_edge` refuse any other.
 """
 
 from __future__ import annotations
@@ -158,10 +158,14 @@ class DynamicGraph:
         """Insert (or re-weight) edge ``u -> v``.
 
         Returns ``True`` when the edge is new, ``False`` when an existing
-        edge's weight was overwritten.
+        edge's weight was overwritten.  A weight that is not ``> 0`` raises
+        the ``ValueError`` an :class:`EdgeUpdate` raises for it.
         """
         self._check_vertex(u)
         self._check_vertex(v)
+        if not weight > 0:
+            message = f"edge weights must be positive: +({u} --{weight:g}--> {v})"
+            raise ValueError(message)
         is_new = v not in self._out[u]
         self._out[u][v] = weight
         self._in[v][u] = weight
@@ -248,12 +252,6 @@ class DynamicGraph:
         A surviving addition that names a vertex the graph does not have
         raises :class:`VertexOutOfRangeError` for the largest such vertex
         before the first write; a deletion of such an edge has no effect.
-        One difference from the pair: a stored weight no
-        :class:`EdgeUpdate` can carry (``<= 0`` or NaN, which only
-        :meth:`add_edge` stores; :meth:`from_edges` refuses it) raises the
-        reducer's ``ValueError`` when a deletion half must carry it, but
-        after the edges in front of it were applied; the edge count stays
-        consistent.
         """
         out, inn = self._out, self._in
         count = len(out)

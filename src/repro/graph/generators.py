@@ -15,10 +15,11 @@ algorithm's weight transform can consume (see
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.graph.dynamic import DynamicGraph
 from repro.graph.popularity import ZipfSampler
 
 Edge = Tuple[int, int, float]
@@ -127,6 +128,23 @@ def erdos_renyi(
                 break
     weights = _assign_weights(rng, len(edges), max_weight)
     return [(u, v, w) for (u, v), w in zip(edges, weights.tolist())]
+
+
+def uniform_digraph(num_vertices: int, num_edges: int, rng) -> DynamicGraph:
+    """Uniform simple digraph with weights in ``1 .. 16``, drawn from ``rng``
+    (a :class:`random.Random`).
+
+    Draws edge endpoints until ``num_edges`` distinct non-loop pairs are
+    taken, then one weight per edge, in the set's iteration order; the
+    caller's later draws continue from there.
+    """
+    edges = set()
+    while len(edges) < num_edges:
+        u, v = rng.randrange(num_vertices), rng.randrange(num_vertices)
+        if u != v:
+            edges.add((u, v))
+    weighted = [(u, v, float(rng.randint(1, 16))) for u, v in edges]
+    return DynamicGraph.from_edges(num_vertices, weighted)
 
 
 def web_graph(

@@ -14,10 +14,11 @@ the three primitives of incremental monotonic computation:
 * :meth:`propagate` — monotone worklist propagation from seed vertices,
   with an optional pruning hook used by the bound-based baselines.
 
-:meth:`process_additions` / :meth:`process_deletions` run a whole list of
-additions or deletions in one call.  Every primitive runs the loops of
-:mod:`repro.kernels`, compiled for the algorithm's semiring, and is
-instrumented with :class:`~repro.metrics.OpCounts`.
+:meth:`process_update` is the per-update step of the sequential
+baselines; :meth:`process_additions` / :meth:`process_deletions` run a
+whole list of additions or deletions in one call.  Every primitive runs
+the loops of :mod:`repro.kernels`, compiled for the algorithm's semiring,
+and is instrumented with :class:`~repro.metrics.OpCounts`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Callable, Iterable, List, Optional, Set, Tuple
 from repro import kernels
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.algorithms.solvers import dijkstra
+from repro.graph.batch import EdgeUpdate
 from repro.graph.dynamic import DynamicGraph
 from repro.metrics import OpCounts
 
@@ -130,26 +132,41 @@ class IncrementalState:
         one call; returns how many improved their target."""
         return self._loops.additions(self, updates, ops, None, activated)
 
-    def process_reweight(
+    # ------------------------------------------------------------------
+    # one streaming update
+    # ------------------------------------------------------------------
+    def process_update(
         self,
-        u: int,
-        v: int,
-        new_weight: float,
+        upd: EdgeUpdate,
+        old_weight: Optional[float],
         ops: OpCounts,
         prune: Optional[PruneHook] = None,
         activated: Optional[Set[int]] = None,
+        policy: str = "supplier",
     ) -> bool:
-        """Handle an in-place weight change of edge ``u -> v``.
+        """The per-update step of the sequential engines.
 
-        The topology must already carry the new weight.  A weight increase
-        on the supplying edge requires a deletion-style repair (the repair's
-        re-derivation sees the new weight, so it also covers decreases);
-        otherwise a plain relaxation with the new weight suffices.
+        The topology must already carry ``upd``; ``old_weight`` is the
+        edge's weight before it (``None``: absent).  A new edge is relaxed;
+        a deletion of a present edge is repaired under ``policy``; an
+        in-place re-weight is repaired under the supplier policy (the
+        repair's re-derivation sees the new weight, so it covers increases
+        and decreases) and, when no repair ran, relaxed with the new weight.
+        Anything else changed nothing.  Returns ``True`` when a relaxation
+        improved its target or a repair ran.
         """
-        if self.process_deletion(u, v, ops, prune=prune, activated=activated):
-            return True
+        u, v = upd.u, upd.v
+        if upd.is_deletion:
+            return old_weight is not None and self.process_deletion(
+                u, v, ops, prune=prune, activated=activated, policy=policy
+            )
+        if old_weight is not None:
+            if old_weight == upd.weight:
+                return False
+            if self.process_deletion(u, v, ops, prune=prune, activated=activated):
+                return True
         return self.process_addition(
-            u, v, new_weight, ops, prune=prune, activated=activated
+            u, v, upd.weight, ops, prune=prune, activated=activated
         )
 
     # ------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.core.engine import CISGraphEngine
 from repro.errors import AdmissionError, QueueSaturatedError, ShardKilledError
 from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.generators import uniform_digraph
 from repro.query import PairwiseQuery
 from repro.resilience.deadletter import retry_with_backoff
 from repro.resilience.faults import truncate_segment
@@ -586,15 +587,7 @@ def _workload(
 ) -> Tuple[DynamicGraph, List[UpdateBatch]]:
     """Seeded graph + update stream (mirrors the fault-suite generators)."""
     rng = random.Random(seed)
-    edges = set()
-    while len(edges) < num_edges:
-        u, v = rng.randrange(num_vertices), rng.randrange(num_vertices)
-        if u != v:
-            edges.add((u, v))
-    graph = DynamicGraph.from_edges(
-        num_vertices,
-        [(u, v, float(rng.randint(1, 16))) for u, v in edges],
-    )
+    graph = uniform_digraph(num_vertices, num_edges, rng)
     reference = graph.copy()
     batches = []
     for _ in range(num_batches):

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 from repro.algorithms import dijkstra, get_algorithm, list_algorithms
 from repro.graph.batch import EdgeUpdate, UpdateBatch, UpdateKind
 from repro.graph.dynamic import DynamicGraph
+from repro.graph.generators import uniform_digraph
 from repro.query import PairwiseQuery
 
 
@@ -31,18 +32,6 @@ class ValidationReport:
         if not ok:
             self.ok = False
             self.lines.append(f"MISMATCH: {message}")
-
-
-def _random_graph(num_vertices: int, num_edges: int, rng: random.Random) -> DynamicGraph:
-    edges = set()
-    while len(edges) < num_edges:
-        u = rng.randrange(num_vertices)
-        v = rng.randrange(num_vertices)
-        if u != v:
-            edges.add((u, v))
-    return DynamicGraph.from_edges(
-        num_vertices, [(u, v, float(rng.randint(1, 16))) for u, v in edges]
-    )
 
 
 def _random_batch(graph: DynamicGraph, size: int, rng: random.Random) -> UpdateBatch:
@@ -78,28 +67,15 @@ def validate_engines(
     algorithms: Optional[Sequence[str]] = None,
 ) -> ValidationReport:
     """Differentially validate every engine on a random stream."""
-    from repro.baselines import (
-        CoalescingEngine,
-        ColdStartEngine,
-        PlainIncrementalEngine,
-        PnPEngine,
-        SGraphEngine,
-    )
-    from repro.core.engine import CISGraphEngine
-    from repro.hw.accelerator import CISGraphAccelerator
+    from repro.baselines import ENGINES, SGraphEngine
 
     factories = {
-        "cs": ColdStartEngine,
-        "incremental": PlainIncrementalEngine,
-        "coalescing": CoalescingEngine,
+        **ENGINES,
         "sgraph": lambda g, a, q: SGraphEngine(g, a, q, num_hubs=4),
-        "pnp": PnPEngine,
-        "cisgraph-o": CISGraphEngine,
-        "cisgraph": CISGraphAccelerator,
     }
     report = ValidationReport()
     rng = random.Random(seed)
-    graph = _random_graph(num_vertices, num_edges, rng)
+    graph = uniform_digraph(num_vertices, num_edges, rng)
     source = rng.randrange(num_vertices)
     destination = rng.randrange(num_vertices)
     while destination == source:

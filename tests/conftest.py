@@ -94,17 +94,7 @@ def random_graph(
     num_vertices: int, num_edges: int, seed: int = 0
 ) -> DynamicGraph:
     """Random simple weighted digraph for differential tests."""
-    rng = random.Random(seed)
-    edges = set()
-    while len(edges) < num_edges:
-        u = rng.randrange(num_vertices)
-        v = rng.randrange(num_vertices)
-        if u != v:
-            edges.add((u, v))
-    return DynamicGraph.from_edges(
-        num_vertices,
-        [(u, v, float(rng.randint(1, 16))) for u, v in edges],
-    )
+    return generators.uniform_digraph(num_vertices, num_edges, random.Random(seed))
 
 
 def random_batch(

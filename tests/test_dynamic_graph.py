@@ -66,6 +66,8 @@ class TestConstruction:
     def test_non_positive_weights_are_refused(self, bad):
         with pytest.raises(ValueError, match="edge weights must be positive"):
             DynamicGraph.from_edges(4, [(0, 1, 2.0), (1, 2, bad)])
+        with pytest.raises(ValueError, match="edge weights must be positive"):
+            DynamicGraph(4).add_edge(1, 2, bad)
 
     def test_a_refused_weight_fails_the_build_not_the_stream(self):
         """No stream can delete a zero-weight edge (a batch deleting it
@@ -77,6 +79,21 @@ class TestConstruction:
         with pytest.raises(ValueError) as update:
             add(1, 2, 0.0)
         assert str(built.value) == str(update.value)
+
+    def test_a_refused_weight_fails_at_add_edge_not_in_the_stream(self):
+        """A zero weight raises at ``add_edge``, with ``EdgeUpdate``'s
+        message, and leaves the graph as it was; the batch that would have
+        had to delete it later applies whole."""
+        g = DynamicGraph.from_edges(4, [(0, 1, 1.0)])
+        with pytest.raises(ValueError) as stored:
+            g.add_edge(1, 2, 0.0)
+        with pytest.raises(ValueError) as update:
+            add(1, 2, 0.0)
+        assert str(stored.value) == str(update.value)
+        assert not g.has_edge(1, 2) and g.num_edges == 1
+        g.apply_net(UpdateBatch([add(0, 3), delete(1, 2)]))
+        assert sorted(g.edges()) == [(0, 1, 1.0), (0, 3, 1.0)]
+        g.check_consistency()
 
     def test_copy_is_deep(self):
         g = DynamicGraph.from_edges(3, [(0, 1, 2.0)])

@@ -170,14 +170,7 @@ class TestRandomizedConvergence:
         state = fresh_state(g, algorithm, source=seed % 50)
         batch = random_batch(g, 20, 20, seed=seed + 1)
         for upd in batch:
-            if upd.is_addition:
-                old_weight = g.out_adj(upd.u).get(upd.v)
-                g.add_edge(upd.u, upd.v, upd.weight)
-                if old_weight is None:
-                    state.process_addition(upd.u, upd.v, upd.weight, OpCounts())
-                elif old_weight != upd.weight:
-                    state.process_reweight(upd.u, upd.v, upd.weight, OpCounts())
-            else:
-                if g.remove_edge(upd.u, upd.v, missing_ok=True):
-                    state.process_deletion(upd.u, upd.v, OpCounts())
+            old_weight = g.weight_or_none(upd.u, upd.v)
+            g.apply_update(upd)
+            state.process_update(upd, old_weight, OpCounts())
         state.check_converged()

@@ -113,3 +113,21 @@ class TestInfoInventory:
         assert "register, deregister, add, delete, commit" in out
         assert "pending -> warming -> live -> degraded -> closed" in out
         assert "reject (fail fast), delay (park until deadline)" in out
+
+    def test_info_lists_every_script_verb(self, capsys):
+        """Each ``_cmd_*`` handler of the script runner is a verb ``info``
+        names."""
+        from repro.serve.protocol import ScriptRunner
+
+        assert main(["info"]) == 0
+        line = next(
+            row for row in capsys.readouterr().out.splitlines()
+            if "script commands:" in row
+        )
+        listed = line.split(":", 1)[1].replace(",", " ").split()
+        handlers = [
+            name[len("_cmd_"):] for name in dir(ScriptRunner)
+            if name.startswith("_cmd_")
+        ]
+        assert sorted(listed) == sorted(handlers)
+        assert {"explain", "control"} <= set(listed)
