@@ -12,7 +12,9 @@ rewritten: the same stream through the plain incremental engine (both
 deletion policies), SGraph, the coalescing engine and SGraph's hub
 index, per algorithm; its ``pnp`` entry (PnP fed each batch additions-first,
 so its prune hook runs) before the sequential baselines shared one update
-step.  A hot-path change that keeps this file green did not change
+step, and its ``sgraph/additions-first`` entry (SGraph fed the same way, so
+its landmark prune runs) before the result cache kept families across
+commits.  A hot-path change that keeps this file green did not change
 what the engines compute or how much work they count for it.
 
 Regenerate (only when an answer or a counter is *meant* to change)::
@@ -78,6 +80,9 @@ BASELINES = {
     "sgraph": lambda graph, alg: SGraphEngine(graph, alg, SINGLE),
     # fed each batch additions-first (see ``_additions_first``)
     "pnp": lambda graph, alg: PnPEngine(graph, alg, SINGLE),
+    "sgraph/additions-first": lambda graph, alg: SGraphEngine(
+        graph, alg, SINGLE
+    ),
     "coalescing": lambda graph, alg: CoalescingEngine(graph, alg, SINGLE),
 }
 #: accelerator machines: ``(config, traced)``
@@ -209,7 +214,7 @@ def run_serve(graph, batches, algorithm, rule, directory, backend) -> list:
 def run_baseline(graph, batches, algorithm, baseline) -> list:
     if baseline == "hubs":
         return run_hubs(graph, batches, algorithm)
-    if baseline == "pnp":
+    if baseline in ("pnp", "sgraph/additions-first"):
         batches = _additions_first(graph, batches)
     engine = BASELINES[baseline](graph.copy(), algorithm)
     engine.initialize()
@@ -400,6 +405,13 @@ def test_the_pnp_pin_exercises_the_prune_hook(pinned):
     checks = OP_FIELDS.index("bound_checks")
     for name, runs in pinned["baselines"].items():
         assert sum(row["response_ops"][checks] for row in runs["pnp"]), name
+
+
+def test_the_sgraph_pin_exercises_the_landmark_prune(pinned):
+    """SGraph's landmark bound is asked on PPSP once additions lead."""
+    checks = OP_FIELDS.index("bound_checks")
+    rows = pinned["baselines"]["ppsp"]["sgraph/additions-first"]
+    assert sum(row["response_ops"][checks] for row in rows) > 0
 
 
 def test_the_stream_exercises_every_class(golden):
