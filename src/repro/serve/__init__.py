@@ -22,8 +22,9 @@ keeps streaming.  This package is that serving layer:
 * :mod:`repro.serve.admission` — token-bucket registration limits and
   reject-vs-delay load shedding with typed errors;
 * :mod:`repro.serve.cache` — the read chokepoint: owner first, then a
-  per-epoch memo (one solve per epoch per unowned source), plus the
-  last-known store degraded reads stand on;
+  live family per unowned source (one solve per residency, carried
+  through each commit it was read before), plus the last-known store
+  degraded reads stand on;
 * :mod:`repro.serve.health` — heartbeats, the shard health monitor, and
   the per-source circuit breaker;
 * :mod:`repro.serve.supervision` — the :class:`Supervisor` that detects

@@ -1,32 +1,36 @@
-"""The read chokepoint, and a per-epoch memo for what nobody owns.
+"""The read chokepoint, and live source families for what nobody owns.
 
 Every ad-hoc ``query(s, d)`` goes through :meth:`ResultCache.fetch`.  A
 source some healthy shard maintains (or the anchor's) is answered by that
-owner from its converged state — the memo is not consulted at all.  What
-is left — sources nobody owns, owners that are dead, retired or not yet
-sealed at the current epoch, and the recompute leg of a degraded read —
-is solved once per epoch per source: a *family* is the ``states`` list of
-one :func:`~repro.algorithms.solvers.dijkstra` run, answers every
-destination, and is valid for the epoch it was solved in.
+owner from its converged state — the families are not consulted at all.
+What is left — sources nobody owns, owners that are dead, retired or not
+yet sealed at the current epoch, and the recompute leg of a degraded read
+— is answered by the source's *family*: a destination-less
+:class:`~repro.core.multiquery.SourceGroup` solved once on its first read
+(:meth:`~repro.core.multiquery.SourceGroup.initialize`), which answers
+every destination.
 
 :meth:`ResultCache.on_batch` advances the epoch and, when the committed
-net batch is non-empty, drops every family.  Nothing is retained across a
-topology change, so there is nothing to prove: measured over every
-serve-driving input of the repository, contribution-aware retention saved
-0 of 94 solves on ``perfbench``'s ``serve-readmix`` and 6 of 45 on the
-120-vertex traffic profiles (docs/serving.md has the table).  The
-last-known store beside it is a different thing — explicitly *possibly
-stale* answers for open-circuit reads — and survives the drop.
+net batch is non-empty, rides each family read since the previous commit
+through that batch with the same
+:meth:`~repro.core.multiquery.SourceGroup.process_batch` a shard runs, so
+a source read in consecutive epochs costs one solve per residency.  A
+family nobody read in the epoch just ended, or whose state array is
+shorter than the grown graph, is dropped instead: an unread family costs
+at most one group epoch before it goes.  The last-known store beside the
+families is a different thing — explicitly *possibly stale* answers for
+open-circuit reads — and no commit touches it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.algorithms.base import MonotonicAlgorithm
-from repro.algorithms.solvers import dijkstra
+from repro.core.classification import KeyPathRule
+from repro.core.multiquery import SourceGroup
 from repro.graph.batch import UpdateBatch
 from repro.graph.dynamic import DynamicGraph
 from repro.metrics import OpCounts
@@ -47,9 +51,10 @@ class CacheStats:
     misses: int = 0
     #: the hits answered by the source's owner (anchor or sealed shard)
     owned_hits: int = 0
-    #: always 0: families are dropped whole, there are no per-destination
-    #: entries to invalidate.  Kept because ``perfbench/drive.py`` reads it;
-    #: goes with ``cache.dropped_entries`` (ROADMAP item 6(c))
+    #: always 0: a family is carried or dropped whole, there are no
+    #: per-destination entries to invalidate.  Kept because
+    #: ``perfbench/drive.py`` reads it; goes with ``cache.dropped_entries``
+    #: (ROADMAP item 6(c))
     invalidated_entries: int = 0
     invalidated_families: int = 0
     evicted_families: int = 0
@@ -74,7 +79,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """Owner first, then this epoch's solve of the source, then one solve.
+    """Owner first, then the source's live family, then one solve.
 
     The cache is driven from the harness thread only — reads between
     batches, :meth:`on_batch` after each commit — so it needs no locking.
@@ -93,12 +98,14 @@ class ResultCache:
         #: harness wires :meth:`ShardedServeEngine.lookup` here)
         self.owner = owner
         self.stats = CacheStats()
-        #: source -> converged ``states`` of the current epoch's topology
-        self._families: "OrderedDict[int, List[float]]" = OrderedDict()
+        #: source -> its family, converged on the current epoch's topology
+        self._families: "OrderedDict[int, SourceGroup]" = OrderedDict()
+        #: sources whose family was read since the previous commit
+        self._read: Set[int] = set()
         #: committed batches seen (the staleness clock for degraded reads)
         self.epoch = 0
         # last-known answers: (source, destination) -> (value, epoch stamped).
-        # Unlike families these survive invalidation — they are explicitly
+        # Unlike families these are not kept converged — they are explicitly
         # *possibly stale* and only served on an open circuit, bounded by
         # the supervisor's max_staleness (see docs/self_healing.md).
         self._last_known: "OrderedDict[Tuple[int, int], Tuple[float, int]]" = (
@@ -116,16 +123,14 @@ class ResultCache:
         self,
         source: int,
         destination: int,
-        ops: Optional[OpCounts] = None,
         ask_owner: bool = True,
     ) -> float:
         """Answer ``Q(source -> destination)`` on the current snapshot.
 
         The source's owner answers when there is a healthy one
         (``ask_owner`` is False for a read on the degraded path, whose
-        contract predates owners); otherwise this epoch's family of the
-        source does, for any destination; otherwise the solver runs once
-        and its states become that family.
+        contract predates owners); otherwise the source's family does, for
+        any destination; otherwise a family is built and solved once.
         """
         self.stats.lookups += 1
         if ask_owner and self.owner is not None:
@@ -134,20 +139,23 @@ class ResultCache:
                 self.stats.hits += 1
                 self.stats.owned_hits += 1
                 return value
-        states = self._families.get(source)
-        if states is not None:
+        self._read.add(source)
+        family = self._families.get(source)
+        if family is not None:
             self._families.move_to_end(source)
             self.stats.hits += 1
-            return states[destination]
+            return family.answer(destination)
         self.stats.misses += 1
-        result = dijkstra(self.graph, self.algorithm, source)
-        if ops is not None:
-            ops += result.ops
-        self._families[source] = result.states
+        # no destination, so the key-path rule never decides anything
+        family = SourceGroup(
+            self.graph, self.algorithm, source, [], KeyPathRule.PRECISE
+        )
+        family.initialize(OpCounts())
+        self._families[source] = family
         while len(self._families) > FAMILY_BOUND:
             self._families.popitem(last=False)
             self.stats.evicted_families += 1
-        return result.states[destination]
+        return family.answer(destination)
 
     # ------------------------------------------------------------------
     # last-known answers (the degraded-read surface)
@@ -184,11 +192,21 @@ class ResultCache:
     # invalidation
     # ------------------------------------------------------------------
     def on_batch(self, effective: UpdateBatch) -> Dict[str, int]:
-        """Advance the epoch; a non-empty *net* batch drops every family."""
+        """Advance the epoch; a non-empty *net* batch (already applied to
+        the graph) carries every family read since the previous commit
+        through it and drops the rest."""
         self.epoch += 1  # ages every last-known answer by one
-        dropped = 0
-        if len(effective):
-            dropped = len(self._families)
-            self._families.clear()
-            self.stats.invalidated_families += dropped
-        return {"families_dropped": dropped}
+        if not len(effective):
+            return {"families_dropped": 0, "families_carried": 0}
+        carried = dropped = 0
+        vertices = self.graph.num_vertices
+        for source, family in list(self._families.items()):
+            if source in self._read and len(family.state.states) == vertices:
+                family.process_batch(effective, OpCounts(), OpCounts())
+                carried += 1
+            else:
+                del self._families[source]
+                dropped += 1
+        self._read.clear()
+        self.stats.invalidated_families += dropped
+        return {"families_dropped": dropped, "families_carried": carried}

@@ -40,7 +40,7 @@ from repro.errors import (
 )
 from repro.graph.batch import EdgeUpdate, UpdateBatch
 from repro.graph.dynamic import DynamicGraph
-from repro.metrics import OpCounts, ResilienceCounters
+from repro.metrics import ResilienceCounters
 from repro.obs.bridge import (
     record_answer_latency,
     record_controller,
@@ -73,7 +73,7 @@ class ReadResult:
     ``degraded`` is True when the source's circuit was not closed — the
     answer came from the last-known store (``stale_epochs`` committed
     batches old; 0 means current-epoch) or, with nothing fresh enough
-    remembered, from a direct recompute that still carries the flag so
+    remembered, from the result cache (exact) with the flag still set so
     clients know the serving path for this source is unhealthy.
     ``epoch`` is the engine epoch ``value`` is exact for: the last
     committed one, minus ``stale_epochs`` for a last-known answer (the
@@ -123,7 +123,6 @@ class ServeHarness:
         #: only when explicitly disabled at construction)
         self.provenance: Optional[ProvenanceRecorder] = engine.provenance
         self.batches_served = 0
-        self.query_ops = OpCounts()
         #: adaptive controller, attached via :meth:`attach_controller`
         self.controller = None
         #: stale reads served over the lifetime of this harness
@@ -433,13 +432,13 @@ class ServeHarness:
         On a closed circuit this is the exact read for the last committed
         epoch: the shard that maintains ``source`` (or the inline anchor)
         answers from its converged state when it is alive and has sealed
-        that epoch, the result cache (one solver run per miss) otherwise.
+        that epoch, the result cache (the source's live family) otherwise.
         While ``source``'s breaker is open (or trialling half-open) no
         owner is consulted: the answer comes from the last-known store
         when one exists within the supervisor's ``max_staleness`` bound —
-        tagged ``degraded`` with its age — and otherwise falls back to a
-        direct recompute that still carries the flag (the value is exact;
-        the serving path for this source is not healthy).
+        tagged ``degraded`` with its age — and otherwise falls back to the
+        result cache's family, which still carries the flag (the value is
+        exact; the serving path for this source is not healthy).
         """
         source, destination = self._resolve_pair(
             source, destination, session_id
@@ -463,8 +462,7 @@ class ServeHarness:
                                   stale_epochs=stale_epochs,
                                   epoch=epoch - stale_epochs)
         # breaker first: a source on the degraded path never reaches its owner
-        value = self.cache.fetch(source, destination, ops=self.query_ops,
-                                 ask_owner=not degraded)
+        value = self.cache.fetch(source, destination, ask_owner=not degraded)
         return ReadResult(value, degraded=degraded, epoch=epoch)
 
     def _resolve_pair(

@@ -124,19 +124,20 @@ def test_reads_match_a_cold_solve_and_say_who_served_them(
             assert _deltas(harness, before) == (
                 len(owned), len(owned), 0, len(owned)
             )
-            # nobody maintains UNOWNED: its first read after a commit is
-            # the one solve of the epoch (none when the net batch was
-            # empty and the family stayed), the rest are cache hits
+            # nobody maintains UNOWNED: its first read is the one solve,
+            # and each later commit carries its family, so every other
+            # read is a cache hit
             for destination in ELSEWHERE + ELSEWHERE:
                 _exact(harness, UNOWNED, destination)
             lookups, hits, misses, owned_hits = _deltas(harness, before)
             assert (lookups, owned_hits) == (len(owned) + 4, len(owned))
-            assert misses <= 1 and hits == lookups - misses
+            assert misses == (index == 0) and hits == lookups - misses
             # an answered read has been acked: admission sees an idle pool
             assert harness.engine.max_depth() == 0
         stats = harness.stats()["cache"]
         assert stats["owned_hits"] == 16 * len(owned)
-        assert 8 <= stats["misses"] <= 16
+        assert stats["misses"] == 1
+        assert stats["invalidated_families"] == 0
 
 
 # ----------------------------------------------------------------------
