@@ -196,17 +196,16 @@ class ResultCache:
         the graph) carries every family read since the previous commit
         through it and drops the rest."""
         self.epoch += 1  # ages every last-known answer by one
-        if not len(effective):
-            return {"families_dropped": 0, "families_carried": 0}
         carried = dropped = 0
-        vertices = self.graph.num_vertices
-        for source, family in list(self._families.items()):
-            if source in self._read and len(family.state.states) == vertices:
-                family.process_batch(effective, OpCounts(), OpCounts())
-                carried += 1
-            else:
-                del self._families[source]
-                dropped += 1
-        self._read.clear()
-        self.stats.invalidated_families += dropped
+        if len(effective):
+            size = self.graph.num_vertices
+            for source, family in list(self._families.items()):
+                if source in self._read and len(family.state.states) == size:
+                    family.process_batch(effective, OpCounts(), OpCounts())
+                    carried += 1
+                else:
+                    del self._families[source]
+                    dropped += 1
+            self._read.clear()
+            self.stats.invalidated_families += dropped
         return {"families_dropped": dropped, "families_carried": carried}
