@@ -194,12 +194,9 @@ def checkpoint_info(path: str) -> CheckpointInfo:
 
 def install_state(engine: CISGraphEngine, states: List[float],
                   parents: List[int], verify: bool, origin: str) -> None:
-    """Make ``states`` / ``parents`` the converged state of ``engine``, whose
-    graph already holds the topology they were computed for."""
-    engine.state.states = states
-    engine.state.parents = parents
-    engine.keypath.rebuild(parents)
-    engine._initialized = True
+    """:meth:`CISGraphEngine.adopt_state`, then with ``verify`` check that
+    the installed state is a converged fixpoint of ``engine.graph``."""
+    engine.adopt_state(states, parents)
     if verify:
         try:
             engine.state.check_converged()

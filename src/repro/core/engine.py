@@ -25,7 +25,7 @@ multi-query engine and the serve layer.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import List, Optional, Set
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.classification import ClassifiedBatch, KeyPathRule
@@ -93,6 +93,19 @@ class CISGraphEngine(PairwiseEngine):
 
     def _do_initialize(self) -> None:
         self._group.initialize(self.init_ops)
+
+    def adopt_state(self, states: List[float], parents: List[int]) -> float:
+        """Install a converged state computed elsewhere instead of solving
+        it (checkpoint restore, the guard's fallback, serve resume);
+        ``self.graph`` must already hold the topology it was computed for.
+        Returns the answer."""
+        state = self._group.state
+        state.states = list(states)
+        state.parents = list(parents)
+        state.suppressed.clear()
+        self._group.rebuild_keypaths()
+        self._initialized = True
+        return self.answer
 
     # ------------------------------------------------------------------
     def _do_batch(self, batch: UpdateBatch) -> BatchResult:

@@ -1,9 +1,10 @@
 """Cycle-resolution simulator of the CISGraph accelerator (Section III-B).
 
 The simulator is a *timing* layer over the functional workflow of
-:class:`~repro.core.engine.CISGraphEngine`: it holds a one-destination
-:class:`~repro.core.multiquery.SourceGroup` (state and parent arrays, key
-path, classification, the promotion predicate) and runs the per-edge work
+:class:`~repro.core.engine.CISGraphEngine`, which it extends: it uses the
+engine's one-destination :class:`~repro.core.multiquery.SourceGroup`
+(state and parent arrays, key path, classification, the promotion
+predicate) and the engine's lifecycle, and runs the per-edge work
 through the loops of :mod:`repro.kernels`, while it decides *when* each
 step happens:
 
@@ -39,9 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import kernels
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.classification import ClassifiedBatch, KeyPathRule
-from repro.core.keypath import KeyPathTracker
-from repro.core.multiquery import SourceGroup
-from repro.engine import PairwiseEngine
+from repro.core.engine import CISGraphEngine
 from repro.graph.batch import EdgeUpdate, UpdateBatch
 from repro.graph.dynamic import DynamicGraph
 from repro.hw.config import AcceleratorConfig
@@ -80,7 +79,7 @@ class HwBatchStats:
     classification: Dict[str, float] = field(default_factory=dict)
 
 
-class CISGraphAccelerator(PairwiseEngine):
+class CISGraphAccelerator(CISGraphEngine):
     """Hardware CISGraph: contribution-aware workflow with timed pipelines."""
 
     name = "cisgraph"
@@ -94,14 +93,10 @@ class CISGraphAccelerator(PairwiseEngine):
         rule: KeyPathRule = KeyPathRule.PRECISE,
         trace: bool = False,
     ) -> None:
-        super().__init__(graph, algorithm, query)
+        super().__init__(graph, algorithm, query, rule)
         self.config = config or AcceleratorConfig()
-        self.rule = rule
         #: per-batch execution trace (None unless trace=True)
         self.tracer: Optional[TraceRecorder] = TraceRecorder() if trace else None
-        self._group = SourceGroup(
-            graph, algorithm, query.source, [query.destination], rule
-        )
         self._relax = kernels.compiled(algorithm).relax
         self.last_stats: Optional[HwBatchStats] = None
         # per-batch timing machinery, rebuilt at the top of _do_batch
@@ -113,11 +108,6 @@ class CISGraphAccelerator(PairwiseEngine):
         self._unit_nbr_pf: List[NeighborPrefetcher] = []
 
     # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def _do_initialize(self) -> None:
-        self._group.initialize(self.init_ops)
-
     @property
     def states(self) -> List[float]:
         """The converged state array (the source group's)."""
@@ -127,15 +117,6 @@ class CISGraphAccelerator(PairwiseEngine):
     def parents(self) -> List[int]:
         """The dependence tree (the source group's)."""
         return self._group.state.parents
-
-    @property
-    def keypath(self) -> KeyPathTracker:
-        """The query's global key path."""
-        return self._group.keypaths[self.query.destination]
-
-    @property
-    def answer(self) -> float:
-        return self._group.answer(self.query.destination)
 
     # ------------------------------------------------------------------
     # batch processing
@@ -187,6 +168,7 @@ class CISGraphAccelerator(PairwiseEngine):
         classified, ready_times, identify_end = self._identify(effective)
         stats.identify_cycles = identify_end
         stats.classification = classified.summary()
+        self.last_classified = classified
 
         # -- valuable additions (finished before deletions start).
         heap = ReadyQueue()
@@ -223,7 +205,7 @@ class CISGraphAccelerator(PairwiseEngine):
             response_end = max(self._run(heap, stats), response_end)
 
         stats.response_cycles = response_end
-        response_answer = self.answer
+        response_answer = self.last_response_answer = self.answer
 
         # -- delayed deletions drain in the background.
         for upd in pending_delayed:

@@ -8,8 +8,9 @@ ground truth the differential test harness uses).  On divergence it:
 
 1. logs the event (``repro.resilience`` logger) with the first differing
    vertex and both answers,
-2. **falls back**: overwrites the engine's state array and dependence
-   parents with the recomputed ground truth and rebuilds the key path,
+2. **falls back**: installs the recomputed ground truth through
+   :meth:`CISGraphEngine.adopt_state` (states, parents, key paths) —
+   on a serve engine that is its anchor; no shard is touched,
 3. keeps serving — graceful degradation instead of silent corruption.
 
 The check costs one full computation, so ``every_batches`` trades
@@ -111,10 +112,7 @@ class DifferentialGuard:
                 report.true_answer,
             )
             if self.fallback:
-                engine.state.states = list(truth.states)
-                engine.state.parents = list(truth.parents)
-                engine.state.suppressed.clear()
-                engine.keypath.rebuild(engine.state.parents)
+                engine.adopt_state(truth.states, truth.parents)
                 report.fell_back = True
                 self.counters.guard_fallbacks += 1
                 logger.warning(

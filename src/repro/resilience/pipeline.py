@@ -139,16 +139,15 @@ class ResilientPipeline:
     def wrap(
         cls,
         directory: str,
-        engine,
+        engine: CISGraphEngine,
         start_snapshot: int = 0,
         checkpoint_now: bool = True,
         **kwargs,
     ) -> "ResilientPipeline":
         """Wrap an already-initialized engine with the durable path.
 
-        Unlike :meth:`open`, no engine is constructed: any object speaking
-        the engine protocol (``on_batch``/``graph``/``query``/``state``/
-        ``keypath``/``answer``/``telemetry``) gains WAL-first commits,
+        Unlike :meth:`open`, no engine is constructed: a
+        :class:`CISGraphEngine` or any subclass gains WAL-first commits,
         checkpoint cadence and guard coverage — this is how the serve
         layer (:mod:`repro.serve`) attaches its sharded engine.  With
         ``checkpoint_now`` (default) a base checkpoint is written at

@@ -16,9 +16,9 @@ keeps streaming.  This package is that serving layer:
   exit-code failure taxonomy (crashed/hung/killed);
 * :mod:`repro.serve.ipc` — the primitive-only command/outcome codec the
   process backend speaks;
-* :mod:`repro.serve.engine` — the sharded engine speaking the common
-  engine protocol so the resilience stack (WAL, checkpoints, guard,
-  recovery) wraps it unchanged;
+* :mod:`repro.serve.engine` — the sharded engine, a
+  :class:`~repro.core.engine.CISGraphEngine` subclass, so the resilience
+  stack (WAL, checkpoints, guard, recovery) wraps it unchanged;
 * :mod:`repro.serve.admission` — token-bucket registration limits and
   reject-vs-delay load shedding with typed errors;
 * :mod:`repro.serve.cache` — the read chokepoint: owner first, then a

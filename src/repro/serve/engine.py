@@ -1,17 +1,19 @@
 """The sharded serve engine: one ingest thread, N shard workers.
 
-:class:`ShardedServeEngine` speaks the same engine protocol as
-:class:`~repro.core.engine.CISGraphEngine` (``on_batch``/``graph``/``query``/
-``state``/``keypath``/``answer``), so the whole resilience stack — WAL-first
+:class:`ShardedServeEngine` is a :class:`~repro.core.engine.CISGraphEngine`
+whose query is the **anchor**, so the whole resilience stack — WAL-first
 commit, checkpoint cadence, differential guard, crash recovery — wraps it
 unchanged via :meth:`repro.resilience.pipeline.ResilientPipeline.wrap`.
 
 Topology and work are split as follows:
 
 * the engine owns the **canonical graph** (the one the pipeline WALs and
-  checkpoints) and an **anchor** source group processed inline on the
-  ingest thread — the anchor is the durability surface: its states/parents
-  are what checkpoints capture and what the guard cross-checks;
+  checkpoints) and the inherited one-destination source group — the
+  anchor — processed inline on the ingest thread; the anchor is the
+  durability surface: its ``state`` is what checkpoints capture, what
+  the guard cross-checks and what
+  :meth:`~repro.core.engine.CISGraphEngine.adopt_state` installs on
+  resume;
 * every shard worker owns the source groups of the standing sessions
   hashed to it (``source % num_shards``); a thread shard reads the
   canonical graph itself, a process child a replica of it;
@@ -47,16 +49,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.algorithms.base import MonotonicAlgorithm
 from repro.core.classification import KeyPathRule
-from repro.core.keypath import KeyPathTracker
-from repro.core.multiquery import SourceGroup
+from repro.core.engine import CISGraphEngine
+from repro.engine import PairwiseEngine
 from repro.errors import ShardCrashedError, ShardShutdownError
 from repro.graph.batch import UpdateBatch
 from repro.graph.dynamic import DynamicGraph
-from repro.incremental import IncrementalState
 from repro.metrics import BatchResult, OpCounts
-from repro.obs.bridge import record_batch_result
 from repro.obs.provenance import ProvenanceRecorder
-from repro.obs.telemetry import Telemetry, get_global_telemetry
 from repro.query import PairwiseQuery
 from repro.serve.executor import ProcessShardWorker, resolve_backend
 from repro.serve.shard import (
@@ -86,15 +85,19 @@ class ServeBatchResult(BatchResult):
     epoch: int = 0
 
 
-class ShardedServeEngine:
-    """Engine-protocol front for the sharded worker pool.
+class ShardedServeEngine(CISGraphEngine):
+    """CISGraph-O over the sharded worker pool.
 
     ``anchor`` is the pairwise query checkpointed and guarded on behalf of
     the whole serving session (see module docstring); standing sessions
-    are attached afterwards through :meth:`submit_register`.
+    are attached afterwards through the shard workers.  The inherited
+    ``last_*`` fields are CISGraph-O's single-query report: the anchor
+    does not fill them.
     """
 
     name = "serve-sharded"
+    # not inherited: perfbench traces CISGraphEngine.on_batch as core.engine
+    on_batch = PairwiseEngine.on_batch
 
     def __init__(
         self,
@@ -114,11 +117,7 @@ class ShardedServeEngine:
             raise ValueError("num_shards must be positive")
         if epoch_deadline <= 0:
             raise ValueError("epoch_deadline must be positive")
-        anchor.validate(graph.num_vertices)
-        self.graph = graph
-        self.algorithm = algorithm
-        self.query = anchor
-        self.rule = rule
+        super().__init__(graph, algorithm, anchor, rule)
         self.queue_bound = queue_bound
         self.fault_hook = fault_hook
         #: how long the epoch barrier waits for one shard's outcome; the
@@ -128,17 +127,12 @@ class ShardedServeEngine:
         #: with a supervisor attached, a crashed/hung shard degrades its
         #: sources for the epoch instead of raising out of on_batch
         self.tolerate_shard_failures = False
-        self.init_ops = OpCounts()
         self.epoch = 0
         #: the last committed net batch (consumed by the result cache)
         self.last_effective: Optional[UpdateBatch] = None
-        self.telemetry: Optional[Telemetry] = get_global_telemetry()
         #: contribution-provenance store shared by the anchor (recorded
         #: under shard -1) and every worker; None disables recording
         self.provenance = provenance
-        self._anchor = SourceGroup(
-            graph, algorithm, anchor.source, [anchor.destination], rule
-        )
         #: which executor runs the workers ("thread" default, "process"
         #: for real OS processes, each inheriting the canonical graph)
         self.backend = resolve_backend(backend)
@@ -151,8 +145,6 @@ class ShardedServeEngine:
         ]
         #: replaced workers awaiting their final join at close()
         self.retired: List[ShardWorker] = []
-        self._initialized = False
-        self._batches_seen = 0
 
     def _spill_dir(self) -> Optional[str]:
         """Where process children spill their flight rings (lazy).
@@ -197,63 +189,17 @@ class ShardedServeEngine:
         )
 
     # ------------------------------------------------------------------
-    # engine protocol (what pipeline / checkpoint / guard consume)
+    # lifecycle and the commit
     # ------------------------------------------------------------------
-    @property
-    def state(self) -> IncrementalState:
-        """The anchor group's incremental state (the checkpoint surface)."""
-        return self._anchor.state
+    def _do_initialize(self) -> None:
+        super()._do_initialize()
+        self.start_shards()
 
-    @property
-    def keypath(self) -> KeyPathTracker:
-        """The anchor query's key-path tracker (guard fallback rebuilds it)."""
-        return self._anchor.keypaths[self.query.destination]
-
-    @property
-    def answer(self) -> float:
-        """Converged answer of the anchor query."""
-        return self._anchor.answer(self.query.destination)
-
-    def initialize(self) -> float:
-        """Full computation for the anchor; starts the shard workers."""
-        self._anchor.initialize(self.init_ops)
-        self._start_shards()
-        self._initialized = True
-        return self.answer
-
-    def adopt_state(self, states: List[float], parents: List[int]) -> float:
-        """Adopt recovered anchor state instead of recomputing (resume path)."""
-        self.state.states = list(states)
-        self.state.parents = list(parents)
-        self.state.suppressed.clear()
-        for tracker in self._anchor.keypaths.values():
-            tracker.rebuild(self.state.parents)
-        self._start_shards()
-        self._initialized = True
-        return self.answer
-
-    def _start_shards(self) -> None:
+    def start_shards(self) -> None:
+        """Start every worker (``initialize`` does; resume calls it after
+        :meth:`adopt_state`)."""
         for shard in self.shards:
             shard.start()
-
-    def on_batch(self, batch: UpdateBatch) -> ServeBatchResult:
-        """Commit one batch across the canonical graph and every shard."""
-        if not self._initialized:
-            raise RuntimeError(f"{self.name}: initialize() must run before on_batch()")
-        telemetry = self.telemetry
-        if telemetry is None:
-            return self._do_batch(batch)
-        self._batches_seen += 1
-        with telemetry.span(
-            "engine.batch",
-            engine=self.name,
-            batch=self._batches_seen,
-            updates=len(batch),
-        ) as span:
-            result = self._do_batch(batch)
-            span.set(epoch=result.epoch, answers=len(result.answers))
-        record_batch_result(telemetry.registry, self.name, result, span.duration)
-        return result
 
     def _do_batch(self, batch: UpdateBatch) -> ServeBatchResult:
         telemetry = self.telemetry
@@ -303,7 +249,7 @@ class ShardedServeEngine:
             if telemetry is not None else nullcontext()
         ):
             anchor_stats = process_group(
-                self._anchor, effective, response, post,
+                self._group, effective, response, post,
                 provenance, self.epoch, -1,
             )
 
@@ -376,7 +322,7 @@ class ShardedServeEngine:
         if not self._initialized:
             return None
         if source == self.query.source:
-            return self._anchor.answer(destination)
+            return self._group.answer(destination)
         return self.shard_of(source).lookup(source, destination, self.epoch)
 
     def max_depth(self) -> int:
@@ -428,7 +374,7 @@ class ShardedServeEngine:
             self.retired.append(old)
         self.shards = [self._make_worker(index) for index in range(num_shards)]
         if self._initialized:
-            self._start_shards()
+            self.start_shards()
 
     def close(self, timeout: float = 5.0, strict: bool = True) -> None:
         """Stop and join every worker, including retired ones (idempotent).

@@ -186,7 +186,7 @@ class ProcessShardWorker(ShardWorker):
     that graph as of :meth:`start`, not as of construction.  ``epoch``
     must be the epoch the graph is at then, which holds because every
     caller starts a worker before the engine applies its next batch
-    (``initialize`` / ``adopt_state``, ``replace_shard``, ``rescale``).
+    (``initialize`` / ``start_shards``, ``replace_shard``, ``rescale``).
     """
 
     backend = "process"

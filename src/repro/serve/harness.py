@@ -120,7 +120,7 @@ class ServeHarness:
         self.recovered = recovered
         self.telemetry: Optional[Telemetry] = pipeline.telemetry
         #: contribution-provenance store (shared with the engine; None
-        #: only when explicitly disabled at construction)
+        #: only for an engine built without one)
         self.provenance: Optional[ProvenanceRecorder] = engine.provenance
         self.batches_served = 0
         #: adaptive controller, attached via :meth:`attach_controller`
@@ -151,7 +151,6 @@ class ServeHarness:
         fault_hook=None,
         epoch_deadline: float = 30.0,
         supervision: Optional[SupervisorConfig] = None,
-        provenance: Optional[ProvenanceRecorder] = None,
         backend: str = "thread",
         _recovered: Optional[RecoveryResult] = None,
         **pipeline_kwargs,
@@ -161,7 +160,7 @@ class ServeHarness:
         ``anchor`` is the query whose state anchors checkpoints and the
         differential guard; ``supervision`` tunes failure detection and
         resurrection pacing (defaults to :class:`SupervisorConfig`);
-        ``provenance`` overrides the default
+        the engine records contribution provenance into a fresh
         :class:`~repro.obs.provenance.ProvenanceRecorder` backing
         :meth:`explain`; ``backend`` picks the shard executor
         (``"thread"`` default, ``"process"`` for real OS processes, each
@@ -184,8 +183,7 @@ class ServeHarness:
             fault_hook=fault_hook,
             epoch_deadline=epoch_deadline,
             clock=clock,
-            provenance=provenance if provenance is not None
-            else ProvenanceRecorder(),
+            provenance=ProvenanceRecorder(),
             backend=backend,
         )
         if _recovered is None:
@@ -193,6 +191,7 @@ class ServeHarness:
         else:
             state = _recovered.engine.state
             engine.adopt_state(state.states, state.parents)
+            engine.start_shards()
             pipeline_kwargs.update(
                 start_snapshot=_recovered.snapshot_id, checkpoint_now=False
             )

@@ -172,15 +172,21 @@ SERVE_SURFACE = {
         "class=valuable_additions,engine=serve-sharded",
     ]),
     "engine_ops_total": ("counter", [
+        "engine=serve-sharded,op=activations,phase=init",
         "engine=serve-sharded,op=activations,phase=post",
         "engine=serve-sharded,op=activations,phase=response",
         "engine=serve-sharded,op=classification_checks,phase=response",
+        "engine=serve-sharded,op=edges_scanned,phase=init",
         "engine=serve-sharded,op=edges_scanned,phase=post",
         "engine=serve-sharded,op=edges_scanned,phase=response",
+        "engine=serve-sharded,op=heap_ops,phase=init",
+        "engine=serve-sharded,op=relaxations,phase=init",
         "engine=serve-sharded,op=relaxations,phase=post",
         "engine=serve-sharded,op=relaxations,phase=response",
+        "engine=serve-sharded,op=state_reads,phase=init",
         "engine=serve-sharded,op=state_reads,phase=post",
         "engine=serve-sharded,op=state_reads,phase=response",
+        "engine=serve-sharded,op=state_writes,phase=init",
         "engine=serve-sharded,op=state_writes,phase=post",
         "engine=serve-sharded,op=state_writes,phase=response",
         "engine=serve-sharded,op=tag_ops,phase=post",
@@ -247,6 +253,7 @@ SERVE_SURFACE = {
         "span=engine.anchor",
         "span=engine.barrier",
         "span=engine.batch",
+        "span=engine.init",
         "span=pipeline.checkpoint",
         "span=pipeline.commit",
         "span=pipeline.wal_append",

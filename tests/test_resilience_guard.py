@@ -9,6 +9,7 @@ from repro.core.engine import CISGraphEngine
 from repro.metrics import ResilienceCounters
 from repro.query import PairwiseQuery
 from repro.resilience.guard import DifferentialGuard
+from repro.serve import ServeHarness
 from tests.conftest import random_batch, random_graph
 
 ALG = get_algorithm("ppsp")
@@ -99,3 +100,64 @@ class TestDivergence:
         engine.state.states[QUERY.destination] = 0.25
         guard.check(2)
         assert [r.diverged for r in guard.reports] == [False, True]
+
+
+@pytest.mark.serve
+class TestServeEngineFallback:
+    """The guard's fallback on a live serve engine installs the anchor's
+    state and leaves every shard worker as it was."""
+
+    PAIRS = [(1, 20), (2, 30), (5, 35)]
+
+    def _harness(self, directory, graph):
+        harness = ServeHarness.open(
+            directory, graph.copy(), ALG, QUERY, num_shards=2,
+            wal_sync=False,
+        )
+        for source, destination in self.PAIRS:
+            harness.register(source, destination)
+        assert harness.wait_all_live()
+        return harness
+
+    def test_fallback_touches_no_shard(self, tmp_path):
+        graph = random_graph(40, 220, seed=31)
+        reference = graph.copy()
+        batches = []
+        for index in range(3):
+            batch = random_batch(reference, 8, 8, seed=310 + index)
+            reference.apply_batch(batch)
+            batches.append(batch)
+
+        with self._harness(str(tmp_path / "plain"), graph) as plain:
+            uninterrupted = [plain.submit(batch) for batch in batches]
+
+        with self._harness(str(tmp_path / "guarded"), graph) as harness:
+            engine = harness.engine
+            for batch in batches[:2]:
+                harness.submit(batch)
+            workers = list(engine.shards)
+            runners = [worker._runner for worker in workers]
+            sealed = [worker.core.sealed_epoch for worker in workers]
+            assert sealed == [engine.epoch] * len(workers)
+
+            vertex = next(
+                v for v, value in enumerate(engine.state.states)
+                if v != QUERY.source and value != ALG.identity()
+            )
+            engine.state.states[vertex] += 0.5
+            report = DifferentialGuard(engine).check()
+
+            assert report.diverged and report.fell_back
+            assert vertex in report.bad_vertices
+            truth = dijkstra(engine.graph, ALG, QUERY.source)
+            assert engine.state.states == truth.states
+            assert engine.state.parents == truth.parents
+            assert engine.shards == workers  # the same objects
+            assert [worker._runner for worker in engine.shards] == runners
+            assert all(worker.alive for worker in engine.shards)
+            assert engine.retired == []
+            assert [w.core.sealed_epoch for w in engine.shards] == sealed
+
+            result = harness.submit(batches[2])
+        assert result.answer == uninterrupted[2].answer
+        assert result.answers == uninterrupted[2].answers

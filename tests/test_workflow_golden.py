@@ -392,6 +392,20 @@ def test_accelerator_matches_the_pin(pinned, stream, name, rule, config):
     )
 
 
+@pytest.mark.parametrize("name,rule", CASES)
+def test_accelerator_reports_the_single_query_fields(stream, name, rule):
+    """The accelerator fills the report it inherits from CISGraph-O."""
+    graph, batches = stream
+    accel = CISGraphAccelerator(
+        graph.copy(), get_algorithm(name), SINGLE, rule=rule
+    )
+    accel.initialize()
+    for batch in batches:
+        result = accel.on_batch(batch)
+        assert accel.last_response_answer == result.stats["response_answer"]
+        assert accel.last_classified.summary().items() <= result.stats.items()
+
+
 def test_the_accelerator_pin_exercises_repair_and_writebacks(pinned):
     """Every case repairs, and the small machine writes lines back."""
     for case, runs in pinned["accelerator"].items():
